@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, inf_act
+from .bracket import Bracket
 
 __all__ = [
     "Subspace",
@@ -74,38 +74,51 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nullspace(m: np.ndarray, abs_tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of {v : m v = 0} with |m v| <= abs_tol."""
+    """Orthonormal basis (columns) of {v : m v = 0} with |m v| <= abs_tol.
+
+    Tall and square inputs take a thin SVD, whose vh already has one row per
+    column of m.  A wide input needs the full vh: the thin one lacks the
+    trailing null directions beyond its rank.
+    """
+    rows, cols = m.shape
     if m.size == 0:
-        k = m.shape[1]
-        return np.eye(k, dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    ncols = m.shape[1]
-    small = np.ones(ncols, dtype=bool)
+        return np.eye(cols, dtype=complex)
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    small = np.ones(cols, dtype=bool)
     small[: s.size] = s <= abs_tol
     return vh.conj().T[:, small]
+
+
+def _action_matrix(mu: Bracket) -> np.ndarray:
+    """(n^3, n^2) matrix of the linear map a -> a.mu of :func:`~leibcrit.bracket.inf_act`.
+
+    Column ``p * n + q`` is the image of the elementary map with a[p, q] = 1,
+    so ``op @ a.ravel() == inf_act(a, mu).coeffs.ravel()``.
+    """
+    n = mu.dim
+    c = mu.coeffs
+    eye = np.eye(n)
+    op = np.einsum("kp,ijq->ijkpq", eye, c)
+    op -= np.einsum("qi,pjk->ijkpq", eye, c)
+    op -= np.einsum("qj,ipk->ijkpq", eye, c)
+    return op.reshape(n**3, n * n)
 
 
 def derivation_space(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
     """Orthonormal basis of the complex space of derivations of mu.
 
-    The linear operator a -> a.mu is materialized as an (n^3, n^2) matrix
-    and its nullspace extracted by singular values; every returned map a
+    The right singular vectors of the (n^3, n^2) matrix of a -> a.mu whose
+    singular values are at most ``tol * |mu|``; every returned map a thus
     satisfies ``|a.mu| <= tol * |mu|``.  For the zero bracket all n^2
-    elementary maps are derivations.
+    elementary maps are derivations.  :func:`leibcrit.moment.hermitian_derivations`
+    solves for the Hermitian ones directly.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = mu.dim
     if n == 0:
         return []
-    cols = []
-    basis = np.eye(n, dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            e = np.outer(basis[:, p], basis[:, q])
-            cols.append(inf_act(e, mu).coeffs.ravel())
-    op = np.column_stack(cols) if cols else np.zeros((n**3, 0))
-    null = _nullspace(op, abs_tol=tol * mu.norm)
+    null = _nullspace(_action_matrix(mu), abs_tol=tol * mu.norm)
     return [null[:, j].reshape(n, n) for j in range(null.shape[1])]
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bracket import Bracket, inf_act, inner_product
-from .linalg import hermitian_eigen, cluster_values, derivation_space, _nullspace
+from .linalg import _action_matrix, cluster_values, hermitian_eigen
 
 __all__ = [
     "MomentReport",
@@ -137,40 +137,44 @@ def functional_value(mu: Bracket) -> float:
     return float(np.vdot(m, m).real) / nsq**2
 
 
+def _hermitian_coords(m: np.ndarray, n: int) -> np.ndarray:
+    """Columns of m recombined from elementary maps to the Hermitian basis.
+
+    The columns of m are indexed by the elementary maps E_pq (column
+    ``p * n + q``).  The result has one column per element of the fixed
+    basis E_pp, (E_pq + E_qp)/sqrt(2), i(E_pq - E_qp)/sqrt(2) (p < q) of the
+    Hermitian n x n maps, which is orthonormal under Re tr(a b*); applied
+    to the identity it gives that basis itself.
+    """
+    p, q = np.triu_indices(n, 1)
+    upper, lower = m[:, p * n + q], m[:, q * n + p]
+    r = math.sqrt(0.5)
+    return np.hstack([m[:, :: n + 1], r * (upper + lower), 1j * r * (upper - lower)])
+
+
 def hermitian_derivations(mu: Bracket, tol: float = 1e-9) -> list[np.ndarray]:
     """Real-orthonormal basis of the Hermitian derivations of mu.
 
-    The complex derivation space is first computed, then the real-linear
-    condition a = a* is solved inside its realification; the result is
-    orthonormal under the real trace pairing Re tr(a b*).
+    One real-linear solve over the n^2 real coordinates of Hermitian maps:
+    the operator a -> a.mu is taken in a fixed real-orthonormal basis of
+    the Hermitian maps, its real and imaginary parts are stacked into a
+    (2 n^3, n^2) real matrix, and the right singular vectors of a thin SVD
+    with singular value at most ``tol * |mu|`` are kept.  Every returned map
+    a is Hermitian and satisfies ``|a.mu| <= tol * |mu| * |a|``; the maps
+    are orthonormal under the real trace pairing Re tr(a b*).  For the zero
+    bracket all n^2 basis maps are returned.
     """
-    ders = derivation_space(mu, tol)
-    if not ders:
-        return []
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     n = mu.dim
-    cands = ders + [1j * a for a in ders]
-    defect = np.stack([(a - a.conj().T).ravel() for a in cands], axis=1)
-    real_defect = np.vstack([defect.real, defect.imag])
-    null = _nullspace(real_defect.astype(complex), abs_tol=1e-10 * max(1.0, np.abs(defect).max()))
-    coeffs = null.real  # nullspace of a real matrix has a real basis
-    herms = []
-    for j in range(coeffs.shape[1]):
-        a = sum(coeffs[l, j] * cands[l] for l in range(len(cands)))
-        herms.append(0.5 * (a + a.conj().T))
-    if not herms:
+    if n == 0:
         return []
-    # real orthonormalization under Re tr(a b*)
-    stack = np.stack([np.concatenate([a.real.ravel(), a.imag.ravel()]) for a in herms], axis=1)
-    q, r = np.linalg.qr(stack)
-    keep = np.abs(np.diag(r)) > 1e-10 * max(1.0, np.abs(np.diag(r)).max())
-    out = []
-    for j in range(q.shape[1]):
-        if not keep[j]:
-            continue
-        v = q[:, j]
-        a = v[: n * n].reshape(n, n) + 1j * v[n * n :].reshape(n, n)
-        out.append(0.5 * (a + a.conj().T))
-    return out
+    op = _hermitian_coords(_action_matrix(mu), n)
+    _, s, vh = np.linalg.svd(np.vstack([op.real, op.imag]), full_matrices=False)
+    null = vh[s <= tol * mu.norm]
+    basis = _hermitian_coords(np.eye(n * n, dtype=complex), n)
+    maps = basis @ null.T
+    return [maps[:, j].reshape(n, n) for j in range(maps.shape[1])]
 
 
 def criticality_decompose(

@@ -5,6 +5,8 @@ from helpers import random_bracket, random_hermitian, random_unitary
 from leibcrit.bracket import Bracket, evaluate, gl_act, inf_act
 from leibcrit.linalg import (
     Subspace,
+    _action_matrix,
+    _nullspace,
     derivation_space,
     hermitian_eigen,
     left_op,
@@ -46,6 +48,49 @@ class TestMultiplicationOperators:
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         np.testing.assert_allclose(left_op(mu, x) @ y, evaluate(mu, x, y), atol=1e-12)
         np.testing.assert_allclose(right_op(mu, x) @ y, evaluate(mu, y, x), atol=1e-12)
+
+
+class TestNullspace:
+    TOL = 1e-10
+
+    def check(self, m, expected_dim):
+        null = _nullspace(m, abs_tol=self.TOL)
+        assert null.shape == (m.shape[1], expected_dim)
+        np.testing.assert_allclose(null.conj().T @ null, np.eye(expected_dim), atol=1e-12)
+        assert np.linalg.norm(m @ null, axis=0).max(initial=0.0) <= self.TOL
+
+    def test_wide_rank_deficient(self, rng):
+        # 2 x 5 of rank 2: the thin SVD alone would miss all 3 null vectors
+        self.check(rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)), 3)
+
+    def test_wide_rank_one(self, rng):
+        v = rng.standard_normal((3, 1))
+        self.check(v @ rng.standard_normal((1, 6)), 5)
+
+    def test_tall(self, rng):
+        # 6 x 4 of rank 2
+        m = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+        self.check(m.astype(complex), 2)
+
+    def test_tall_full_rank(self, rng):
+        self.check(rng.standard_normal((7, 3)), 0)
+
+    def test_empty(self):
+        self.check(np.zeros((0, 3)), 3)
+        self.check(np.zeros((4, 0)), 0)
+
+
+class TestActionMatrix:
+    def test_matches_inf_act(self, rng):
+        for n in (1, 2, 3, 4):
+            mu = random_bracket(n, rng)
+            op = _action_matrix(mu)
+            assert op.shape == (n**3, n * n)
+            for _ in range(3):
+                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                np.testing.assert_allclose(
+                    op @ a.ravel(), inf_act(a, mu).coeffs.ravel(), atol=1e-12 * mu.norm * np.linalg.norm(a)
+                )
 
 
 class TestDerivationSpace:

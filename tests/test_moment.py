@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import random_bracket, random_hermitian, random_unitary
 from leibcrit.bracket import Bracket, evaluate, gl_act, inf_act, inner_product
-from leibcrit.linalg import trace_pairing
+from leibcrit.catalog import get, standard_rows
+from leibcrit.linalg import _nullspace, derivation_space, trace_pairing
 from leibcrit.moment import (
     CriticalType,
     IrrationalTypeError,
@@ -43,6 +45,63 @@ def moment_entrywise(mu: Bracket) -> np.ndarray:
                     t3 += prods[v, i][j] * np.conj(prods[u, i][j])
             m[u, v] = 2.0 * (t1 - t2 - t3)
     return m
+
+
+def reference_hermitian_derivations(mu: Bracket, tol: float) -> list[np.ndarray]:
+    """Reference chain: the complex derivation space, then the Hermitian
+    condition solved in its realification, then a real QR."""
+    ders = derivation_space(mu, tol)
+    if not ders:
+        return []
+    n = mu.dim
+    cands = ders + [1j * a for a in ders]
+    defect = np.stack([(a - a.conj().T).ravel() for a in cands], axis=1)
+    real_defect = np.vstack([defect.real, defect.imag])
+    null = _nullspace(real_defect.astype(complex), abs_tol=1e-10 * max(1.0, np.abs(defect).max()))
+    herms = [sum(c * a for c, a in zip(col, cands)) for col in null.real.T]
+    herms = [0.5 * (a + a.conj().T) for a in herms]
+    if not herms:
+        return []
+    stack = np.stack([np.concatenate([a.real.ravel(), a.imag.ravel()]) for a in herms], axis=1)
+    q, r = np.linalg.qr(stack)
+    keep = np.abs(np.diag(r)) > 1e-10 * max(1.0, np.abs(np.diag(r)).max())
+    out = [q[: n * n, j].reshape(n, n) + 1j * q[n * n :, j].reshape(n, n) for j in np.flatnonzero(keep)]
+    return [0.5 * (a + a.conj().T) for a in out]
+
+
+def real_projector(maps: list[np.ndarray], n: int) -> np.ndarray:
+    """Orthogonal projector onto the real span of maps, in (Re, Im) coordinates."""
+    if not maps:
+        return np.zeros((2 * n * n, 2 * n * n))
+    stack = np.stack([np.concatenate([a.real.ravel(), a.imag.ravel()]) for a in maps], axis=1)
+    q, _ = np.linalg.qr(stack)
+    return q @ q.T
+
+
+def check_real_orthonormal_hermitian(maps: list[np.ndarray]) -> None:
+    for a in maps:
+        assert np.linalg.norm(a - a.conj().T) <= 1e-12
+    flat = np.stack([a.ravel() for a in maps]) if maps else np.zeros((0, 0))
+    gram = (flat.conj() @ flat.T).real
+    np.testing.assert_allclose(gram, np.eye(len(maps)), atol=1e-12)
+
+
+def filiform(n: int) -> Bracket:
+    """[e1, ei] = e(i+1): a nilpotent Lie algebra with no critical point in its orbit."""
+    return Bracket.from_entries(n, {(1, i, i + 1): 1 for i in range(2, n)}, antisymmetrize=True)
+
+
+def equivalence_cases() -> list:
+    """Every catalog row (L4 among them), seeded unitary rotations of the
+    three families and the non-critical filiform m0(5)."""
+    cases = [pytest.param(entry.bracket, id=entry.label) for entry in standard_rows()]
+    rng = np.random.default_rng(617)
+    for name in ("mu_hy", "mu_he", "mu_sy"):
+        for n in range(4, 9):
+            mu = gl_act(random_unitary(n, rng), get(name, n=n).bracket)
+            cases.append(pytest.param(mu, id=f"{name}({n})@U"))
+    cases.append(pytest.param(filiform(5), id="m0(5)"))
+    return cases
 
 
 class TestMomentMatrix:
@@ -226,6 +285,35 @@ class TestHermitianDerivations:
         for h in hermitian_derivations(mu):
             assert np.linalg.norm(h - h.conj().T) < 1e-9
             assert inf_act(h, mu).norm < 1e-7 * mu.norm
+
+    def test_zero_bracket_gives_every_hermitian_map(self):
+        herms = hermitian_derivations(Bracket.zero(3))
+        assert len(herms) == 9
+        check_real_orthonormal_hermitian(herms)
+
+    @pytest.mark.parametrize("mu", equivalence_cases())
+    def test_matches_complex_then_realified_chain(self, mu):
+        tol = 1e-9
+        herms = hermitian_derivations(mu, tol)
+        ref = reference_hermitian_derivations(mu, tol)
+        assert len(herms) == len(ref)
+        check_real_orthonormal_hermitian(herms)
+        for h in herms:
+            assert inf_act(h, mu).norm <= tol * mu.norm
+        diff = real_projector(herms, mu.dim) - real_projector(ref, mu.dim)
+        assert np.linalg.norm(diff) <= 1e-8
+
+    def test_memory_stays_below_full_svd(self):
+        # a full-matrices SVD of the (n^3, n^2) operator allocates an
+        # n^3 x n^3 U; with it this call peaked at 57 MB traced
+        mu = get("mu_he", n=12).bracket
+        tracemalloc.start()
+        try:
+            criticality_decompose(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestCriticalType:

@@ -20,13 +20,11 @@ from .extensions import ExtensionError, build_general_extension, build_solvable_
 from .fileio import (
     AlgebraFileError,
     algebra_to_dict,
-    identity_report_dict,
     load_algebra,
     load_extension_spec,
     moment_report_dict,
+    report_dict,
     save_algebra,
-    structure_profile_dict,
-    structure_verdict_dict,
 )
 from .flow import FlowParams, descend, perturb_in_orbit
 from .moment import (
@@ -70,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", dest="flow_tol", type=float, default=None,
                    help="flow stopping tolerance (defaults to the global --tol)")
     p.add_argument("--max-iter", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed of the --perturb move (default 0)")
     p.add_argument("--perturb", type=float, default=0.0, metavar="M",
                    help="first move the start inside its orbit by this magnitude")
 
@@ -116,15 +115,13 @@ def _analysis_document(mu: Bracket, meta: dict, tol: float, max_den: int) -> dic
     prof = structure_profile(mu)
     doc = {
         "algebra": {"dim": mu.dim, **meta},
-        "identities": identity_report_dict(idr),
+        "identities": report_dict(idr),
         "moment": moment_report_dict(rep, max_denominator=max_den),
-        "structure": structure_profile_dict(prof),
+        "structure": report_dict(prof),
         "structure_checks": None,
     }
     if rep.is_critical and idr.is_symmetric_leibniz:
-        doc["structure_checks"] = structure_verdict_dict(
-            verify_structure_theorem(mu, rep, tol)
-        )
+        doc["structure_checks"] = report_dict(verify_structure_theorem(mu, rep, tol))
     return doc
 
 
@@ -196,7 +193,7 @@ def _emit_analysis(doc: dict, as_json: bool) -> None:
 def _cmd_check(args) -> int:
     mu, meta = load_algebra(args.file)
     idr = check_identities(mu)
-    doc = identity_report_dict(idr)
+    doc = report_dict(idr)
     if args.format == "json":
         print(json.dumps({"algebra": {"dim": mu.dim, **meta}, "identities": doc}, indent=2))
     else:
@@ -219,7 +216,6 @@ def _cmd_flow(args) -> int:
         step0=args.step0,
         max_iter=args.max_iter,
         tol=args.flow_tol if args.flow_tol is not None else args.tol,
-        seed=args.seed,
     )
     trace = descend(mu, params)
     final_doc = _analysis_document(trace.final_bracket, meta, params.tol, args.max_den)
@@ -294,23 +290,7 @@ def _cmd_catalog(args) -> int:
     rows = _catalog.verify_catalog(tol)
     ok = all(r.passed for r in rows)
     if args.format == "json":
-        print(json.dumps({
-            "rows": [
-                {
-                    "label": r.label,
-                    "strategy": r.strategy,
-                    "computed_type": str(r.computed_type) if r.computed_type else None,
-                    "computed_value": r.computed_value,
-                    "expected_type": str(r.expected_type) if r.expected_type else None,
-                    "expected_value": r.expected_value,
-                    "residual": r.residual,
-                    "passed": r.passed,
-                    "note": r.note,
-                }
-                for r in rows
-            ],
-            "all_passed": ok,
-        }, indent=2))
+        print(json.dumps({"rows": [report_dict(r) for r in rows], "all_passed": ok}, indent=2))
     else:
         for r in rows:
             ct = str(r.computed_type) if r.computed_type else "-"

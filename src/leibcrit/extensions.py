@@ -12,10 +12,12 @@ extending generators are orthonormalized under the Gram form
 
     <A, B> = -(2/c) * (tr ad_A ad_B* + tr L_A L_B* + tr R_A R_B*)
 
-(the ad term only when a reductive bracket f is present).  Hypotheses:
-every action map commutes with D and is a derivation of the core; maps of
-central generators are normal and no nonzero central combination acts by
-zero; maps of semisimple generators (and their ad) are skew-Hermitian.
+where f is the Lie bracket of the extending algebra.  Hypotheses: every
+action map commutes with D and is a derivation of the core; central
+generators are central in f, their maps are normal and no nonzero central
+combination acts by zero; maps of semisimple generators (and their ad) are
+skew-Hermitian.  The solvable build is the general one with f = 0 and
+every generator central, so the ad term of the Gram form vanishes there.
 Nothing is trusted: the assembled product must pass the symmetric Leibniz
 identities, or at least the left identity with every right action a
 derivation of the result (the relaxed one-sided form of the conclusion),
@@ -30,12 +32,12 @@ rests entirely on the final certification.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bracket import Bracket, check_identities, gl_act, inf_act
-from .linalg import left_op
 from .moment import (
     CriticalType,
     MomentReport,
@@ -234,7 +236,7 @@ def _assemble(
     core: Bracket,
     lmaps: list[np.ndarray],
     rmaps: list[np.ndarray],
-    f_coeffs: np.ndarray | None,
+    f_coeffs: np.ndarray,
 ) -> Bracket:
     d1, m = len(lmaps), core.dim
     n = d1 + m
@@ -243,8 +245,7 @@ def _assemble(
     for a in range(d1):
         c[a, d1:, d1:] = lmaps[a].T  # mu(A_a, e_j) = L_a e_j
         c[d1:, a, d1:] = rmaps[a].T  # mu(e_i, A_a) = R_a e_i
-    if f_coeffs is not None:
-        c[:d1, :d1, :d1] = f_coeffs
+    c[:d1, :d1, :d1] = f_coeffs
     return Bracket(n, c)
 
 
@@ -291,40 +292,70 @@ def _certify(
     return rep
 
 
+def _check_clauses(
+    f: Bracket,
+    lmaps: Sequence[np.ndarray],
+    rmaps: Sequence[np.ndarray],
+    semisimple: tuple[int, ...],
+    center: tuple[int, ...],
+    tol: float,
+    when: str = "",
+) -> None:
+    """Central generators are central in f and act by a normal family;
+    semisimple generators act skew-Hermitianly through ad, L and R."""
+    ads = f.coeffs.transpose(0, 2, 1)  # ads[a] is the matrix of y -> f(e_a, y)
+    for z in center:
+        r = float(np.linalg.norm(ads[z])) / max(1.0, f.norm)
+        if r > tol:
+            raise HypothesisViolation("center" + when, r, f"generator {z} is not central in f")
+    _check_skew([ads[h] for h in semisimple], tol, "ad skewness" + when)
+    _check_skew([lmaps[h] for h in semisimple], tol, "L skewness" + when)
+    _check_skew([rmaps[h] for h in semisimple], tol, "R skewness" + when)
+    _check_normal_family([lmaps[z] for z in center], tol, "(ii)" + when)
+    _check_normal_family([rmaps[z] for z in center], tol, "(ii)" + when)
+
+
+def _build(
+    spec: ExtensionSpec, f: Bracket, semisimple: tuple[int, ...], center: tuple[int, ...], tol: float
+) -> tuple[Bracket, MomentReport]:
+    """Check the hypotheses, orthonormalize, assemble and certify."""
+    d_core, core_c, core_type = _core_data(spec, tol)
+    _check_commute_with_core(spec, d_core, tol)
+    _check_derivations(spec, tol)
+    lmaps, rmaps = spec.left_maps, spec.right_maps
+    _check_clauses(f, lmaps, rmaps, semisimple, center, tol)
+    if center:
+        _check_nonvanishing([(lmaps[z], rmaps[z]) for z in center], tol, "(ii)")
+
+    ads, d1 = f.coeffs.transpose(0, 2, 1), spec.d1
+    gram = np.array([
+        [-2.0 / core_c * sum(np.trace(x[a] @ x[b].conj().T) for x in (ads, lmaps, rmaps))
+         for b in range(d1)]
+        for a in range(d1)
+    ])
+    s = _orthonormalize(gram)
+    lmaps, rmaps = _transform(lmaps, s), _transform(rmaps, s)
+    f = gl_act(np.linalg.inv(s), f)  # f in the new basis
+    # the hypotheses are stated in the orthonormal basis: re-verify there
+    _check_clauses(f, lmaps, rmaps, semisimple, center, tol, " after orthonormalization")
+
+    out = _assemble(spec.core, lmaps, rmaps, f.coeffs)
+    return out, _certify(out, rmaps, core_c, core_type, d1, tol)
+
+
 def build_solvable_extension(
     spec: ExtensionSpec, tol: float = 1e-8
 ) -> tuple[Bracket, MomentReport]:
     """Extend the core by an abelian algebra acting through (L, R).
 
-    Returns the assembled product with its fresh criticality certificate;
-    the result is solvable of the core type with (0; d1) prepended.
+    This is :func:`build_general_extension` with f = 0 and every generator
+    central: the same checks, Gram form and certification.  Returns the
+    assembled product with its fresh criticality certificate; the result
+    is solvable of the core type with (0; d1) prepended.
     """
     if spec.f_bracket is not None:
         raise ValueError("solvable extension takes no reductive bracket; use the general builder")
-    d_core, core_c, core_type = _core_data(spec, tol)
-    _check_commute_with_core(spec, d_core, tol)
-    _check_derivations(spec, tol)
-    pairs = list(zip(spec.left_maps, spec.right_maps))
-    _check_nonvanishing(pairs, tol, "(ii)")
-    _check_normal_family(list(spec.left_maps), tol, "(ii)")
-    _check_normal_family(list(spec.right_maps), tol, "(ii)")
-
-    gram = np.empty((spec.d1, spec.d1), dtype=complex)
-    for a in range(spec.d1):
-        for b in range(spec.d1):
-            gram[a, b] = -2.0 / core_c * (
-                np.trace(spec.left_maps[a] @ spec.left_maps[b].conj().T)
-                + np.trace(spec.right_maps[a] @ spec.right_maps[b].conj().T)
-            )
-    s = _orthonormalize(gram)
-    lmaps = _transform(spec.left_maps, s)
-    rmaps = _transform(spec.right_maps, s)
-    _check_normal_family(lmaps, tol, "(ii) after orthonormalization")
-    _check_normal_family(rmaps, tol, "(ii) after orthonormalization")
-
-    out = _assemble(spec.core, lmaps, rmaps, None)
-    rep = _certify(out, rmaps, core_c, core_type, spec.d1, tol)
-    return out, rep
+    return _build(spec, Bracket.zero(spec.d1), (), tuple(range(spec.d1)), tol)
 
 
 def build_general_extension(
@@ -350,49 +381,4 @@ def build_general_extension(
             f"f_bracket is not a Lie algebra (anticommutativity defect "
             f"{idr_f.anticommutativity_residual:.3g}, Jacobi defect {idr_f.jacobi_residual:.3g})"
         )
-
-    d_core, core_c, core_type = _core_data(spec, tol)
-    _check_commute_with_core(spec, d_core, tol)
-    _check_derivations(spec, tol)
-
-    basis = np.eye(d1, dtype=complex)
-    ads = [left_op(f, basis[:, a]) for a in range(d1)]
-    for z in spec.center:
-        r = float(np.linalg.norm(ads[z])) / max(1.0, f.norm)
-        if r > tol:
-            raise HypothesisViolation("center", r, f"generator {z} is not central in f")
-    _check_skew([ads[h] for h in spec.semisimple], tol, "ad skewness")
-    _check_skew([spec.left_maps[h] for h in spec.semisimple], tol, "L skewness")
-    _check_skew([spec.right_maps[h] for h in spec.semisimple], tol, "R skewness")
-    if spec.center:
-        zpairs = [(spec.left_maps[z], spec.right_maps[z]) for z in spec.center]
-        _check_nonvanishing(zpairs, tol, "(ii)")
-        _check_normal_family([spec.left_maps[z] for z in spec.center], tol, "(ii)")
-        _check_normal_family([spec.right_maps[z] for z in spec.center], tol, "(ii)")
-
-    gram = np.empty((d1, d1), dtype=complex)
-    for a in range(d1):
-        for b in range(d1):
-            gram[a, b] = -2.0 / core_c * (
-                np.trace(ads[a] @ ads[b].conj().T)
-                + np.trace(spec.left_maps[a] @ spec.left_maps[b].conj().T)
-                + np.trace(spec.right_maps[a] @ spec.right_maps[b].conj().T)
-            )
-    s = _orthonormalize(gram)
-    lmaps = _transform(spec.left_maps, s)
-    rmaps = _transform(spec.right_maps, s)
-    f2 = _gl_act_by_inverse(f, s)
-    ads2 = [left_op(f2, basis[:, a]) for a in range(d1)]
-    # the hypotheses are stated in the orthonormal basis: re-verify there
-    _check_skew([ads2[h] for h in spec.semisimple], tol, "ad skewness after orthonormalization")
-    _check_skew([lmaps[h] for h in spec.semisimple], tol, "L skewness after orthonormalization")
-    _check_skew([rmaps[h] for h in spec.semisimple], tol, "R skewness after orthonormalization")
-
-    out = _assemble(spec.core, lmaps, rmaps, f2.coeffs)
-    rep = _certify(out, rmaps, core_c, core_type, d1, tol)
-    return out, rep
-
-
-def _gl_act_by_inverse(f: Bracket, s: np.ndarray) -> Bracket:
-    """The bracket of f in the new basis with transition matrix s."""
-    return gl_act(np.linalg.inv(s), f)
+    return _build(spec, f, spec.semisimple, spec.center, tol)

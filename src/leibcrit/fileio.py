@@ -14,14 +14,15 @@ triples are rejected.  Floats round-trip exactly through JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from .bracket import Bracket, IdentityReport
-from .moment import IrrationalTypeError, MomentReport, critical_type
-from .structure import StructureProfile, StructureVerdict
+from .bracket import Bracket
+from .moment import CriticalType, IrrationalTypeError, MomentReport, critical_type
 
 __all__ = [
     "AlgebraFileError",
@@ -30,10 +31,8 @@ __all__ = [
     "algebra_to_dict",
     "bracket_from_dict",
     "load_extension_spec",
-    "identity_report_dict",
     "moment_report_dict",
-    "structure_profile_dict",
-    "structure_verdict_dict",
+    "report_dict",
 ]
 
 
@@ -101,11 +100,7 @@ def bracket_from_dict(doc: Any) -> tuple[Bracket, dict]:
         if (i, j, k) in seen:
             raise AlgebraFileError(f"{where}: duplicate index triple ({i},{j},{k})")
         seen.add((i, j, k))
-        re = e.get("re", 0.0)
-        im = e.get("im", 0.0)
-        for label, val in (("re", re), ("im", im)):
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or not np.isfinite(val):
-                raise AlgebraFileError(f"{where}: {label}={val!r} is not a finite number")
+        re, im = (_finite(e.get(label, 0.0), f"{where}: {label}") for label in ("re", "im"))
         c[i - 1, j - 1, k - 1] = complex(re, im)
     meta = {key: doc[key] for key in ("name", "params") if key in doc}
     return Bracket(dim, c), meta
@@ -120,6 +115,20 @@ def load_algebra(path) -> tuple[Bracket, dict]:
     return bracket_from_dict(doc)
 
 
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _finite(val: Any, what: str) -> float:
+    """``val`` as a float; raises unless it is a finite JSON number."""
+    try:
+        if _is_number(val) and math.isfinite(val):
+            return float(val)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise AlgebraFileError(f"{what}={val!r} is not a finite number")
+
+
 def _matrix_from_json(obj: Any, m: int, what: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != m:
         raise AlgebraFileError(f"{what} must be a list of {m} rows")
@@ -128,17 +137,11 @@ def _matrix_from_json(obj: Any, m: int, what: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != m:
             raise AlgebraFileError(f"{what} row {r + 1} must have {m} entries")
         for cidx, cell in enumerate(row):
-            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                out[r, cidx] = float(cell)
-            elif (
-                isinstance(cell, list) and len(cell) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
-            ):
-                out[r, cidx] = complex(cell[0], cell[1])
-            else:
-                raise AlgebraFileError(
-                    f"{what}[{r + 1}][{cidx + 1}] must be a number or [re, im] pair"
-                )
+            where = f"{what}[{r + 1}][{cidx + 1}]"
+            parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell, 0.0]
+            if not all(_is_number(x) for x in parts):
+                raise AlgebraFileError(f"{where} must be a number or [re, im] pair")
+            out[r, cidx] = complex(*(_finite(x, where) for x in parts))
     return out
 
 
@@ -171,12 +174,13 @@ def load_extension_spec(path):
     core_report = None
     if "abelian" in core_doc:
         ab = core_doc["abelian"]
-        try:
-            m = int(ab["dim"])
-            core_scale = float(ab["scale"])
-            core_c = float(ab["c"])
-        except (KeyError, TypeError, ValueError):
-            raise AlgebraFileError("'core.abelian' needs numeric dim, scale and c") from None
+        if not isinstance(ab, dict) or not {"dim", "scale", "c"} <= set(ab):
+            raise AlgebraFileError("'core.abelian' needs numeric dim, scale and c")
+        m = ab["dim"]
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise AlgebraFileError(f"'core.abelian.dim'={m!r} must be a positive integer")
+        core_scale = _finite(ab["scale"], "'core.abelian.scale'")
+        core_c = _finite(ab["c"], "'core.abelian.c'")
         core = Bracket.zero(m)
     elif "catalog" in core_doc:
         from . import catalog
@@ -241,18 +245,22 @@ def _matrix_to_json(a: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(a, dtype=complex)]
 
 
-def identity_report_dict(r: IdentityReport) -> dict:
-    return {
-        "left_residual": r.left_residual,
-        "right_residual": r.right_residual,
-        "anticommutativity_residual": r.anticommutativity_residual,
-        "jacobi_residual": r.jacobi_residual,
-        "tol": r.tol,
-        "is_left_leibniz": r.is_left_leibniz,
-        "is_right_leibniz": r.is_right_leibniz,
-        "is_symmetric_leibniz": r.is_symmetric_leibniz,
-        "is_lie": r.is_lie,
-    }
+def report_dict(obj: Any) -> dict:
+    """JSON-ready dict of a report dataclass.
+
+    The keys are the dataclass fields in declaration order, followed by the
+    class's ``property`` flags in definition order.  A :class:`CriticalType`
+    is written as its string and a tuple as a list; other values are kept.
+    """
+    names = [f.name for f in dataclasses.fields(obj)]
+    names += [k for k, v in vars(type(obj)).items() if isinstance(v, property)]
+    return {k: _json_value(getattr(obj, k)) for k in names}
+
+
+def _json_value(v: Any) -> Any:
+    if isinstance(v, CriticalType):
+        return str(v)
+    return list(v) if isinstance(v, tuple) else v
 
 
 def moment_report_dict(rep: MomentReport, max_denominator: int = 100) -> dict:
@@ -281,34 +289,4 @@ def moment_report_dict(rep: MomentReport, max_denominator: int = 100) -> dict:
         "M": _matrix_to_json(rep.M),
         "D": _matrix_to_json(rep.D),
         "tol": rep.tol,
-    }
-
-
-def structure_profile_dict(p: StructureProfile) -> dict:
-    return {
-        "derived_dims": list(p.derived_dims),
-        "lower_central_dims": list(p.lower_central_dims),
-        "center_dim": p.center_dim,
-        "is_solvable": p.is_solvable,
-        "is_nilpotent": p.is_nilpotent,
-    }
-
-
-def structure_verdict_dict(v: StructureVerdict) -> dict:
-    return {
-        "adjoint_closed": v.adjoint_closed,
-        "adjoint_residual": v.adjoint_residual,
-        "l0_reductive": v.l0_reductive,
-        "l0_residual": v.l0_residual,
-        "killing_min_sv": v.killing_min_sv,
-        "center_normal": v.center_normal,
-        "center_residual": v.center_residual,
-        "nilradical_ok": v.nilradical_ok,
-        "nilradical_residual": v.nilradical_residual,
-        "is_nilpotent_radical": v.is_nilpotent_radical,
-        "degenerate_abelian_nilradical": v.degenerate_abelian_nilradical,
-        "restricted_type": str(v.restricted_type) if v.restricted_type else None,
-        "type_matches": v.type_matches,
-        "lminus_min_nonnormality": v.lminus_min_nonnormality,
-        "all_passed": v.all_passed,
     }

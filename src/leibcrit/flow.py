@@ -37,7 +37,6 @@ class FlowParams:
     shrink: float = 0.5
     max_iter: int = 50_000
     tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (self.step0 > 0 and self.max_iter > 0 and self.tol > 0):

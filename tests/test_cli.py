@@ -46,6 +46,7 @@ class TestAlgebraFiles:
                                     {"i": 1, "j": 1, "k": 1, "re": 2.0, "im": 0}]}, "duplicate"),
             ({"dim": 2, "entries": [{"i": 1, "j": 1, "k": 1, "re": "x", "im": 0}]}, "finite number"),
             ({"dim": 2, "entries": [{"i": 1, "j": 1, "k": 1, "re": 1.0, "im": 0, "q": 1}]}, "unknown fields"),
+            ({"dim": 2, "entries": [{"i": 1, "j": 1, "k": 1, "re": 1.0, "im": 10 ** 400}]}, "finite number"),
         ],
     )
     def test_malformed_documents(self, doc, msg):
@@ -99,6 +100,30 @@ class TestAnalyzeCommand:
             assert json.dumps(loaded_doc[section]) == json.dumps(
                 json.loads(json.dumps(direct_doc[section]))
             ), section
+
+    def test_json_schema_pinned(self, tmp_path, capsys):
+        # the report key lists, in order: a new dataclass field is a schema change
+        path = tmp_path / "s1.json"
+        save_algebra(path, get("S1").bracket, name="S1")
+        code, out, _ = run_cli(capsys, "--format", "json", "analyze", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["identities"]) == [
+            "left_residual", "right_residual", "anticommutativity_residual",
+            "jacobi_residual", "tol", "is_left_leibniz", "is_right_leibniz",
+            "is_symmetric_leibniz", "is_lie",
+        ]
+        assert list(doc["structure"]) == [
+            "derived_dims", "lower_central_dims", "center_dim", "is_solvable", "is_nilpotent",
+        ]
+        assert list(doc["structure_checks"]) == [
+            "adjoint_closed", "adjoint_residual", "l0_reductive", "l0_residual",
+            "killing_min_sv", "center_normal", "center_residual", "nilradical_ok",
+            "nilradical_residual", "is_nilpotent_radical", "degenerate_abelian_nilradical",
+            "restricted_type", "type_matches", "lminus_min_nonnormality", "all_passed",
+        ]
+        assert doc["structure_checks"]["restricted_type"] == "(3<5<6;1,1,1)"
+        assert doc["structure"]["derived_dims"] == [3, 1, 0]
 
     def test_deterministic(self, tmp_path, capsys):
         path = tmp_path / "l1.json"
@@ -177,6 +202,19 @@ class TestCatalogCommand:
         labels = [r["label"] for r in doc["rows"]]
         assert "S1" in labels and "L4" in labels
 
+    def test_verify_json_row_schema_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "catalog", "verify")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["rows", "all_passed"]
+        for row in doc["rows"]:
+            assert list(row) == [
+                "label", "strategy", "computed_type", "computed_value", "expected_type",
+                "expected_value", "residual", "passed", "note",
+            ]
+        s1 = next(r for r in doc["rows"] if r["label"] == "S1")
+        assert s1["computed_type"] == s1["expected_type"] == "(3<5<6;1,1,1)"
+
 
 class TestExtendCommand:
     def write_solvable_spec(self, tmp_path):
@@ -249,3 +287,65 @@ class TestExtendCommand:
         path.write_text(json.dumps({"core": {"catalog": "S1"}, "left_maps": []}))
         code, _, err = run_cli(capsys, "extend", "solvable", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "abelian,msg",
+        [
+            ({"dim": 2.7, "scale": 4.0, "c": -4.0}, "'core.abelian.dim'=2.7"),
+            ({"dim": True, "scale": 4.0, "c": -4.0}, "'core.abelian.dim'=True"),
+            ({"dim": 0, "scale": 4.0, "c": -4.0}, "'core.abelian.dim'=0"),
+            ({"dim": "2", "scale": 4.0, "c": -4.0}, "'core.abelian.dim'='2'"),
+            ({"dim": 2, "scale": True, "c": -4.0}, "'core.abelian.scale'=True"),
+            ({"dim": 2, "scale": float("nan"), "c": -4.0}, "'core.abelian.scale'=nan"),
+            ({"dim": 2, "scale": 4.0, "c": float("-inf")}, "'core.abelian.c'=-inf"),
+            ({"dim": 2, "scale": 4.0, "c": "-4"}, "'core.abelian.c'='-4'"),
+            ({"dim": 2, "scale": 4.0, "c": -10 ** 400}, "'core.abelian.c'="),
+            ({"dim": 2, "scale": 4.0}, "needs numeric dim, scale and c"),
+        ],
+    )
+    def test_bad_abelian_core_exit_2(self, tmp_path, capsys, abelian, msg):
+        # each must be rejected where it is read, not coerced (2.7 -> 2, true -> 1.0)
+        spec = {
+            "core": {"abelian": abelian},
+            "left_maps": [[[1, 0], [0, 0]]],
+            "right_maps": [[[-1, 0], [0, 0]]],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "extend", "solvable", str(path))
+        assert code == 2
+        assert msg in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "cell,where",
+        [
+            (float("nan"), "right_maps[1][2][1]=nan"),
+            (float("inf"), "right_maps[1][2][1]=inf"),
+            ([0.0, float("nan")], "right_maps[1][2][1]=nan"),
+            ([float("-inf"), 0.0], "right_maps[1][2][1]=-inf"),
+        ],
+    )
+    def test_nonfinite_matrix_cell_exit_2(self, tmp_path, capsys, cell, where):
+        spec = {
+            "core": {"catalog": "S1"},
+            "left_maps": [[[0, 0, 0], [0, 1, 0], [0, 0, 0]]],
+            "right_maps": [[[0, 0, 0], [cell, 0, 0], [0, 0, 0]]],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))  # json writes NaN / Infinity, json.load reads them
+        code, _, err = run_cli(capsys, "extend", "solvable", str(path))
+        assert code == 2
+        assert where in err and "not a finite number" in err
+
+    def test_bad_matrix_cell_type_exit_2(self, tmp_path, capsys):
+        spec = {
+            "core": {"catalog": "S1"},
+            "left_maps": [[[0, 0, 0], [0, 1, 0], [0, 0, True]]],
+            "right_maps": [[[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "extend", "solvable", str(path))
+        assert code == 2
+        assert "left_maps[1][3][3] must be a number or [re, im] pair" in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,21 @@ def s1():
 
 def so3_bracket() -> Bracket:
     return get("so3").bracket
+
+
+def as_f_zero(spec: ExtensionSpec) -> ExtensionSpec:
+    """The general-builder form of a solvable spec: f = 0, every generator central."""
+    return dataclasses.replace(
+        spec, f_bracket=Bracket.zero(spec.d1), semisimple=(), center=tuple(range(spec.d1))
+    )
+
+
+def assert_both_reject(spec: ExtensionSpec, clause: str) -> None:
+    """The solvable build and its f = 0 general form fail on the same clause."""
+    for build, s in ((build_solvable_extension, spec), (build_general_extension, as_f_zero(spec))):
+        with pytest.raises(HypothesisViolation) as info:
+            build(s)
+        assert info.value.clause == clause, build.__name__
 
 
 class TestSolvableExtension:
@@ -66,8 +83,7 @@ class TestSolvableExtension:
             core=core, core_report=criticality_decompose(core),
             left_maps=(Z2,), right_maps=(Z2,),
         )
-        with pytest.raises(HypothesisViolation, match=r"\(ii\)"):
-            build_solvable_extension(spec)
+        assert_both_reject(spec, "(ii)")
 
     def test_non_leibniz_assembly_rejected(self, s1):
         mu, rep = s1
@@ -84,16 +100,22 @@ class TestSolvableExtension:
         bad = np.zeros((3, 3), dtype=complex)
         bad[0, 1] = 1.0  # maps the weight-10 line into the weight-12 line
         spec = ExtensionSpec(core=mu, core_report=rep, left_maps=(bad,), right_maps=(Z3,))
-        with pytest.raises(HypothesisViolation, match=r"\(i\)"):
-            build_solvable_extension(spec)
+        assert_both_reject(spec, "(i)")
 
     def test_non_normal_map_rejected(self, s1):
         mu, rep = s1
         shift = np.zeros((3, 3), dtype=complex)
         shift[1, 0] = 1.0  # weight-12 line into weight-10: not normal
         spec_bad = ExtensionSpec(core=mu, core_report=rep, left_maps=(shift,), right_maps=(Z3,))
-        with pytest.raises(HypothesisViolation):
-            build_solvable_extension(spec_bad)
+        # S1's weights are distinct, so a non-diagonal map already fails (i)
+        assert_both_reject(spec_bad, "(i)")
+        # on the abelian core every map commutes with D = I and is a derivation
+        nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        spec_nil = ExtensionSpec(
+            core=Bracket.zero(2), core_report=None, left_maps=(nil,), right_maps=(Z2,),
+            core_scale=1.0, core_c=-1.0,
+        )
+        assert_both_reject(spec_nil, "(ii)")
 
     def test_degenerate_core_rebuilds_l2(self):
         spec = ExtensionSpec(
@@ -140,8 +162,7 @@ class TestSolvableExtension:
             core=lie2, core_report=criticality_decompose(lie2),
             left_maps=(np.eye(2, dtype=complex),), right_maps=(Z2,),
         )
-        with pytest.raises(HypothesisViolation, match="core type"):
-            build_solvable_extension(spec)
+        assert_both_reject(spec, "core type")
 
 
 class TestGeneralExtension:
@@ -164,16 +185,19 @@ class TestGeneralExtension:
     def test_pure_center_matches_solvable(self, s1):
         mu, rep = s1
         lmap = np.diag([0.0, 1.0, 0.0]).astype(complex)
-        solv, _ = build_solvable_extension(
+        solv, solv_rep = build_solvable_extension(
             ExtensionSpec(core=mu, core_report=rep, left_maps=(lmap,), right_maps=(Z3,))
         )
-        gen, _ = build_general_extension(
+        gen, gen_rep = build_general_extension(
             ExtensionSpec(
                 core=mu, core_report=rep, left_maps=(lmap,), right_maps=(Z3,),
                 f_bracket=Bracket.zero(1), semisimple=(), center=(0,),
             )
         )
         np.testing.assert_array_equal(solv.coeffs, gen.coeffs)
+        assert solv_rep.F == gen_rep.F
+        assert solv_rep.c == gen_rep.c
+        assert solv_rep.residual_tangent == gen_rep.residual_tangent
 
     def test_non_skew_action_rejected(self, s1):
         mu, rep = s1
@@ -217,6 +241,23 @@ class TestGeneralExtension:
                     f_bracket=so3_bracket(), semisimple=(0, 1), center=(),
                 )
             )
+
+    def test_central_clauses_rechecked_after_orthonormalization(self):
+        # L_0 and L_3 are not Gram-orthogonal, so the orthonormal central
+        # generator picks up an so(3) part and is no longer central in f
+        c = np.zeros((4, 4, 4), dtype=complex)
+        c[:3, :3, :3] = so3_bracket().coeffs
+        skew = 1j * np.diag([1.0, -1.0])
+        spec = ExtensionSpec(
+            core=Bracket.zero(2), core_report=None,
+            left_maps=(skew, Z2, Z2, np.diag([1.0, 0.0]).astype(complex)),
+            right_maps=(Z2, Z2, Z2, Z2),
+            f_bracket=Bracket(4, c), semisimple=(0, 1, 2), center=(3,),
+            core_scale=1.0, core_c=-1.0,
+        )
+        with pytest.raises(HypothesisViolation) as info:
+            build_general_extension(spec)
+        assert info.value.clause == "center after orthonormalization"
 
     def test_singular_gram_rejected(self, s1):
         # a "semisimple" generator that acts by nothing at all slips past the

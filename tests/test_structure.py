@@ -187,3 +187,47 @@ class TestVerifyStructure:
         assert rep.is_critical
         with pytest.raises(ValueError, match="symmetric"):
             verify_structure_theorem(ns2, rep)
+
+
+class TestFailingClauses:
+    """Each clause must report failure for a Hermitian derivation of L1 that
+    is not the critical certificate, with the residual that shows it."""
+
+    @staticmethod
+    def verdict(diag):
+        import dataclasses
+
+        l1 = get("L1").bracket
+        rep = dataclasses.replace(criticality_decompose(l1), D=np.diag(diag).astype(complex))
+        return verify_structure_theorem(l1, rep)
+
+    def test_zero_derivation_breaks_closure_and_reductivity(self):
+        v = self.verdict([0.0, 0.0, 0.0])
+        assert not v.adjoint_closed and not v.l0_reductive
+        assert v.adjoint_residual == pytest.approx(1.0)
+        assert v.l0_residual == pytest.approx(1.0)
+        assert v.center_normal and v.nilradical_ok
+        assert not v.all_passed
+
+    def test_negative_weight_breaks_nilradical(self):
+        v = self.verdict([1.0, -1.0, 0.0])
+        assert v.adjoint_closed and v.l0_reductive and v.center_normal
+        assert not v.nilradical_ok
+        assert v.nilradical_residual == pytest.approx(2**-0.5)
+        assert v.lminus_min_nonnormality == pytest.approx(2**-0.5)
+        assert not v.all_passed
+
+    def test_split_zero_part_breaks_closure_and_normality(self):
+        v = self.verdict([1.0, 0.0, 1.0])
+        assert not v.adjoint_closed and not v.center_normal
+        assert v.center_residual == pytest.approx(2**-0.5)
+        assert v.l0_reductive and v.nilradical_ok
+        assert not v.all_passed
+
+    def test_wrong_type_breaks_type_match(self):
+        v = self.verdict([1.0, 2.0, 3.0])
+        assert not v.type_matches and not v.nilradical_ok
+        assert str(v.restricted_type) == "(1<2;2,1)"
+        assert v.nilradical_residual < 1e-12
+        assert v.adjoint_closed and v.l0_reductive and v.center_normal
+        assert not v.all_passed

@@ -215,6 +215,104 @@ def _strip_zero(t: CriticalType) -> CriticalType | None:
     return CriticalType(ks, ds, t.scale)
 
 
+def _outside(unit: Bracket, sub: Subspace, spec: str, *factors: np.ndarray) -> float:
+    """Largest norm outside ``sub`` of the products listed, one per column,
+    by ``einsum(spec, *factors, unit.coeffs)``; the spec fixes the summation
+    order and with it the last bits of the residual."""
+    n = unit.dim
+    prods = np.einsum(spec, *factors, unit.coeffs).reshape(n, -1)
+    proj_out = np.eye(n, dtype=complex) - sub.projector()
+    return float(np.linalg.norm(proj_out @ prods, axis=0).max(initial=0.0))
+
+
+def _mult_ops(unit: Bracket, vectors: np.ndarray) -> list[np.ndarray]:
+    """Left and right multiplication operators of each column of ``vectors``."""
+    return [op for x in vectors.T for op in (left_op(unit, x), right_op(unit, x))]
+
+
+def _nonnormality(op: np.ndarray) -> float:
+    """|[X, X*]|, zero exactly when X is normal."""
+    return float(np.linalg.norm(op @ op.conj().T - op.conj().T @ op))
+
+
+# Each clause returns (passed, residual, ...) in the order of its
+# StructureVerdict fields; (ii) appends the center of l_0 for (iii).
+
+
+def _adjoint_closure(unit: Bracket, l0: Subspace, tol: float) -> tuple[bool, float]:
+    """(i) Adjoints of the multiplications by l_0 are again derivations."""
+    ops = _mult_ops(unit, l0.basis)
+    res = max((inf_act(op.conj().T, unit).norm for op in ops), default=0.0)
+    return res < tol, res
+
+
+def _l0_reductive(unit: Bracket, l0: Subspace, tol: float) -> tuple:
+    """(ii) l_0 is a Lie subalgebra, the sum of its center and its derived
+    algebra h, with a nondegenerate Killing form on h.  Returns (passed,
+    residual, Killing singular-value ratio, center of l_0 as ambient columns)."""
+    if l0.rank == 0:
+        return True, 0.0, None, l0.basis
+    closure = _outside(unit, l0, "ia,jb,ijk->kab", l0.basis, l0.basis)
+    restr0 = restrict(unit, l0)
+    idr0 = check_identities(restr0)
+    lie_res = 0.0 if restr0.is_zero else max(
+        idr0.anticommutativity_residual, idr0.jacobi_residual
+    ) * restr0.norm  # identity residuals are unit-normalized; undo for comparison
+    z = center_subspace(restr0)
+    full = Subspace.full(l0.rank)
+    h = subspace_product(restr0, full, full)
+    decomp_res = 1.0
+    if z.rank + h.rank == l0.rank:
+        decomp_res = float(np.linalg.norm(z.projector() + h.projector() - np.eye(l0.rank)))
+    killing_sv = _killing_min_sv(restrict(restr0, h)) if h.rank > 0 else None
+    killing_ok = killing_sv is None or killing_sv > KILLING_MIN_SV
+    res = max(closure, lie_res, decomp_res)
+    return res < tol and killing_ok, res, killing_sv, l0.basis @ z.basis
+
+
+def _center_normal(unit: Bracket, center: np.ndarray, tol: float) -> tuple[bool, float]:
+    """(iii) Multiplications by the center of l_0 are normal operators."""
+    res = max((_nonnormality(op) for op in _mult_ops(unit, center)), default=0.0)
+    return res < tol, res
+
+
+def _nilradical(unit: Bracket, lp: Subspace, parent_type: CriticalType, tol: float) -> tuple:
+    """(iv) l_+ is a nilpotent two-sided ideal realizing the stripped type.
+
+    Returns (passed, ideal residual, nilpotent, degenerate, restricted type,
+    type matches).  A positive part restricting to the zero product is
+    degenerate: reported, not compared, as it has no projective class.
+    """
+    if lp.rank == 0:
+        return True, 0.0, True, False, None, _strip_zero(parent_type) is None
+    ideal_res = max(
+        _outside(unit, lp, "ia,ijk->kaj", lp.basis),
+        _outside(unit, lp, "ja,ijk->kai", lp.basis),
+    )
+    restrp = restrict(unit, lp)
+    if restrp.norm <= tol:
+        return ideal_res < tol, ideal_res, True, True, None, True
+    is_nilp = structure_profile(restrp).is_nilpotent
+    rep_p = criticality_decompose(restrp, tol)
+    restr_type = critical_type(rep_p.D) if rep_p.is_critical else None
+    matches = rep_p.is_critical and restr_type == (_strip_zero(parent_type) or parent_type)
+    return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches
+
+
+def _lminus_nonnormality(unit: Bracket, lm: Subspace) -> float | None:
+    """Smallest non-normality of right multiplications by 50 seeded unit
+    vectors of l_-, which should fail to be normal; None when l_- = 0."""
+    if lm.rank == 0:
+        return None
+    rng = np.random.default_rng(0)
+    worst = np.inf
+    for _ in range(50):
+        coeff = rng.standard_normal(lm.rank) + 1j * rng.standard_normal(lm.rank)
+        x = lm.basis @ (coeff / np.linalg.norm(coeff))
+        worst = min(worst, _nonnormality(right_op(unit, x)))
+    return worst
+
+
 def verify_structure_theorem(
     mu: Bracket, report: MomentReport, tol: float = 1e-8
 ) -> StructureVerdict:
@@ -227,123 +325,18 @@ def verify_structure_theorem(
     """
     if not report.is_critical:
         raise ValueError("report does not certify a critical point")
-    idr = check_identities(mu)
-    if not idr.is_symmetric_leibniz:
+    if not check_identities(mu).is_symmetric_leibniz:
         raise ValueError("bracket is not symmetric Leibniz")
     unit = mu.normalized()
-    n = unit.dim
     parent_type = critical_type(report.D)
     grading = grading_decomposition(unit, report.D, tol)
-    l0, lp, lm = grading.zero_part, grading.positive_part, grading.negative_part
-    eye = np.eye(n, dtype=complex)
-
-    # (i) adjoints of multiplications by l_0 are again derivations
-    adj_res = 0.0
-    for a in range(l0.rank):
-        x = l0.basis[:, a]
-        for op in (left_op(unit, x), right_op(unit, x)):
-            adj_res = max(adj_res, inf_act(op.conj().T, unit).norm)
-    adjoint_closed = adj_res < tol
-
-    # (ii) l_0 is a reductive Lie subalgebra
-    killing_sv: float | None = None
-    if l0.rank == 0:
-        l0_res = 0.0
-        l0_reductive = True
-    else:
-        proj_out = eye - l0.projector()
-        prods = np.einsum("ia,jb,ijk->kab", l0.basis, l0.basis, unit.coeffs)
-        prods = prods.reshape(n, -1)
-        closure = float(np.linalg.norm(proj_out @ prods, axis=0).max(initial=0.0))
-        restr0 = restrict(unit, l0)
-        idr0 = check_identities(restr0)
-        lie_res = 0.0 if restr0.is_zero else max(
-            idr0.anticommutativity_residual, idr0.jacobi_residual
-        ) * restr0.norm  # identity residuals are unit-normalized; undo for comparison
-        z = center_subspace(restr0)
-        h = subspace_product(restr0, Subspace.full(l0.rank), Subspace.full(l0.rank))
-        if z.rank + h.rank == l0.rank:
-            pz = z.projector() + h.projector()
-            decomp_res = float(np.linalg.norm(pz - np.eye(l0.rank)))
-        else:
-            decomp_res = 1.0
-        if h.rank > 0:
-            killing_sv = _killing_min_sv(restrict(restr0, h))
-            killing_ok = killing_sv > KILLING_MIN_SV
-        else:
-            killing_ok = True
-        l0_res = max(closure, lie_res, decomp_res)
-        l0_reductive = l0_res < tol and killing_ok
-
-    # (iii) multiplications by the center of l_0 are normal operators
-    center_res = 0.0
-    if l0.rank > 0:
-        z_ambient = l0.basis @ center_subspace(restrict(unit, l0)).basis
-        for a in range(z_ambient.shape[1]):
-            x = z_ambient[:, a]
-            for op in (left_op(unit, x), right_op(unit, x)):
-                comm = op @ op.conj().T - op.conj().T @ op
-                center_res = max(center_res, float(np.linalg.norm(comm)))
-    center_normal = center_res < tol
-
-    # (iv) l_+ is a nilpotent two-sided ideal realizing the stripped type
-    if lp.rank == 0:
-        ideal_res = 0.0
-        nil_ok = True
-        is_nilp = True
-        degenerate = False
-        restr_type: CriticalType | None = None
-        type_matches = _strip_zero(parent_type) is None
-    else:
-        proj_out = eye - lp.projector()
-        left_img = np.einsum("ia,ijk->kaj", lp.basis, unit.coeffs).reshape(n, -1)
-        right_img = np.einsum("ja,ijk->kai", lp.basis, unit.coeffs).reshape(n, -1)
-        ideal_res = max(
-            float(np.linalg.norm(proj_out @ left_img, axis=0).max(initial=0.0)),
-            float(np.linalg.norm(proj_out @ right_img, axis=0).max(initial=0.0)),
-        )
-        restrp = restrict(unit, lp)
-        if restrp.norm <= tol:
-            degenerate = True
-            is_nilp = True
-            restr_type = None
-            type_matches = True  # reported, not compared: no projective class
-        else:
-            degenerate = False
-            is_nilp = structure_profile(restrp).is_nilpotent
-            rep_p = criticality_decompose(restrp, tol)
-            restr_type = critical_type(rep_p.D) if rep_p.is_critical else None
-            expected = _strip_zero(parent_type) or parent_type
-            type_matches = rep_p.is_critical and restr_type == expected
-        nil_ok = ideal_res < tol and is_nilp and type_matches
-    nilradical_ok = nil_ok
-
-    # negative part: right multiplications should fail to be normal
-    lminus_min: float | None = None
-    if lm.rank > 0:
-        rng = np.random.default_rng(0)
-        worst = np.inf
-        for _ in range(50):
-            coeff = rng.standard_normal(lm.rank) + 1j * rng.standard_normal(lm.rank)
-            x = lm.basis @ (coeff / np.linalg.norm(coeff))
-            op = right_op(unit, x)
-            comm = op @ op.conj().T - op.conj().T @ op
-            worst = min(worst, float(np.linalg.norm(comm)))
-        lminus_min = worst
-
+    l0 = grading.zero_part
+    closure = _adjoint_closure(unit, l0, tol)
+    *reductive, center = _l0_reductive(unit, l0, tol)
     return StructureVerdict(
-        adjoint_closed=adjoint_closed,
-        adjoint_residual=adj_res,
-        l0_reductive=l0_reductive,
-        l0_residual=l0_res,
-        killing_min_sv=killing_sv,
-        center_normal=center_normal,
-        center_residual=center_res,
-        nilradical_ok=nilradical_ok,
-        nilradical_residual=ideal_res,
-        is_nilpotent_radical=is_nilp,
-        degenerate_abelian_nilradical=degenerate,
-        restricted_type=restr_type,
-        type_matches=type_matches,
-        lminus_min_nonnormality=lminus_min,
+        *closure,
+        *reductive,
+        *_center_normal(unit, center, tol),
+        *_nilradical(unit, grading.positive_part, parent_type, tol),
+        _lminus_nonnormality(unit, grading.negative_part),
     )

@@ -156,6 +156,17 @@ class TestVerifyStructure:
         assert v.killing_min_sv is not None and v.killing_min_sv > 1e-6
         assert v.restricted_type is None  # no positive part at all
 
+    def test_center_of_l0_computed_once(self, monkeypatch):
+        import leibcrit.structure as structure
+
+        calls = []
+        real = structure.center_subspace
+        monkeypatch.setattr(
+            structure, "center_subspace", lambda mu, *a: calls.append(mu.dim) or real(mu, *a)
+        )
+        verify_structure_theorem(SO3, criticality_decompose(SO3))
+        assert calls == [3]  # l_0 is all of so3 and l_+ = 0
+
     def test_nilradical_is_ideal_and_nilpotent(self):
         from leibcrit.linalg import restrict
 

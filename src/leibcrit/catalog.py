@@ -10,6 +10,8 @@ certifies the limit.  Rows without a critical point ("L4", "S3(1/4)",
 
 from __future__ import annotations
 
+import inspect
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,21 +72,34 @@ def _t(ks, ds) -> CriticalType:
     return CriticalType(tuple(ks), tuple(ds))
 
 
-def _entry_L1(**_) -> CatalogEntry:
+def _dim_param(name: str, n, least: int) -> int:
+    """The dimension parameter as an int >= least; a float must be integral."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        if not (isinstance(n, float) and n.is_integer()):
+            raise ValueError(f"{name} requires an integer n, got {n!r}") from None
+        k = int(n)
+    if k < least:
+        raise ValueError(f"{name} requires n >= {least}")
+    return k
+
+
+def _entry_L1() -> CatalogEntry:
     return CatalogEntry(
         "L1", {}, 3, _lie(3, {(1, 2, 3): 1}), "lie", _t((1, 2), (2, 1)), 12.0, True,
         "Heisenberg algebra",
     )
 
 
-def _entry_L2(**_) -> CatalogEntry:
+def _entry_L2() -> CatalogEntry:
     return CatalogEntry(
         "L2", {}, 3, _lie(3, {(1, 2, 2): 1}), "lie", _t((0, 1), (1, 2)), 4.0, True,
         "2-d solvable plus a trivial summand",
     )
 
 
-def _entry_L3(alpha=1.0, **_) -> CatalogEntry:
+def _entry_L3(alpha=1.0) -> CatalogEntry:
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("L3 requires alpha != 0")
@@ -92,33 +107,33 @@ def _entry_L3(alpha=1.0, **_) -> CatalogEntry:
     return CatalogEntry("L3", {"alpha": alpha}, 3, b, "lie", _t((0, 1), (1, 2)), 4.0, True)
 
 
-def _entry_L4(**_) -> CatalogEntry:
+def _entry_L4() -> CatalogEntry:
     b = _lie(3, {(3, 1, 1): 1, (3, 1, 2): 1, (3, 2, 2): 1})
     return CatalogEntry("L4", {}, 3, b, "lie", None, None, False,
                         "no critical point in its orbit")
 
 
-def _entry_L5(**_) -> CatalogEntry:
+def _entry_L5() -> CatalogEntry:
     b = _lie(3, {(3, 1, 1): 2, (3, 2, 2): -2, (1, 2, 3): 1})
     return CatalogEntry("L5", {}, 3, b, "lie", _t((0,), (3,)), 4.0 / 3.0, False,
                         "sl(2) in a weight basis; the critical basis is so3")
 
 
-def _entry_S1(**_) -> CatalogEntry:
+def _entry_S1() -> CatalogEntry:
     return CatalogEntry(
         "S1", {}, 3, _alg(3, {(3, 3, 1): 1}), "symmetric",
         _t((3, 5, 6), (1, 1, 1)), 20.0, True,
     )
 
 
-def _entry_S2(**_) -> CatalogEntry:
+def _entry_S2() -> CatalogEntry:
     return CatalogEntry(
         "S2", {}, 3, _alg(3, {(2, 2, 1): 1, (3, 3, 1): 1}), "symmetric",
         _t((1, 2), (2, 1)), 12.0, True,
     )
 
 
-def _entry_S3(beta=1.0, **_) -> CatalogEntry:
+def _entry_S3(beta=1.0) -> CatalogEntry:
     beta = complex(beta)
     b = _alg(3, {(2, 2, 1): beta, (3, 2, 1): 1, (3, 3, 1): 1})
     if beta == 0.25:
@@ -128,14 +143,14 @@ def _entry_S3(beta=1.0, **_) -> CatalogEntry:
                         _t((1, 2), (2, 1)), 12.0, False)
 
 
-def _entry_S4(**_) -> CatalogEntry:
+def _entry_S4() -> CatalogEntry:
     return CatalogEntry(
         "S4", {}, 3, _alg(3, {(1, 3, 1): 1}), "right", _t((0, 1), (1, 2)), 4.0, True,
         "right Leibniz only: the left identity fails on (e1, e3, e3)",
     )
 
 
-def _entry_S5(alpha=1.0, **_) -> CatalogEntry:
+def _entry_S5(alpha=1.0) -> CatalogEntry:
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("S5 requires alpha != 0")
@@ -145,13 +160,13 @@ def _entry_S5(alpha=1.0, **_) -> CatalogEntry:
                         "right Leibniz only in this orientation")
 
 
-def _entry_S6(**_) -> CatalogEntry:
+def _entry_S6() -> CatalogEntry:
     b = _alg(3, {(2, 3, 2): 1, (3, 2, 2): -1, (3, 3, 1): 1})
     return CatalogEntry("S6", {}, 3, b, "symmetric", None, None, False,
                         "no critical point in its orbit")
 
 
-def _entry_S7(alpha=1.0, **_) -> CatalogEntry:
+def _entry_S7(alpha=1.0) -> CatalogEntry:
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("S7 requires alpha != 0")
@@ -161,20 +176,20 @@ def _entry_S7(alpha=1.0, **_) -> CatalogEntry:
                         "right Leibniz only in this orientation")
 
 
-def _entry_S8(**_) -> CatalogEntry:
+def _entry_S8() -> CatalogEntry:
     b = _alg(3, {(1, 3, 1): 1, (1, 3, 2): 1, (3, 3, 1): 1})
     return CatalogEntry("S8", {}, 3, b, "right", None, None, False,
                         "no critical point in its orbit; right Leibniz only")
 
 
-def _entry_lie2(**_) -> CatalogEntry:
+def _entry_lie2() -> CatalogEntry:
     return CatalogEntry(
         "lie2", {}, 2, _lie(2, {(1, 2, 2): 1}), "lie", _t((0, 1), (1, 1)), 4.0, True,
         "the non-abelian 2-d Lie algebra",
     )
 
 
-def _entry_nonlie2(**_) -> CatalogEntry:
+def _entry_nonlie2() -> CatalogEntry:
     return CatalogEntry(
         "nonlie2", {}, 2, _alg(2, {(1, 1, 2): 1}), "symmetric",
         _t((1, 2), (1, 1)), 20.0, True,
@@ -182,43 +197,37 @@ def _entry_nonlie2(**_) -> CatalogEntry:
     )
 
 
-def _entry_ns2(**_) -> CatalogEntry:
+def _entry_ns2() -> CatalogEntry:
     return CatalogEntry(
         "ns2", {}, 2, _alg(2, {(1, 2, 2): 1}), "left", _t((0, 1), (1, 1)), 4.0, True,
         "left Leibniz but not right: a non-symmetric critical point",
     )
 
 
-def _entry_so3(**_) -> CatalogEntry:
+def _entry_so3() -> CatalogEntry:
     b = _lie(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1})
     return CatalogEntry("so3", {}, 3, b, "lie", _t((0,), (3,)), 4.0 / 3.0, True,
                         "cyclic basis of sl(2); the moment matrix is scalar")
 
 
-def _entry_mu_hy(n=4, **_) -> CatalogEntry:
-    n = int(n)
-    if n < 2:
-        raise ValueError("mu_hy requires n >= 2")
+def _entry_mu_hy(n=4) -> CatalogEntry:
+    n = _dim_param("mu_hy", n, 2)
     b = _lie(n, {(1, i, i): 1 for i in range(2, n + 1)})
     t = _t((0, 1), (1, n - 1))
     return CatalogEntry("mu_hy", {"n": n}, n, b, "lie", t, 4.0, True,
                         "scaling algebra: one generator acting as the identity")
 
 
-def _entry_mu_he(n=4, **_) -> CatalogEntry:
-    n = int(n)
-    if n < 3:
-        raise ValueError("mu_he requires n >= 3")
+def _entry_mu_he(n=4) -> CatalogEntry:
+    n = _dim_param("mu_he", n, 3)
     b = _lie(n, {(1, 2, 3): 1})
     t = _t((1, 2), (2, 1)) if n == 3 else _t((2, 3, 4), (2, n - 3, 1))
     return CatalogEntry("mu_he", {"n": n}, n, b, "lie", t, 12.0, True,
                         "Heisenberg algebra plus a trivial summand")
 
 
-def _entry_mu_sy(n=4, **_) -> CatalogEntry:
-    n = int(n)
-    if n < 2:
-        raise ValueError("mu_sy requires n >= 2")
+def _entry_mu_sy(n=4) -> CatalogEntry:
+    n = _dim_param("mu_sy", n, 2)
     b = _alg(n, {(1, 1, 2): 1})
     t = _t((1, 2), (1, 1)) if n == 2 else _t((3, 5, 6), (1, n - 2, 1))
     return CatalogEntry("mu_sy", {"n": n}, n, b, "symmetric", t, 20.0, True,
@@ -254,13 +263,23 @@ def names() -> list[str]:
 
 
 def get(name: str, params: dict | None = None, n: int | None = None) -> CatalogEntry:
-    """Look up a catalog entry; parametrized families take params and/or n."""
+    """Look up a catalog entry; parametrized families take params and/or n.
+
+    Raises KeyError for an unknown name and ValueError for a parameter the
+    entry does not take or a value it cannot use.
+    """
     if name not in _BUILDERS:
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(names())}")
+    builder = _BUILDERS[name]
     kwargs = dict(params or {})
     if n is not None:
         kwargs["n"] = n
-    entry = _BUILDERS[name](**kwargs)
+    known = inspect.signature(builder).parameters
+    unknown = [k for k in kwargs if k not in known]
+    if unknown:
+        raise ValueError(f"catalog entry {name} has no parameter {', '.join(unknown)};"
+                         f" it takes: {', '.join(known) or 'none'}")
+    entry = builder(**kwargs)
     _check_entry_class(entry)
     return entry
 

@@ -129,6 +129,12 @@ def _finite(val: Any, what: str) -> float:
     raise AlgebraFileError(f"{what}={val!r} is not a finite number")
 
 
+def _string(val: Any, what: str) -> str:
+    if not isinstance(val, str):
+        raise AlgebraFileError(f"{what}={val!r} must be a string")
+    return val
+
+
 def _matrix_from_json(obj: Any, m: int, what: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != m:
         raise AlgebraFileError(f"{what} must be a list of {m} rows")
@@ -185,12 +191,18 @@ def load_extension_spec(path):
     elif "catalog" in core_doc:
         from . import catalog
 
+        name = _string(core_doc["catalog"], "'core.catalog'")
+        params = core_doc.get("params", {})
+        if not isinstance(params, dict):
+            raise AlgebraFileError(f"'core.params'={params!r} must be an object")
+        params = {k: _finite(v, f"'core.params.{k}'") for k, v in params.items()}
         try:
-            core = catalog.get(core_doc["catalog"], core_doc.get("params")).bracket
+            core = catalog.get(name, params).bracket
         except KeyError as exc:
             raise AlgebraFileError(str(exc)) from None
     elif "file" in core_doc:
-        rel = os.path.join(os.path.dirname(os.fspath(path)), core_doc["file"])
+        rel = os.path.join(os.path.dirname(os.fspath(path)),
+                           _string(core_doc["file"], "'core.file'"))
         core, _ = load_algebra(rel)
     elif "algebra" in core_doc:
         core, _ = bracket_from_dict(core_doc["algebra"])

@@ -22,6 +22,8 @@ from .moment import MomentReport, criticality_decompose, moment_matrix
 __all__ = ["FlowParams", "FlowTrace", "descend", "perturb_in_orbit"]
 
 _MAX_BACKTRACKS = 60
+_ARMIJO_C = 1e-4  # sufficient-decrease fraction of the slope
+_SHRINK = 0.5  # step factor per backtrack
 
 
 @dataclass(frozen=True)
@@ -33,16 +35,12 @@ class FlowParams:
     """
 
     step0: float = 0.1
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
     max_iter: int = 50_000
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (self.step0 > 0 and self.max_iter > 0 and self.tol > 0):
             raise ValueError("step0, max_iter and tol must be positive")
-        if not (0 < self.armijo_c < 1 and 0 < self.shrink < 1):
-            raise ValueError("armijo_c and shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -104,10 +102,10 @@ def descend(mu0: Bracket, params: FlowParams | None = None) -> FlowTrace:
             cand_b = Bracket(mu.dim, cand / np.linalg.norm(cand))
             mc = moment_matrix(cand_b)
             f_cand = float(np.vdot(mc, mc).real)
-            if f_cand <= f - p.armijo_c * h * slope + slack:
+            if f_cand <= f - _ARMIJO_C * h * slope + slack:
                 accepted = cand_b
                 break
-            h *= p.shrink
+            h *= _SHRINK
         if accepted is None:
             message = "line search underflow"
             break

@@ -40,6 +40,24 @@ class TestGet:
         with pytest.raises(ValueError, match="n >="):
             get("mu_he", n=2)
 
+    @pytest.mark.parametrize(
+        "name,params,n,msg",
+        [
+            ("S3", {"alpha": 0.25}, None, "S3 has no parameter alpha; it takes: beta"),
+            ("S1", None, 7, "S1 has no parameter n; it takes: none"),
+            ("mu_he", {"n": 4.7}, None, "integer n, got 4.7"),
+            ("mu_he", {"n": 2j}, None, "integer n, got 2j"),
+            ("mu_sy", None, True, "n >= 2"),
+        ],
+    )
+    def test_rejects_unusable_parameters(self, name, params, n, msg):
+        with pytest.raises(ValueError, match=msg):
+            get(name, params, n)
+
+    def test_integral_float_n_accepted(self):
+        e = get("mu_he", {"n": 4.0})
+        assert e.dim == 4 and e.params == {"n": 4} and e.label == "mu_he(n=4)"
+
     def test_s3_quarter_is_dead_row(self):
         e = get("S3", {"beta": 0.25})
         assert e.expected_type is None

@@ -188,6 +188,26 @@ class TestCatalogCommand:
         code, _, err = run_cli(capsys, "catalog", "show", "L3", "--param", "alpha=0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,msg",
+        [
+            (["S3", "--param", "alpha=0.25"], "S3 has no parameter alpha"),
+            (["S1", "--n", "7"], "S1 has no parameter n"),
+            (["mu_he", "--param", "n=4.7"], "integer n, got 4.7"),
+            (["mu_he", "--param", "n=2j"], "integer n, got 2j"),
+        ],
+    )
+    def test_unusable_param_exit_2(self, capsys, argv, msg):
+        code, out, err = run_cli(capsys, "catalog", "show", *argv)
+        assert code == 2
+        assert msg in err
+        assert out == ""
+
+    def test_integral_param_n_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "catalog", "show", "mu_he", "--param", "n=4")
+        assert code == 0
+        assert out.startswith("mu_he(n=4): lie, dim 4")
+
     def test_verify_passes(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "verify")
         assert code == 0
@@ -309,6 +329,29 @@ class TestExtendCommand:
             "core": {"abelian": abelian},
             "left_maps": [[[1, 0], [0, 0]]],
             "right_maps": [[[-1, 0], [0, 0]]],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "extend", "solvable", str(path))
+        assert code == 2
+        assert msg in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "core,msg",
+        [
+            ({"file": 3}, "'core.file'=3 must be a string"),
+            ({"catalog": ["S1"]}, "'core.catalog'=['S1'] must be a string"),
+            ({"catalog": "S1", "params": 5}, "'core.params'=5 must be an object"),
+            ({"catalog": "mu_he", "params": {"n": [4]}},
+             "'core.params.n'=[4] is not a finite number"),
+        ],
+    )
+    def test_bad_core_field_exit_2(self, tmp_path, capsys, core, msg):
+        spec = {
+            "core": core,
+            "left_maps": [[[0, 0, 0], [0, 1, 0], [0, 0, 0]]],
+            "right_maps": [[[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

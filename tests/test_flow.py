@@ -16,7 +16,9 @@ class TestFlowParams:
         with pytest.raises(ValueError):
             FlowParams(step0=-1.0)
         with pytest.raises(ValueError):
-            FlowParams(armijo_c=1.5)
+            FlowParams(max_iter=0)
+        with pytest.raises(ValueError):
+            FlowParams(tol=0.0)
 
 
 class TestDescend:

@@ -1,0 +1,143 @@
+"""Snapshot the output of a fixed set of leibcrit CLI commands.
+
+Usage::
+
+    python3 scripts/cli_snapshot.py OUTDIR
+
+Every command runs in process through ``leibcrit.cli.run`` from the
+``src`` directory next to this script, with OUTDIR as the working
+directory so that every path in the output is relative.  OUTDIR/inputs
+holds the algebra and spec files the commands read; OUTDIR/<name>.txt
+holds one command's argv, exit code, stdout, stderr and the contents of
+any algebra file it wrote.  An uncaught exception is recorded as exit 1
+with its type and message, as a fresh process would end.
+
+Two snapshots of different checkouts compare with ``diff -r``: identical
+trees mean the CLI output is byte-identical on the whole set.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import traceback
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from leibcrit.bracket import gl_act  # noqa: E402
+from leibcrit.catalog import get  # noqa: E402
+from leibcrit.cli import run  # noqa: E402
+from leibcrit.fileio import algebra_to_dict, save_algebra  # noqa: E402
+
+ALGEBRAS = (
+    ("S1", None), ("S2", None), ("L1", None), ("L2", None), ("lie2", None),
+    ("nonlie2", None), ("so3", None), ("mu_sy", 6), ("mu_he", 7), ("mu_hy", 5),
+)
+
+BAD_CORES = {
+    "file-not-string": {"file": 3},
+    "catalog-not-string": {"catalog": ["S1"]},
+    "params-not-object": {"catalog": "S1", "params": 5},
+    "param-not-number": {"catalog": "mu_he", "params": {"n": [4]}},
+}
+
+BAD_SHOWS = {
+    "unknown-param": ["S3", "--param", "alpha=0.25"],
+    "n-on-fixed-dim": ["S1", "--n", "7"],
+    "fractional-n": ["mu_he", "--param", "n=4.7"],
+    "complex-n": ["mu_he", "--param", "n=2j"],
+    "float-n": ["mu_he", "--param", "n=4"],
+}
+
+
+def _unitary(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _write_inputs(inputs: Path) -> list[str]:
+    """Write the algebra and spec files; returns the algebra file stems."""
+    stems = []
+    for seed, (name, n) in enumerate(ALGEBRAS):
+        entry = get(name, n=n)
+        stem = name if n is None else f"{name}{n}"
+        save_algebra(inputs / f"{stem}.json", entry.bracket, stem, entry.params)
+        rotated = gl_act(_unitary(entry.dim, seed), entry.bracket)
+        save_algebra(inputs / f"{stem}-rot.json", rotated, f"{stem} rotated")
+        stems += [stem, f"{stem}-rot"]
+    z3 = [[0, 0, 0]] * 3
+    specs = {
+        "solvable": {"core": {"catalog": "S1"},
+                     "left_maps": [[[0, 0, 0], [0, 1, 0], [0, 0, 0]]], "right_maps": [z3]},
+        "general": {"core": {"catalog": "S1"}, "left_maps": [z3] * 3, "right_maps": [z3] * 3,
+                    "f_bracket": algebra_to_dict(get("so3").bracket),
+                    "semisimple": [1, 2, 3], "center": []},
+    }
+    for label, core in BAD_CORES.items():
+        specs[f"bad-{label}"] = {**specs["solvable"], "core": core}
+    for label, doc in specs.items():
+        (inputs / f"spec-{label}.json").write_text(json.dumps(doc, indent=2) + "\n")
+    return stems
+
+
+def _commands(stems: list[str]) -> dict[str, list[str]]:
+    cmds = {}
+    for stem in stems:
+        for verb in ("check", "analyze"):
+            cmds[f"{verb}-{stem}-text"] = [verb, f"inputs/{stem}.json"]
+            cmds[f"{verb}-{stem}-json"] = ["--format", "json", verb, f"inputs/{stem}.json"]
+    cmds["catalog-verify"] = ["catalog", "verify"]
+    cmds["flow-S2-perturbed"] = ["flow", "inputs/S2.json", "--perturb", "0.3", "--seed", "1"]
+    for mode in ("solvable", "general"):
+        cmds[f"extend-{mode}"] = ["extend", mode, "inputs/spec-" + mode + ".json",
+                                  "-o", "written.json"]
+    for label in BAD_CORES:
+        cmds[f"extend-bad-{label}"] = ["extend", "solvable", f"inputs/spec-bad-{label}.json",
+                                       "-o", "written.json"]
+    for label, argv in BAD_SHOWS.items():
+        cmds[f"catalog-show-{label}"] = ["catalog", "show", *argv]
+    return cmds
+
+
+def _run_one(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # noqa: BLE001 - recorded as a crashing process would show it
+            code = 1
+            err.write("Traceback (most recent call last):\n")
+            err.write("".join(traceback.format_exception_only(type(exc), exc)))
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: cli_snapshot.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    (outdir / "inputs").mkdir(parents=True, exist_ok=True)
+    os.chdir(outdir)
+    stems = _write_inputs(Path("inputs"))
+    written = Path("written.json")
+    for name, cmd in _commands(stems).items():
+        code, out, err = _run_one(cmd)
+        text = f"argv: {' '.join(cmd)}\nexit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+        if written.exists():
+            text += f"--- wrote {written}\n{written.read_text()}"
+            written.unlink()
+        Path(f"{name}.txt").write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

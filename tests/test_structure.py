@@ -161,9 +161,12 @@ class TestVerifyStructure:
 
         calls = []
         real = structure.center_subspace
-        monkeypatch.setattr(
-            structure, "center_subspace", lambda mu, *a: calls.append(mu.dim) or real(mu, *a)
-        )
+
+        def counting(mu, *args):
+            calls.append(mu.dim)
+            return real(mu, *args)
+
+        monkeypatch.setattr(structure, "center_subspace", counting)
         verify_structure_theorem(SO3, criticality_decompose(SO3))
         assert calls == [3]  # l_0 is all of so3 and l_+ = 0
 

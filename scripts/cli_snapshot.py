@@ -47,6 +47,28 @@ BAD_CORES = {
     "param-not-number": {"catalog": "mu_he", "params": {"n": [4]}},
 }
 
+#: Inputs read only by the flow and bad-input commands.
+EXTRA_ALGEBRAS = {"L5": ("L5", None), "L3-alpha2": ("L3", {"alpha": 2})}
+
+#: Non-finite tolerances and perturbation magnitudes.
+BAD_NUMBERS = {
+    "tol-nan-analyze": ["--tol", "nan", "analyze", "inputs/S1.json"],
+    "tol-inf-analyze": ["--tol", "inf", "analyze", "inputs/L5.json"],
+    "tol-nan-catalog-verify": ["--tol", "nan", "catalog", "verify"],
+    "tol-nan-flow": ["--tol", "nan", "flow", "inputs/L5.json"],
+    "perturb-nan": ["flow", "inputs/L5.json", "--perturb", "nan"],
+    "tol-nan-extend": ["--tol", "nan", "extend", "solvable", "inputs/spec-solvable.json",
+                       "-o", "written.json"],
+}
+
+#: Subcommand options that no longer exist (the global --tol replaces both --tol).
+REMOVED_FLAGS = {
+    "flow-step0": ["flow", "inputs/L5.json", "--step0", "0.1"],
+    "flow-max-iter": ["flow", "inputs/L5.json", "--max-iter", "10"],
+    "flow-tol": ["flow", "inputs/L5.json", "--tol", "1e-6"],
+    "catalog-verify-tol": ["catalog", "verify", "--tol", "1e-6"],
+}
+
 BAD_SHOWS = {
     "unknown-param": ["S3", "--param", "alpha=0.25"],
     "n-on-fixed-dim": ["S1", "--n", "7"],
@@ -72,6 +94,9 @@ def _write_inputs(inputs: Path) -> list[str]:
         rotated = gl_act(_unitary(entry.dim, seed), entry.bracket)
         save_algebra(inputs / f"{stem}-rot.json", rotated, f"{stem} rotated")
         stems += [stem, f"{stem}-rot"]
+    for stem, (name, params) in EXTRA_ALGEBRAS.items():
+        entry = get(name, params)
+        save_algebra(inputs / f"{stem}.json", entry.bracket, stem, entry.params)
     z3 = [[0, 0, 0]] * 3
     specs = {
         "solvable": {"core": {"catalog": "S1"},
@@ -94,7 +119,12 @@ def _commands(stems: list[str]) -> dict[str, list[str]]:
             cmds[f"{verb}-{stem}-text"] = [verb, f"inputs/{stem}.json"]
             cmds[f"{verb}-{stem}-json"] = ["--format", "json", verb, f"inputs/{stem}.json"]
     cmds["catalog-verify"] = ["catalog", "verify"]
+    cmds["catalog-verify-json"] = ["--format", "json", "catalog", "verify"]
     cmds["flow-S2-perturbed"] = ["flow", "inputs/S2.json", "--perturb", "0.3", "--seed", "1"]
+    cmds["flow-L5"] = ["flow", "inputs/L5.json"]
+    cmds["flow-L3-alpha2-perturbed"] = ["flow", "inputs/L3-alpha2.json",
+                                        "--perturb", "0.5", "--seed", "1"]
+    cmds |= BAD_NUMBERS | REMOVED_FLAGS
     for mode in ("solvable", "general"):
         cmds[f"extend-{mode}"] = ["extend", mode, "inputs/spec-" + mode + ".json",
                                   "-o", "written.json"]

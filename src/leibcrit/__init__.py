@@ -50,7 +50,7 @@ from .structure import (
     structure_profile,
     verify_structure_theorem,
 )
-from .flow import FlowParams, FlowTrace, descend, perturb_in_orbit
+from .flow import FlowTrace, descend, perturb_in_orbit
 from .catalog import CatalogEntry, VerifyRow, get, names, verify_catalog
 from .extensions import (
     CertificationFailed,
@@ -77,7 +77,7 @@ __all__ = [
     "hermitian_derivations", "moment_matrix",
     "GradingDecomposition", "StructureProfile", "StructureVerdict",
     "grading_decomposition", "structure_profile", "verify_structure_theorem",
-    "FlowParams", "FlowTrace", "descend", "perturb_in_orbit",
+    "FlowTrace", "descend", "perturb_in_orbit",
     "CatalogEntry", "VerifyRow", "get", "names", "verify_catalog",
     "CertificationFailed", "ExtensionError", "ExtensionSpec", "GramNotPositive",
     "HypothesisViolation", "NotLie", "NotSymmetricLeibniz",

@@ -207,6 +207,12 @@ def inner_product(mu: Bracket, lam: Bracket) -> complex:
     return complex(np.vdot(lam.coeffs, mu.coeffs))
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def _max_defect_norm(t: np.ndarray) -> float:
     """Max over leading indices of the vector norm along the last axis."""
     if t.size == 0:
@@ -220,8 +226,7 @@ def check_identities(mu: Bracket, tol: float = DEFAULT_IDENTITY_TOL) -> Identity
     The bracket is normalized to unit norm first so the residuals, and the
     flags derived from them, do not depend on the overall scale.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if mu.is_zero:
         return IdentityReport(0.0, 0.0, 0.0, 0.0, tol)
     c = mu.coeffs / mu.norm

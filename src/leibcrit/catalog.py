@@ -17,7 +17,7 @@ from typing import Callable
 
 
 from .bracket import Bracket, check_identities
-from .flow import FlowParams, descend
+from .flow import descend
 from .moment import (
     CriticalType,
     criticality_decompose,
@@ -335,8 +335,8 @@ def _relerr(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def verify_catalog(tol: float = 1e-8, entries: list[CatalogEntry] | None = None) -> list[VerifyRow]:
-    """Certify every entry against its expected critical type and value.
+def verify_catalog(tol: float = 1e-8) -> list[VerifyRow]:
+    """Certify every :func:`standard_rows` entry against its expected type and value.
 
     Entries critical in their stored basis are compared directly at
     relative tolerance ``tol``; the rest are descended first and compared
@@ -344,7 +344,7 @@ def verify_catalog(tol: float = 1e-8, entries: list[CatalogEntry] | None = None)
     clearly non-critical basis (tangent residual above 0.1).
     """
     rows = []
-    for entry in entries if entries is not None else standard_rows():
+    for entry in standard_rows():
         rep = criticality_decompose(entry.bracket, tol)
         if entry.expected_type is None:
             passed = rep.residual_tangent > NONCRITICAL_MIN_RESIDUAL
@@ -366,7 +366,7 @@ def verify_catalog(tol: float = 1e-8, entries: list[CatalogEntry] | None = None)
                           entry.expected_value, rep.residual_tangent, passed)
             )
         else:
-            trace = descend(entry.bracket, FlowParams(tol=tol))
+            trace = descend(entry.bracket, tol)
             final = trace.final_report
             t = critical_type(final.D) if final.is_critical else None
             passed = (

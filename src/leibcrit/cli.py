@@ -26,7 +26,7 @@ from .fileio import (
     report_dict,
     save_algebra,
 )
-from .flow import FlowParams, descend, perturb_in_orbit
+from .flow import descend, perturb_in_orbit
 from .moment import (
     IrrationalTypeError,
     critical_type,
@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Moment-map analysis and critical points for complex Leibniz algebras.",
     )
     parser.add_argument("--tol", type=float, default=1e-8,
-                        help="criticality tolerance (default 1e-8)")
+                        help="criticality tolerance, also the flow's stopping tolerance"
+                             " (default 1e-8)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
     parser.add_argument("--max-den", type=int, default=100,
@@ -64,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="descend F inside the orbit of an algebra file")
     p.add_argument("file")
-    p.add_argument("--step0", type=float, default=0.1)
-    p.add_argument("--tol", dest="flow_tol", type=float, default=None,
-                   help="flow stopping tolerance (defaults to the global --tol)")
-    p.add_argument("--max-iter", type=int, default=50_000)
     p.add_argument("--seed", type=int, default=0,
                    help="random seed of the --perturb move (default 0)")
     p.add_argument("--perturb", type=float, default=0.0, metavar="M",
@@ -84,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                        help="family parameter, e.g. alpha=2 or beta=0.25")
         q.add_argument("--n", type=int, default=None, help="ambient dimension for families")
-    q = csub.add_parser("verify", help="golden run against the classification table")
-    q.add_argument("--tol", dest="verify_tol", type=float, default=None)
+    csub.add_parser("verify", help="golden run against the classification table")
 
     p = sub.add_parser("extend", help="build a higher-dimensional critical point")
     p.add_argument("mode", choices=("solvable", "general"))
@@ -212,13 +208,8 @@ def _cmd_flow(args) -> int:
     mu, meta = load_algebra(args.file)
     if args.perturb:
         mu = perturb_in_orbit(mu, args.perturb, args.seed)
-    params = FlowParams(
-        step0=args.step0,
-        max_iter=args.max_iter,
-        tol=args.flow_tol if args.flow_tol is not None else args.tol,
-    )
-    trace = descend(mu, params)
-    final_doc = _analysis_document(trace.final_bracket, meta, params.tol, args.max_den)
+    trace = descend(mu, args.tol)
+    final_doc = _analysis_document(trace.final_bracket, meta, args.tol, args.max_den)
     flow_doc = {
         "iterations": trace.iterations,
         "converged": trace.converged,
@@ -286,8 +277,7 @@ def _cmd_catalog(args) -> int:
         print(f"wrote {args.file}")
         return 0
     # verify
-    tol = args.verify_tol if args.verify_tol is not None else args.tol
-    rows = _catalog.verify_catalog(tol)
+    rows = _catalog.verify_catalog(args.tol)
     ok = all(r.passed for r in rows)
     if args.format == "json":
         print(json.dumps({"rows": [report_dict(r) for r in rows], "all_passed": ok}, indent=2))

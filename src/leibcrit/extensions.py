@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, check_identities, gl_act, inf_act
+from .bracket import Bracket, _check_tol, check_identities, gl_act, inf_act
 from .moment import (
     CriticalType,
     MomentReport,
@@ -319,6 +319,7 @@ def _build(
     spec: ExtensionSpec, f: Bracket, semisimple: tuple[int, ...], center: tuple[int, ...], tol: float
 ) -> tuple[Bracket, MomentReport]:
     """Check the hypotheses, orthonormalize, assemble and certify."""
+    _check_tol(tol)
     d_core, core_c, core_type = _core_data(spec, tol)
     _check_commute_with_core(spec, d_core, tol)
     _check_derivations(spec, tol)

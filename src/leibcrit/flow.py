@@ -11,36 +11,21 @@ if it decreases F (backtracking line search).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .bracket import Bracket, gl_act, inf_act, inner_product
+from .bracket import Bracket, _check_tol, gl_act, inf_act, inner_product
 from .moment import MomentReport, criticality_decompose, moment_matrix
 
-__all__ = ["FlowParams", "FlowTrace", "descend", "perturb_in_orbit"]
+__all__ = ["FlowTrace", "descend", "perturb_in_orbit"]
 
+_STEP0 = 0.1  # the trial step is _STEP0 / |M|, a dimensionless step scale
+_MAX_ITER = 50_000
 _MAX_BACKTRACKS = 60
 _ARMIJO_C = 1e-4  # sufficient-decrease fraction of the slope
 _SHRINK = 0.5  # step factor per backtrack
-
-
-@dataclass(frozen=True)
-class FlowParams:
-    """Line-search and stopping parameters for :func:`descend`.
-
-    The trial step at each iteration is ``step0 / |M|``, so ``step0`` is a
-    dimensionless step scale.
-    """
-
-    step0: float = 0.1
-    max_iter: int = 50_000
-    tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (self.step0 > 0 and self.max_iter > 0 and self.tol > 0):
-            raise ValueError("step0, max_iter and tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,14 +39,14 @@ class FlowTrace:
     message: str = field(default="", compare=False)
 
 
-def descend(mu0: Bracket, params: FlowParams | None = None) -> FlowTrace:
+def descend(mu0: Bracket, tol: float = 1e-8) -> FlowTrace:
     """Minimize F over the orbit of mu0, stopping at a certified critical point.
 
     Iterates are kept at unit norm; convergence means the tangential
-    residual of M.mu dropped below ``params.tol``.  A line-search underflow
+    residual of M.mu dropped below ``tol``.  A line-search underflow
     is reported as non-convergence with a diagnostic message.
     """
-    p = params or FlowParams()
+    _check_tol(tol)
     if mu0.is_zero:
         raise ValueError("cannot flow from the zero bracket")
     mu = mu0.normalized()
@@ -70,7 +55,7 @@ def descend(mu0: Bracket, params: FlowParams | None = None) -> FlowTrace:
     message = ""
     converged = False
     it = 0
-    while it <= p.max_iter:
+    while it <= _MAX_ITER:
         m = moment_matrix(mu)
         norm_m = float(np.linalg.norm(m))
         f = float(np.vdot(m, m).real)  # |mu| = 1
@@ -79,7 +64,7 @@ def descend(mu0: Bracket, params: FlowParams | None = None) -> FlowTrace:
         res = float(np.linalg.norm(v_perp)) / norm_m
         f_hist.append(f)
         r_hist.append(res)
-        if res < p.tol:
+        if res < tol:
             converged = True
             if it > 0:
                 # a gradient limit is only guaranteed to sit in the closure
@@ -87,11 +72,11 @@ def descend(mu0: Bracket, params: FlowParams | None = None) -> FlowTrace:
                 # certified (and genuinely fails for some inputs)
                 message = "limit may lie outside the starting orbit (closure limit)"
             break
-        if it == p.max_iter:
+        if it == _MAX_ITER:
             message = "iteration limit reached"
             break
 
-        h = p.step0 / norm_m
+        h = _STEP0 / norm_m
         slope = float(np.vdot(v_perp, v_perp).real)
         # the slack keeps progress possible once per-step decreases of F
         # fall below its floating-point resolution near the minimum
@@ -112,7 +97,7 @@ def descend(mu0: Bracket, params: FlowParams | None = None) -> FlowTrace:
         mu = accepted
         it += 1
 
-    final_report = criticality_decompose(mu, p.tol)
+    final_report = criticality_decompose(mu, tol)
     return FlowTrace(
         final_bracket=mu,
         F_history=np.array(f_hist),
@@ -126,10 +111,14 @@ def descend(mu0: Bracket, params: FlowParams | None = None) -> FlowTrace:
 
 def perturb_in_orbit(mu: Bracket, magnitude: float, seed: int) -> Bracket:
     """Move mu inside its orbit by exp(a) for a seeded random a of given norm."""
-    if magnitude < 0:
-        raise ValueError("magnitude must be nonnegative")
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(
+            f"perturbation magnitude must be a finite nonnegative number, got {magnitude!r}"
+        )
     if magnitude == 0.0:
         return mu
+    import scipy.linalg  # here, so that importing the package does not load scipy
+
     rng = np.random.default_rng(seed)
     n = mu.dim
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

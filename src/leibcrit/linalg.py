@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket
+from .bracket import Bracket, _check_tol
 
 __all__ = [
     "Subspace",
@@ -113,8 +113,7 @@ def derivation_space(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
     elementary maps are derivations.  :func:`leibcrit.moment.hermitian_derivations`
     solves for the Hermitian ones directly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     n = mu.dim
     if n == 0:
         return []

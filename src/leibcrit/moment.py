@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bracket import Bracket, inf_act, inner_product
+from .bracket import Bracket, _check_tol, inf_act, inner_product
 from .linalg import _action_matrix, cluster_values, hermitian_eigen
 
 __all__ = [
@@ -164,8 +164,7 @@ def hermitian_derivations(mu: Bracket, tol: float = 1e-9) -> list[np.ndarray]:
     are orthonormal under the real trace pairing Re tr(a b*).  For the zero
     bracket all n^2 basis maps are returned.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     n = mu.dim
     if n == 0:
         return []
@@ -181,8 +180,7 @@ def criticality_decompose(
     mu: Bracket, tol: float = DEFAULT_CRITICAL_TOL
 ) -> MomentReport:
     """Compute M, F and the criticality certificate of a nonzero product."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     nsq = mu.norm_sq
     if nsq == 0.0:
         raise ValueError("the zero bracket has no projective class")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, check_identities, inf_act
+from .bracket import Bracket, _check_tol, check_identities, inf_act
 from .linalg import (
     RANK_RTOL,
     Subspace,
@@ -136,8 +136,7 @@ def center_subspace(mu: Bracket, rtol: float = RANK_RTOL) -> Subspace:
 
 def structure_profile(mu: Bracket, tol: float = RANK_RTOL) -> StructureProfile:
     """Derived/lower-central series dimensions, center and the two flags."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     full = Subspace.full(mu.dim)
     derived, solvable = _series_dims(mu, lambda s: subspace_product(mu, s, s, rtol=tol))
     lower, nilpotent = _series_dims(

@@ -15,7 +15,7 @@ from helpers import random_bracket, random_hermitian
 from leibcrit.bracket import check_identities, gl_act
 from leibcrit.catalog import get, standard_rows, verify_catalog
 from leibcrit.extensions import ExtensionSpec, build_general_extension, build_solvable_extension
-from leibcrit.flow import FlowParams, descend, perturb_in_orbit
+from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.moment import (
     critical_type,
     critical_value_formula,
@@ -121,7 +121,7 @@ def test_criterion_4_minimum():
         m = rep.M
         assert np.linalg.norm(m - (np.trace(m) / 3) * np.eye(3)) < 1e-10
         assert abs(rep.F - 4.0 / 3.0) <= 1e-10
-        tr = descend(get("L5").bracket, FlowParams(max_iter=50_000))
+        tr = descend(get("L5").bracket)
         assert tr.converged and tr.iterations <= 50_000
         assert abs(tr.final_report.F - 4.0 / 3.0) <= 1e-6
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,10 @@ from leibcrit.bracket import (
     inf_act,
     inner_product,
 )
+from leibcrit.flow import descend
+from leibcrit.linalg import derivation_space
+from leibcrit.moment import criticality_decompose, hermitian_derivations
+from leibcrit.structure import structure_profile
 
 E2 = np.eye(2)
 E3 = np.eye(3)
@@ -187,6 +193,24 @@ class TestIdentities:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             check_identities(LIE2, tol=0.0)
+
+
+#: Every public function that takes a tolerance and checks it.
+TOL_CHECKED = {
+    "check_identities": check_identities,
+    "derivation_space": derivation_space,
+    "hermitian_derivations": hermitian_derivations,
+    "criticality_decompose": criticality_decompose,
+    "structure_profile": structure_profile,
+    "descend": descend,
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", list(TOL_CHECKED))
+def test_tolerance_must_be_finite_and_positive(name, tol):
+    with pytest.raises(ValueError, match=re.escape(f"tol must be a finite positive number, got {tol!r}")):
+        TOL_CHECKED[name](LIE2, tol)
 
 
 class TestDirectSum:

@@ -140,6 +140,22 @@ class TestAnalyzeCommand:
         assert "zero bracket" in err
 
 
+class TestToleranceFlag:
+    @pytest.mark.parametrize("tol, name, argv", [
+        ("nan", "S1", ["analyze"]),
+        ("inf", "L5", ["analyze"]),
+        ("nan", None, ["catalog", "verify"]),
+    ], ids=["nan-analyze", "inf-analyze", "nan-catalog-verify"])
+    def test_nonfinite_tol_exit_2(self, tmp_path, capsys, tol, name, argv):
+        if name is not None:
+            path = tmp_path / f"{name}.json"
+            save_algebra(path, get(name).bracket, name=name)
+            argv = [*argv, str(path)]
+        code, out, err = run_cli(capsys, "--tol", tol, *argv)
+        assert code == 2 and out == ""
+        assert f"tol must be a finite positive number, got {tol}" in err
+
+
 class TestFlowCommand:
     def test_l5_reaches_minimum(self, tmp_path, capsys):
         path = tmp_path / "l5.json"
@@ -160,6 +176,29 @@ class TestFlowCommand:
         doc = json.loads(out)
         assert doc["flow"]["iterations"] > 0
         assert doc["final"]["moment"]["F"] == pytest.approx(12.0, abs=1e-6)
+
+    def test_nan_perturb_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "l5.json"
+        save_algebra(path, get("L5").bracket, name="L5")
+        code, out, err = run_cli(capsys, "flow", str(path), "--perturb", "nan")
+        assert code == 2 and out == ""
+        assert "perturbation magnitude must be a finite nonnegative number, got nan" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "S2", "--step0", "0.1"],
+        ["flow", "S2", "--max-iter", "10"],
+        ["flow", "S2", "--tol", "1e-6"],
+        ["catalog", "verify", "--tol", "1e-6"],
+    ], ids=["flow-step0", "flow-max-iter", "flow-tol", "catalog-verify-tol"])
+    def test_removed_flag_exit_2(self, tmp_path, capsys, argv):
+        if argv[0] == "flow":
+            path = tmp_path / "s2.json"
+            save_algebra(path, get("S2").bracket)
+            argv = ["flow", str(path), *argv[2:]]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestCatalogCommand:
@@ -259,6 +298,15 @@ class TestExtendCommand:
         assert doc["F"] == pytest.approx(10.0 / 3.0, abs=1e-8)
         mu, _ = load_algebra(out_path)
         assert mu.dim == 4
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_exit_2(self, tmp_path, capsys, tol):
+        path = self.write_solvable_spec(tmp_path)
+        code, _, err = run_cli(capsys, "--tol", tol, "extend", "solvable", str(path),
+                               "-o", str(tmp_path / "result.json"))
+        assert code == 2
+        assert f"tol must be a finite positive number, got {tol}" in err
+        assert not (tmp_path / "result.json").exists()
 
     def test_general_so3(self, tmp_path, capsys):
         z = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]

@@ -1,24 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from leibcrit.bracket import Bracket, check_identities
 from leibcrit.catalog import get
-from leibcrit.flow import FlowParams, descend, perturb_in_orbit
+from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.moment import critical_type, critical_value_formula, criticality_decompose
 
 
-class TestFlowParams:
-    def test_defaults_valid(self):
-        p = FlowParams()
-        assert p.step0 == 0.1 and p.max_iter == 50_000 and p.tol == 1e-8
+class TestDescendTolerance:
+    def test_default_tol_accepted(self):
+        tr = descend(get("S1").bracket)
+        assert tr.converged and tr.final_report.tol == 1e-8
 
     def test_rejects_bad(self):
-        with pytest.raises(ValueError):
-            FlowParams(step0=-1.0)
-        with pytest.raises(ValueError):
-            FlowParams(max_iter=0)
-        with pytest.raises(ValueError):
-            FlowParams(tol=0.0)
+        s1 = get("S1").bracket
+        for tol in (0.0, -1e-8, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"got {tol!r}"):
+                descend(s1, tol)
 
 
 class TestDescend:
@@ -127,3 +130,15 @@ class TestPerturbInOrbit:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             perturb_in_orbit(get("S1").bracket, -0.1, seed=0)
+
+    @pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
+    def test_nonfinite_magnitude_rejected(self, magnitude):
+        with pytest.raises(ValueError, match=f"perturbation magnitude .* got {magnitude!r}"):
+            perturb_in_orbit(get("S1").bracket, magnitude, seed=0)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, leibcrit; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from leibcrit.bracket import gl_act  # noqa: E402
+from leibcrit.bracket import Bracket, gl_act  # noqa: E402
 from leibcrit.catalog import get  # noqa: E402
 from leibcrit.cli import run  # noqa: E402
 from leibcrit.fileio import algebra_to_dict, save_algebra  # noqa: E402
@@ -61,12 +61,27 @@ BAD_NUMBERS = {
                        "-o", "written.json"],
 }
 
-#: Subcommand options that no longer exist (the global --tol replaces both --tol).
+#: Options that no longer exist: the global --tol replaces both subcommand
+#: --tol, and every type is reconstructed with denominators up to 100.
 REMOVED_FLAGS = {
     "flow-step0": ["flow", "inputs/L5.json", "--step0", "0.1"],
     "flow-max-iter": ["flow", "inputs/L5.json", "--max-iter", "10"],
     "flow-tol": ["flow", "inputs/L5.json", "--tol", "1e-6"],
     "catalog-verify-tol": ["catalog", "verify", "--tol", "1e-6"],
+    "max-den": ["--max-den", "100", "analyze", "inputs/S1.json"],
+}
+
+#: Critical points without a rational type, a near-critical extension core
+#: that only the build tolerance certifies, and moves too large for gl_act.
+EDGE_CASES = {
+    "analyze-S2-irrational-text": ["--tol", "1e-2", "analyze", "inputs/S2-irrational.json"],
+    "analyze-S2-irrational-json": ["--tol", "1e-2", "--format", "json", "analyze",
+                                   "inputs/S2-irrational.json"],
+    "flow-m0-9": ["flow", "inputs/m0-9.json"],
+    "extend-near-critical-core-tol": ["--tol", "1e-3", "extend", "solvable",
+                                      "inputs/spec-near-critical-core.json", "-o", "written.json"],
+    "perturb-50": ["flow", "inputs/L5.json", "--perturb", "50"],
+    "perturb-1e308": ["flow", "inputs/L5.json", "--perturb", "1e308"],
 }
 
 BAD_SHOWS = {
@@ -97,6 +112,14 @@ def _write_inputs(inputs: Path) -> list[str]:
     for stem, (name, params) in EXTRA_ALGEBRAS.items():
         entry = get(name, params)
         save_algebra(inputs / f"{stem}.json", entry.bracket, stem, entry.params)
+    # S2 moved by I + 1e-4 R: critical at tol 1e-2, type rational only to 6.1e-5
+    r = np.random.default_rng(3).standard_normal((3, 3))
+    save_algebra(inputs / "S2-irrational.json", gl_act(np.eye(3) + 1e-4 * r, get("S2").bracket),
+                 "S2 moved")
+    m0 = Bracket.from_entries(9, {(1, i, i + 1): 1 for i in range(2, 9)}, antisymmetrize=True)
+    save_algebra(inputs / "m0-9.json", m0, "m0(9)")
+    near = get("S1").bracket.coeffs.copy()
+    near[1, 2, 0] += 1e-6  # tangent residual 6.3e-7
     z3 = [[0, 0, 0]] * 3
     specs = {
         "solvable": {"core": {"catalog": "S1"},
@@ -107,6 +130,8 @@ def _write_inputs(inputs: Path) -> list[str]:
     }
     for label, core in BAD_CORES.items():
         specs[f"bad-{label}"] = {**specs["solvable"], "core": core}
+    specs["near-critical-core"] = {**specs["solvable"],
+                                   "core": {"algebra": algebra_to_dict(Bracket(3, near))}}
     for label, doc in specs.items():
         (inputs / f"spec-{label}.json").write_text(json.dumps(doc, indent=2) + "\n")
     return stems
@@ -124,7 +149,7 @@ def _commands(stems: list[str]) -> dict[str, list[str]]:
     cmds["flow-L5"] = ["flow", "inputs/L5.json"]
     cmds["flow-L3-alpha2-perturbed"] = ["flow", "inputs/L3-alpha2.json",
                                         "--perturb", "0.5", "--seed", "1"]
-    cmds |= BAD_NUMBERS | REMOVED_FLAGS
+    cmds |= BAD_NUMBERS | REMOVED_FLAGS | EDGE_CASES
     for mode in ("solvable", "general"):
         cmds[f"extend-{mode}"] = ["extend", mode, "inputs/spec-" + mode + ".json",
                                   "-o", "written.json"]

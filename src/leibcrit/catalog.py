@@ -18,11 +18,7 @@ from typing import Callable
 
 from .bracket import Bracket, check_identities
 from .flow import descend
-from .moment import (
-    CriticalType,
-    criticality_decompose,
-    critical_type,
-)
+from .moment import CriticalType, criticality_decompose
 
 __all__ = ["CatalogEntry", "VerifyRow", "get", "names", "standard_rows", "verify_catalog"]
 
@@ -355,7 +351,7 @@ def verify_catalog(tol: float = 1e-8) -> list[VerifyRow]:
             )
             continue
         if rep.is_critical:
-            t = critical_type(rep.D)
+            t = rep.type
             passed = (
                 entry.critical_in_given_basis
                 and t == entry.expected_type
@@ -368,7 +364,7 @@ def verify_catalog(tol: float = 1e-8) -> list[VerifyRow]:
         else:
             trace = descend(entry.bracket, tol)
             final = trace.final_report
-            t = critical_type(final.D) if final.is_critical else None
+            t = final.type
             passed = (
                 not entry.critical_in_given_basis
                 and trace.converged

@@ -3,7 +3,8 @@
 Subcommands: ``check``, ``analyze``, ``flow``, ``catalog`` (list / show /
 export / verify) and ``extend`` (solvable / general).  Reports print as
 text by default or as JSON documents with ``--format json``.  Exit status
-is 0 on success or pass, 1 on a verification failure, 2 on input errors.
+is 0 on success or pass, 1 on a verification failure, 2 on input errors
+and 3 on an internal numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 
+from numpy.linalg import LinAlgError
 
 from . import catalog as _catalog
 from .bracket import Bracket, check_identities
@@ -27,11 +29,7 @@ from .fileio import (
     save_algebra,
 )
 from .flow import descend, perturb_in_orbit
-from .moment import (
-    IrrationalTypeError,
-    critical_type,
-    criticality_decompose,
-)
+from .moment import criticality_decompose
 from .structure import structure_profile, verify_structure_theorem
 
 
@@ -53,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                              " (default 1e-8)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
-    parser.add_argument("--max-den", type=int, default=100,
-                        help="largest denominator for type reconstruction (default 100)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="identity report for an algebra file")
@@ -105,18 +101,18 @@ def _parse_params(items: list[str]) -> dict:
     return out
 
 
-def _analysis_document(mu: Bracket, meta: dict, tol: float, max_den: int) -> dict:
+def _analysis_document(mu: Bracket, meta: dict, tol: float) -> dict:
     idr = check_identities(mu)
     rep = criticality_decompose(mu, tol)
     prof = structure_profile(mu)
     doc = {
         "algebra": {"dim": mu.dim, **meta},
         "identities": report_dict(idr),
-        "moment": moment_report_dict(rep, max_denominator=max_den),
+        "moment": moment_report_dict(rep),
         "structure": report_dict(prof),
         "structure_checks": None,
     }
-    if rep.is_critical and idr.is_symmetric_leibniz:
+    if rep.type is not None and idr.is_symmetric_leibniz:
         doc["structure_checks"] = report_dict(verify_structure_theorem(mu, rep, tol))
     return doc
 
@@ -199,7 +195,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_analyze(args) -> int:
     mu, meta = load_algebra(args.file)
-    doc = _analysis_document(mu, meta, args.tol, args.max_den)
+    doc = _analysis_document(mu, meta, args.tol)
     _emit_analysis(doc, args.format == "json")
     return 0
 
@@ -209,7 +205,7 @@ def _cmd_flow(args) -> int:
     if args.perturb:
         mu = perturb_in_orbit(mu, args.perturb, args.seed)
     trace = descend(mu, args.tol)
-    final_doc = _analysis_document(trace.final_bracket, meta, args.tol, args.max_den)
+    final_doc = _analysis_document(trace.final_bracket, meta, args.tol)
     flow_doc = {
         "iterations": trace.iterations,
         "converged": trace.converged,
@@ -298,7 +294,7 @@ def _cmd_extend(args) -> int:
     spec = load_extension_spec(args.specfile)
     builder = build_solvable_extension if args.mode == "solvable" else build_general_extension
     out, rep = builder(spec, args.tol)
-    t = critical_type(rep.D, max_denominator=args.max_den)
+    t = rep.type
     out_path = args.output
     if out_path is None:
         stem, _ = os.path.splitext(args.specfile)
@@ -339,8 +335,11 @@ def run(argv: list[str] | None = None) -> int:
     except ExtensionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except LinAlgError as exc:  # a ValueError, but never the input's fault
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (AlgebraFileError, FileNotFoundError, IsADirectoryError, KeyError,
-            ValueError, IrrationalTypeError) as exc:
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,12 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracket import Bracket, _check_tol, check_identities, gl_act, inf_act
-from .moment import (
-    CriticalType,
-    MomentReport,
-    critical_type,
-    criticality_decompose,
-)
+from .moment import CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
     "ExtensionSpec",
@@ -157,7 +152,9 @@ def _core_data(spec: ExtensionSpec, tol: float) -> tuple[np.ndarray, float, Crit
         raise HypothesisViolation(
             "core criticality", rep.residual_tangent, "core is not a certified critical point"
         )
-    t = critical_type(rep.D)
+    t = rep.type
+    if t is None:
+        raise HypothesisViolation("core type", 0.0, "core has no rational critical type")
     if t.ks[0] <= 0:
         raise HypothesisViolation(
             "core type", 0.0, f"core type {t} must be strictly positive"
@@ -286,7 +283,7 @@ def _certify(
             f"constant changed: core {core_c:.12g} vs assembled {rep.c:.12g}"
         )
     expected = CriticalType((0,) + core_type.ks, (d1,) + core_type.ds)
-    got = critical_type(rep.D)
+    got = rep.type
     if got != expected:
         raise CertificationFailed(f"type {got} differs from expected {expected}")
     return rep

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .bracket import Bracket
-from .moment import CriticalType, IrrationalTypeError, MomentReport, critical_type
+from .moment import CriticalType, MomentReport
 
 __all__ = [
     "AlgebraFileError",
@@ -158,12 +158,12 @@ def load_extension_spec(path):
     to the document's directory), an inline ``{"algebra": {...}}``, or the degenerate
     ``{"abelian": {"dim": m, "scale": s, "c": c}}``.  Matrices are lists of
     rows whose cells are numbers or [re, im] pairs; generator index lists
-    ``semisimple`` and ``center`` are 1-based.
+    ``semisimple`` and ``center`` are 1-based.  ``core_report`` is left
+    None, so the builder certifies the core at its own tolerance.
     """
     import os
 
     from .extensions import ExtensionSpec
-    from .moment import criticality_decompose
 
     try:
         with open(path) as fh:
@@ -177,7 +177,6 @@ def load_extension_spec(path):
         raise AlgebraFileError("'core' must be an object")
 
     core_scale = core_c = None
-    core_report = None
     if "abelian" in core_doc:
         ab = core_doc["abelian"]
         if not isinstance(ab, dict) or not {"dim", "scale", "c"} <= set(ab):
@@ -237,12 +236,9 @@ def load_extension_spec(path):
         semisimple = _indices("semisimple")
         center = _indices("center")
 
-    if core_scale is None and not core.is_zero:
-        core_report = criticality_decompose(core)
-
     return ExtensionSpec(
         core=core,
-        core_report=core_report,
+        core_report=None,
         left_maps=lmaps,
         right_maps=rmaps,
         f_bracket=f_bracket,
@@ -275,15 +271,8 @@ def _json_value(v: Any) -> Any:
     return list(v) if isinstance(v, tuple) else v
 
 
-def moment_report_dict(rep: MomentReport, max_denominator: int = 100) -> dict:
-    if rep.is_critical:
-        try:
-            t = critical_type(rep.D, max_denominator=max_denominator)
-            type_str, scale = str(t), t.scale
-        except IrrationalTypeError:
-            type_str, scale = None, None
-    else:
-        type_str, scale = None, None
+def moment_report_dict(rep: MomentReport) -> dict:
+    t = rep.type
     eig = np.linalg.eigvalsh(rep.D)
     return {
         "dim": rep.M.shape[0],
@@ -295,8 +284,8 @@ def moment_report_dict(rep: MomentReport, max_denominator: int = 100) -> dict:
         "residual_tangent": rep.residual_tangent,
         "residual_decomp": rep.residual_decomp,
         "derivation_defect": rep.derivation_defect,
-        "critical_type": type_str,
-        "type_scale": scale,
+        "critical_type": None if t is None else str(t),
+        "type_scale": None if t is None else t.scale,
         "D_eigenvalues": [float(x) for x in eig],
         "M": _matrix_to_json(rep.M),
         "D": _matrix_to_json(rep.D),

@@ -26,6 +26,7 @@ _MAX_ITER = 50_000
 _MAX_BACKTRACKS = 60
 _ARMIJO_C = 1e-4  # sufficient-decrease fraction of the slope
 _SHRINK = 0.5  # step factor per backtrack
+_MAX_PERTURB_COND = 1e4  # gl_act's round-off left the orbit from cond 8.6e4 on
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ def descend(mu0: Bracket, tol: float = 1e-8) -> FlowTrace:
 
 
 def perturb_in_orbit(mu: Bracket, magnitude: float, seed: int) -> Bracket:
-    """Move mu inside its orbit by exp(a) for a seeded random a of given norm."""
+    """Move mu inside its orbit by exp(a) for a seeded random a of given norm;
+    an exp(a) that is not finite or has condition number above 1e4 is rejected."""
     if not (math.isfinite(magnitude) and magnitude >= 0):
         raise ValueError(
             f"perturbation magnitude must be a finite nonnegative number, got {magnitude!r}"
@@ -123,4 +125,10 @@ def perturb_in_orbit(mu: Bracket, magnitude: float, seed: int) -> Bracket:
     n = mu.dim
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a *= magnitude / np.linalg.norm(a)
-    return gl_act(scipy.linalg.expm(a), mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = scipy.linalg.expm(a)
+    cond = float(np.linalg.cond(g)) if np.isfinite(g).all() else math.inf
+    if cond > _MAX_PERTURB_COND:
+        raise ValueError(f"perturbation magnitude {magnitude!r} is too large: the move has"
+                         f" condition number {cond:.3g} (at most {_MAX_PERTURB_COND:.0e})")
+    return gl_act(g, mu)

@@ -117,6 +117,17 @@ class MomentReport:
     is_critical: bool
     tol: float
 
+    @property
+    def type(self) -> CriticalType | None:
+        """Critical type of ``D`` at the default margins, recomputed on each read;
+        None when the report is not critical or the spectrum of ``D`` is not rational."""
+        if not self.is_critical:
+            return None
+        try:
+            return critical_type(self.D)
+        except IrrationalTypeError:
+            return None
+
 
 def moment_matrix(mu: Bracket) -> np.ndarray:
     """Hermitian moment matrix of mu (zero bracket gives the zero matrix)."""

@@ -27,12 +27,7 @@ from .linalg import (
     subspace_product,
     _nullspace,
 )
-from .moment import (
-    CriticalType,
-    MomentReport,
-    criticality_decompose,
-    critical_type,
-)
+from .moment import CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
     "StructureProfile",
@@ -292,9 +287,8 @@ def _nilradical(unit: Bracket, lp: Subspace, parent_type: CriticalType, tol: flo
     if restrp.norm <= tol:
         return ideal_res < tol, ideal_res, True, True, None, True
     is_nilp = structure_profile(restrp).is_nilpotent
-    rep_p = criticality_decompose(restrp, tol)
-    restr_type = critical_type(rep_p.D) if rep_p.is_critical else None
-    matches = rep_p.is_critical and restr_type == (_strip_zero(parent_type) or parent_type)
+    restr_type = criticality_decompose(restrp, tol).type
+    matches = restr_type == (_strip_zero(parent_type) or parent_type)
     return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches
 
 
@@ -317,17 +311,20 @@ def verify_structure_theorem(
 ) -> StructureVerdict:
     """Check the four structural properties of a symmetric critical point.
 
-    Requires ``report.is_critical`` and a symmetric Leibniz input.  The
-    restriction of mu to the positive eigenspace of D is re-certified and
-    its type compared against the parent type with the zero entry removed,
-    except in the degenerate abelian case which is only reported.
+    Requires ``report.is_critical``, a rational ``report.type`` and a
+    symmetric Leibniz input.  The restriction of mu to the positive
+    eigenspace of D is re-certified and its type compared against the
+    parent type with the zero entry removed, except in the degenerate
+    abelian case which is only reported.
     """
     if not report.is_critical:
         raise ValueError("report does not certify a critical point")
+    parent_type = report.type
+    if parent_type is None:
+        raise ValueError("report has no rational critical type")
     if not check_identities(mu).is_symmetric_leibniz:
         raise ValueError("bracket is not symmetric Leibniz")
     unit = mu.normalized()
-    parent_type = critical_type(report.D)
     grading = grading_decomposition(unit, report.D, tol)
     l0 = grading.zero_part
     closure = _adjoint_closure(unit, l0, tol)

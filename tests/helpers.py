@@ -27,3 +27,14 @@ def random_invertible(n: int, rng: np.random.Generator, max_cond: float = 10.0) 
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if np.linalg.cond(g) < max_cond:
             return g
+
+
+def irrational_type_s2() -> Bracket:
+    """S2 moved by I + 1e-4 R (R standard normal, seed 3): critical at tol
+    1e-2 (tangent residual 1.4e-4) and symmetric Leibniz, but its D has no
+    rational type (rounding error 6.1e-5 against the 1e-6 type tolerance)."""
+    from leibcrit.bracket import gl_act
+    from leibcrit.catalog import get
+
+    r = np.random.default_rng(3).standard_normal((3, 3))
+    return gl_act(np.eye(3) + 1e-4 * r, get("S2").bracket)

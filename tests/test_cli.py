@@ -3,14 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from helpers import irrational_type_s2
 from leibcrit.bracket import Bracket
 from leibcrit.catalog import get
 from leibcrit.cli import run, _analysis_document
+from leibcrit.extensions import ExtensionError, build_solvable_extension
 from leibcrit.fileio import (
     AlgebraFileError,
     algebra_to_dict,
     bracket_from_dict,
     load_algebra,
+    load_extension_spec,
     save_algebra,
 )
 
@@ -95,7 +98,7 @@ class TestAnalyzeCommand:
         loaded_doc = json.loads(out)
         # exporting lost nothing: the in-memory analysis of the catalog
         # bracket serializes to the identical report
-        direct_doc = _analysis_document(entry.bracket, {}, 1e-8, 100)
+        direct_doc = _analysis_document(entry.bracket, {}, 1e-8)
         for section in ("identities", "moment", "structure", "structure_checks"):
             assert json.dumps(loaded_doc[section]) == json.dumps(
                 json.loads(json.dumps(direct_doc[section]))
@@ -138,6 +141,30 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
         assert "zero bracket" in err
+
+    def test_critical_without_rational_type(self, tmp_path, capsys):
+        path = tmp_path / "s2.json"
+        save_algebra(path, irrational_type_s2())
+        code, out, _ = run_cli(capsys, "--tol", "1e-2", "analyze", str(path))
+        assert code == 0
+        assert "critical: yes" in out and "critical type" not in out
+        assert "structure checks: not applicable" in out
+        code, out, _ = run_cli(capsys, "--tol", "1e-2", "--format", "json", "analyze", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["moment"]["is_critical"] and doc["identities"]["is_symmetric_leibniz"]
+        assert doc["moment"]["critical_type"] is None and doc["structure_checks"] is None
+
+    def test_linalg_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("leibcrit.cli.criticality_decompose", fail)
+        path = tmp_path / "s1.json"
+        save_algebra(path, get("S1").bracket)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 3 and out == ""
+        assert err == "internal error: SVD did not converge\n"
 
 
 class TestToleranceFlag:
@@ -189,7 +216,8 @@ class TestFlowCommand:
         ["flow", "S2", "--max-iter", "10"],
         ["flow", "S2", "--tol", "1e-6"],
         ["catalog", "verify", "--tol", "1e-6"],
-    ], ids=["flow-step0", "flow-max-iter", "flow-tol", "catalog-verify-tol"])
+        ["--max-den", "100", "analyze", "S2"],
+    ], ids=["flow-step0", "flow-max-iter", "flow-tol", "catalog-verify-tol", "max-den"])
     def test_removed_flag_exit_2(self, tmp_path, capsys, argv):
         if argv[0] == "flow":
             path = tmp_path / "s2.json"
@@ -198,7 +226,30 @@ class TestFlowCommand:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if argv[0] == "--max-den":  # the removed global flag's value is read as the command
+            assert "invalid choice: '100'" in err
+        else:
+            assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    @pytest.mark.parametrize("magnitude", ["50", "1e308"])
+    def test_ill_conditioned_perturb_exit_2(self, tmp_path, capsys, magnitude):
+        path = tmp_path / "l5.json"
+        save_algebra(path, get("L5").bracket, name="L5")
+        code, out, err = run_cli(capsys, "flow", str(path), "--perturb", magnitude)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: perturbation magnitude {float(magnitude)!r} is too large")
+
+    def test_filiform_limit_without_rational_type(self, tmp_path, capsys):
+        # the limit's D is rational only to 1.9e-6, above the 1e-6 type tolerance
+        m0 = Bracket.from_entries(9, {(1, i, i + 1): 1 for i in range(2, 9)},
+                                  antisymmetrize=True)
+        path = tmp_path / "m0_9.json"
+        save_algebra(path, m0)
+        code, out, err = run_cli(capsys, "flow", str(path))
+        assert code == 0 and err == ""
+        assert "converged yes" in out and "critical type" not in out
+        assert "structure checks: not applicable" in out
 
 
 class TestCatalogCommand:
@@ -337,6 +388,22 @@ class TestExtendCommand:
         code, out, _ = run_cli(capsys, "--format", "json", "extend", "solvable", str(path))
         assert code == 0
         assert json.loads(out)["type"] == "(0<1;1,2)"
+
+    def test_core_certified_at_the_build_tolerance(self, tmp_path, capsys):
+        # S1 plus 1e-6 e1 on e2.e3: tangent residual 6.3e-7, critical at 1e-3 only
+        core = get("S1").bracket.coeffs.copy()
+        core[1, 2, 0] += 1e-6
+        path = self.write_solvable_spec(tmp_path)
+        spec = json.loads(path.read_text())
+        spec["core"] = {"algebra": algebra_to_dict(Bracket(3, core))}
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ExtensionError) as info:
+            build_solvable_extension(load_extension_spec(path), 1e-3)
+        code, _, err = run_cli(capsys, "--tol", "1e-3", "extend", "solvable", str(path),
+                               "-o", str(tmp_path / "out.json"))
+        assert code == 1
+        assert err == f"verification failed: {info.value}\n"
+        assert "core criticality" not in err
 
     def test_hypothesis_violation_exit_1(self, tmp_path, capsys):
         spec = {

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import irrational_type_s2
 from leibcrit.bracket import Bracket, check_identities
 from leibcrit.catalog import get
 from leibcrit.extensions import (
@@ -163,6 +164,14 @@ class TestSolvableExtension:
             left_maps=(np.eye(2, dtype=complex),), right_maps=(Z2,),
         )
         assert_both_reject(spec, "core type")
+
+    def test_irrational_core_type_rejected(self):
+        core = irrational_type_s2()
+        spec = ExtensionSpec(core=core, core_report=criticality_decompose(core, 1e-2),
+                             left_maps=(Z3,), right_maps=(Z3,))
+        with pytest.raises(HypothesisViolation, match="no rational critical type") as info:
+            build_solvable_extension(spec, 1e-2)
+        assert info.value.clause == "core type"
 
 
 class TestGeneralExtension:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,12 @@ class TestPerturbInOrbit:
     def test_nonfinite_magnitude_rejected(self, magnitude):
         with pytest.raises(ValueError, match=f"perturbation magnitude .* got {magnitude!r}"):
             perturb_in_orbit(get("S1").bracket, magnitude, seed=0)
+
+    @pytest.mark.parametrize("magnitude", [50.0, 1e308])
+    def test_ill_conditioned_move_rejected(self, magnitude):
+        # magnitude 50 has condition number 2.1e9; 1e308 overflows exp(a)
+        with pytest.raises(ValueError, match=re.escape(f"magnitude {magnitude!r} is too large")):
+            perturb_in_orbit(get("L5").bracket, magnitude, seed=0)
 
 
 def test_import_does_not_load_scipy():

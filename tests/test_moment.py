@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_bracket, random_hermitian, random_unitary
+from helpers import irrational_type_s2, random_bracket, random_hermitian, random_unitary
 from leibcrit.bracket import Bracket, evaluate, gl_act, inf_act, inner_product
 from leibcrit.catalog import get, standard_rows
 from leibcrit.linalg import _nullspace, derivation_space, trace_pairing
@@ -382,6 +382,31 @@ class TestCriticalType:
         else:
             assert t.ks == tuple(ks)
             assert t.ds == tuple(ds)
+
+
+class TestReportType:
+    def test_none_when_not_critical(self):
+        assert criticality_decompose(get("L4").bracket).type is None
+
+    def test_none_when_irrational(self):
+        rep = criticality_decompose(irrational_type_s2(), 1e-2)
+        assert rep.is_critical
+        with pytest.raises(IrrationalTypeError):
+            critical_type(rep.D)
+        assert rep.type is None
+
+    def test_matches_critical_type_on_catalog(self):
+        for entry in standard_rows():
+            rep = criticality_decompose(entry.bracket)
+            if rep.is_critical:
+                assert rep.type == critical_type(rep.D), entry.label
+
+    def test_follows_replaced_d(self):
+        import dataclasses
+
+        rep = criticality_decompose(get("L1").bracket)
+        moved = dataclasses.replace(rep, D=np.diag([1.0, 2.0, 3.0]).astype(complex))
+        assert str(rep.type) == "(1<2;2,1)" and str(moved.type) == "(1<2<3;1,1,1)"
 
 
 class TestCriticalValueFormula:

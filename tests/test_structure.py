@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_bracket
+from helpers import irrational_type_s2, random_bracket
 from leibcrit.bracket import Bracket
 from leibcrit.catalog import get, standard_rows
 from leibcrit.moment import criticality_decompose
@@ -201,6 +201,13 @@ class TestVerifyStructure:
         assert rep.is_critical
         with pytest.raises(ValueError, match="symmetric"):
             verify_structure_theorem(ns2, rep)
+
+    def test_precondition_irrational_type(self):
+        mu = irrational_type_s2()
+        rep = criticality_decompose(mu, 1e-2)
+        assert rep.is_critical
+        with pytest.raises(ValueError, match="no rational critical type"):
+            verify_structure_theorem(mu, rep, 1e-2)
 
 
 class TestFailingClauses:

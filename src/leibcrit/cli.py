@@ -153,9 +153,14 @@ def _print_structure(s: dict) -> None:
     )
 
 
-def _print_verdict(v: dict | None) -> None:
+def _print_verdict(doc: dict) -> None:
+    v = doc["structure_checks"]
     if v is None:
-        print("structure checks: not applicable (needs a symmetric Leibniz critical point)")
+        if doc["moment"]["is_critical"] and doc["identities"]["is_symmetric_leibniz"]:
+            reason = "no rational type"
+        else:
+            reason = "needs a symmetric Leibniz critical point"
+        print(f"structure checks: not applicable ({reason})")
         return
     print(
         "structure checks: "
@@ -179,7 +184,7 @@ def _emit_analysis(doc: dict, as_json: bool) -> None:
     _print_identities(doc["identities"])
     _print_moment(doc["moment"])
     _print_structure(doc["structure"])
-    _print_verdict(doc["structure_checks"])
+    _print_verdict(doc)
 
 
 def _cmd_check(args) -> int:

@@ -99,9 +99,12 @@ class MomentReport:
     """Moment matrix of a product with its criticality certificate.
 
     ``residual_tangent`` is the certifying residual: the component of M.mu
-    orthogonal to mu, relative to |M| |mu|.  ``residual_decomp`` is the
-    distance (relative to |M|) from M to the affine set c I + Hermitian
-    derivations, an independent cross-check.  ``c`` and ``D`` always hold
+    orthogonal to mu, relative to |M| |mu|.  ``residual_decomp`` is an
+    independent cross-check: the distance (relative to |M|) from M to
+    span_R{I} + Hermitian derivations, that is min_t |P(M - tI)| / |M| for
+    the projection P onto the row space of a -> a.mu on Hermitian maps.
+    With u = P(M) and w = P(I), each from one CGLS solve started at 0, it
+    is |u - t w| / |M| at t = Re<w, u> / |w|^2.  ``c`` and ``D`` always hold
     the candidate decomposition M = c I + D with c = tr(M^2)/tr(M); its
     defect as a derivation is ``derivation_defect = |D.mu| / |mu|``.
     """
@@ -174,6 +177,10 @@ def hermitian_derivations(mu: Bracket, tol: float = 1e-9) -> list[np.ndarray]:
     a is Hermitian and satisfies ``|a.mu| <= tol * |mu| * |a|``; the maps
     are orthonormal under the real trace pairing Re tr(a b*).  For the zero
     bracket all n^2 basis maps are returned.
+
+    The solve costs O(n^7) and nothing in the library calls it; the tests
+    use it as the SVD reference of the matrix-free cross-check in
+    :func:`criticality_decompose`.
     """
     _check_tol(tol)
     n = mu.dim
@@ -185,6 +192,59 @@ def hermitian_derivations(mu: Bracket, tol: float = 1e-9) -> list[np.ndarray]:
     basis = _hermitian_coords(np.eye(n * n, dtype=complex), n)
     maps = basis @ null.T
     return [maps[:, j].reshape(n, n) for j in range(maps.shape[1])]
+
+
+#: CGLS stops once |A* r| <= _CGLS_RTOL |A* b|.
+_CGLS_RTOL = 1e-13
+#: Iteration cap of a CGLS solve; None means 2 n^2 + 10, twice the n^2
+#: steps it takes in exact arithmetic plus a margin.
+_CGLS_MAX_ITER: int | None = None
+
+
+def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
+    """Adjoint of a -> a.mu on Hermitian maps (Re tr(a b*) pairing) at the
+    coefficient tensor r, given the conjugated coefficients of mu."""
+    x = (
+        np.einsum("ijp,ijq->pq", r, c_conj)
+        - np.einsum("qjk,pjk->pq", r, c_conj)
+        - np.einsum("iqk,ipk->pq", r, c_conj)
+    )
+    return 0.5 * (x + x.conj().T)
+
+
+def _row_space_projection(x: np.ndarray, mu: Bracket) -> tuple[np.ndarray, int]:
+    """Projection of the Hermitian map x onto the row space of a -> a.mu,
+    with the number of CGLS iterations it took.
+
+    CGLS on ``A y = b``, b = A x, started at 0 stays in the row space of A and
+    converges to its min-norm solution, which is that projection; it uses
+    only :func:`~leibcrit.bracket.inf_act` and its adjoint.  Raises
+    ``numpy.linalg.LinAlgError`` when the iteration cap is reached.
+    """
+    n = mu.dim
+    cap = _CGLS_MAX_ITER if _CGLS_MAX_ITER is not None else 2 * n * n + 10
+    c_conj = mu.coeffs.conj()
+    y = np.zeros_like(x)
+    r = inf_act(x, mu).coeffs
+    s = _inf_act_adjoint(r, c_conj)
+    gamma0 = gamma = float(np.vdot(s, s).real)
+    p = s
+    it = 0
+    while gamma > _CGLS_RTOL**2 * gamma0:
+        if it == cap:
+            raise np.linalg.LinAlgError(
+                f"CGLS did not converge in {cap} iterations"
+                f" (|A* r| / |A* b| = {math.sqrt(gamma / gamma0):.3g})"
+            )
+        it += 1
+        q = inf_act(p, mu).coeffs
+        alpha = gamma / float(np.vdot(q, q).real)
+        y = y + alpha * p
+        r = r - alpha * q
+        s = _inf_act_adjoint(r, c_conj)
+        gamma, gamma_old = float(np.vdot(s, s).real), gamma
+        p = s + (gamma / gamma_old) * p
+    return y, it
 
 
 def criticality_decompose(
@@ -209,16 +269,12 @@ def criticality_decompose(
     v_perp = v.coeffs - along * mu.coeffs
     residual_tangent = float(np.linalg.norm(v_perp)) / (norm_m * mu.norm)
 
-    # independent residual: project M onto span_R{I} + Hermitian derivations
-    basis = [np.eye(mu.dim, dtype=complex) / math.sqrt(mu.dim)]
-    basis.extend(hermitian_derivations(mu))
-    stack = np.stack(
-        [np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in basis], axis=1
-    )
-    q, _ = np.linalg.qr(stack)
-    mv = np.concatenate([m.real.ravel(), m.imag.ravel()])
-    resid = mv - q @ (q.T @ mv)
-    residual_decomp = float(np.linalg.norm(resid)) / norm_m
+    # independent residual: |P(M - tI)| minimized over t, P the projection
+    # onto the row space of a -> a.mu on Hermitian maps
+    u, _ = _row_space_projection(m, mu)
+    w, _ = _row_space_projection(np.eye(mu.dim, dtype=complex), mu)
+    t = float(np.vdot(w, u).real) / float(np.vdot(w, w).real)
+    residual_decomp = float(np.linalg.norm(u - t * w)) / norm_m
 
     return MomentReport(
         M=m,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import irrational_type_s2
+from helpers import irrational_type_s2, random_bracket
 from leibcrit.bracket import Bracket
 from leibcrit.catalog import get
 from leibcrit.cli import run, _analysis_document
@@ -154,6 +154,29 @@ class TestAnalyzeCommand:
         doc = json.loads(out)
         assert doc["moment"]["is_critical"] and doc["identities"]["is_symmetric_leibniz"]
         assert doc["moment"]["critical_type"] is None and doc["structure_checks"] is None
+
+    def test_no_rational_type_is_the_stated_reason(self, tmp_path, capsys):
+        path = tmp_path / "s2.json"
+        save_algebra(path, irrational_type_s2())
+        code, out, _ = run_cli(capsys, "--tol", "1e-2", "analyze", str(path))
+        assert code == 0
+        assert "structure checks: not applicable (no rational type)\n" in out
+
+    def test_non_critical_needs_critical_point(self, tmp_path, capsys):
+        path = tmp_path / "l5.json"
+        save_algebra(path, get("L5").bracket)
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and "critical: no" in out
+        assert ("structure checks: not applicable"
+                " (needs a symmetric Leibniz critical point)\n") in out
+
+    def test_cgls_iteration_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("leibcrit.moment._CGLS_MAX_ITER", 1)
+        path = tmp_path / "random3.json"
+        save_algebra(path, random_bracket(3, np.random.default_rng(0)))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: CGLS did not converge in 1 iterations")
 
     def test_linalg_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from helpers import irrational_type_s2, random_bracket, random_hermitian, random_unitary
 from leibcrit.bracket import Bracket, evaluate, gl_act, inf_act, inner_product
 from leibcrit.catalog import get, standard_rows
+from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import _nullspace, derivation_space, trace_pairing
 from leibcrit.moment import (
     CriticalType,
+    MomentReport,
     IrrationalTypeError,
     critical_type,
     critical_value_formula,
@@ -101,6 +104,61 @@ def equivalence_cases() -> list:
             mu = gl_act(random_unitary(n, rng), get(name, n=n).bracket)
             cases.append(pytest.param(mu, id=f"{name}({n})@U"))
     cases.append(pytest.param(filiform(5), id="m0(5)"))
+    return cases
+
+
+def reference_residual_decomp(mu: Bracket, tol: float) -> float:
+    """SVD reference of the cross-check: the residual of M after projecting
+    it onto the real span of I / sqrt(n) and ``hermitian_derivations(mu, tol)``."""
+    m = moment_matrix(mu)
+    basis = [np.eye(mu.dim, dtype=complex) / math.sqrt(mu.dim)]
+    basis.extend(hermitian_derivations(mu, tol))
+    stack = np.stack([np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in basis], axis=1)
+    q, _ = np.linalg.qr(stack)
+    mv = np.concatenate([m.real.ravel(), m.imag.ravel()])
+    return float(np.linalg.norm(mv - q @ (q.T @ mv))) / float(np.linalg.norm(m))
+
+
+def reference_report(mu: Bracket, tol: float = 1e-8) -> MomentReport:
+    """The certificate computed field by field as before the matrix-free
+    cross-check, with the SVD reference for ``residual_decomp``."""
+    nsq = mu.norm_sq
+    m = moment_matrix(mu)
+    norm_m = float(np.linalg.norm(m))
+    tr_m2 = float(np.vdot(m, m).real)
+    c = tr_m2 / float(np.trace(m).real)
+    d = m - c * np.eye(mu.dim)
+    v = inf_act(m, mu)
+    v_perp = v.coeffs - inner_product(v, mu) / nsq * mu.coeffs
+    residual_tangent = float(np.linalg.norm(v_perp)) / (norm_m * mu.norm)
+    return MomentReport(
+        M=m, norm_sq=nsq, F=tr_m2 / nsq**2, c=c, D=d,
+        residual_decomp=reference_residual_decomp(mu, tol),
+        residual_tangent=residual_tangent,
+        derivation_defect=inf_act(d, mu).norm / mu.norm,
+        is_critical=residual_tangent < tol, tol=tol,
+    )
+
+
+def decomp_equivalence_cases() -> list:
+    """equivalence_cases() plus near-threshold families, random products,
+    a perturbed filiform and three descent limits."""
+    cases = equivalence_cases()
+    for beta in (0.3, 0.26, 0.2501, 0.250001):
+        cases.append(pytest.param(get("S3", {"beta": beta}).bracket, id=f"S3({beta})"))
+    for alpha in (1e-2, 1e-4, 1e-6):
+        cases.append(pytest.param(get("L3", {"alpha": alpha}).bracket, id=f"L3({alpha})"))
+    for n in (3, 5, 8):
+        for seed in range(3):
+            mu = random_bracket(n, np.random.default_rng(seed))
+            cases.append(pytest.param(mu, id=f"random({n})/seed{seed}"))
+    cases.append(pytest.param(perturb_in_orbit(filiform(8), 0.5, seed=2), id="m0(8)+0.5/seed2"))
+    for label, mu in (
+        ("L5", get("L5").bracket),
+        ("S3(1)", get("S3", {"beta": 1}).bracket),
+        ("S2+0.3/seed1", perturb_in_orbit(get("S2").bracket, 0.3, seed=1)),
+    ):
+        cases.append(pytest.param(descend(mu).final_bracket, id=f"limit of {label}"))
     return cases
 
 
@@ -261,6 +319,41 @@ class TestCriticalityDecompose:
                 assert rep.residual_decomp < 10 * rep.tol, entry.label
             if rep.residual_decomp < rep.tol:
                 assert rep.residual_tangent < 10 * rep.tol, entry.label
+
+    def test_no_false_alarm_at_tangent_certified_limit(self):
+        # D has a singular value 6.0e-9 |mu| here, between the SVD's former
+        # 1e-9 rank cut and tol; that cut made this residual 5.0e-3
+        mu = descend(perturb_in_orbit(get("S2").bracket, 0.3, seed=1)).final_bracket
+        rep = criticality_decompose(mu)
+        assert rep.is_critical
+        assert rep.residual_decomp < 10 * rep.tol
+
+    @pytest.mark.parametrize("mu", decomp_equivalence_cases())
+    def test_matches_svd_reference(self, mu):
+        rep = criticality_decompose(mu)
+        ref = reference_report(mu, rep.tol)
+        assert abs(rep.residual_decomp - ref.residual_decomp) <= 1e-12
+        assert rep.is_critical is ref.is_critical
+        for f in dataclasses.fields(MomentReport):
+            if f.name != "residual_decomp":
+                assert np.array_equal(getattr(rep, f.name), getattr(ref, f.name)), f.name
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("leibcrit.moment._CGLS_MAX_ITER", 1)
+        mu = random_bracket(3, np.random.default_rng(0))
+        with pytest.raises(np.linalg.LinAlgError, match="CGLS did not converge in 1 iterations"):
+            criticality_decompose(mu)
+
+    def test_memory_bounded_at_n20(self):
+        # the SVD cross-check peaked at 191 MB traced here; CGLS at about 1 MB
+        mu = gl_act(random_unitary(20, np.random.default_rng(20)), get("mu_he", n=20).bracket)
+        tracemalloc.start()
+        try:
+            criticality_decompose(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_trace_relation(self, rng):
         mu = random_bracket(3, rng)

@@ -1,16 +1,21 @@
-"""Time and memory of ``criticality_decompose`` on the families up to n = 20.
+"""Time and memory of ``criticality_decompose`` and of the tensor kernels.
 
 Usage::
 
     python3 scripts/scale_probe.py
 
-Runs in process from the ``src`` directory next to this script.  For
-mu_hy, mu_he and mu_sy at n = 8, 12, 16 and 20, in the catalog basis and
-rotated by a seeded random unitary, it prints the best-of-3 wall time of
-one ``criticality_decompose`` call, the peak of memory ``tracemalloc``
-traces during a fourth call, and the iteration counts of the two CGLS
-solves of the cross-check (for M and for I).  Too slow for the test suite;
-``tests/test_moment.py`` guards the traced peak at n = 20 alone.
+Runs in process from the ``src`` directory next to this script.  The
+first table covers mu_hy, mu_he and mu_sy at n = 8, 12, 16 and 20, in the
+catalog basis and rotated by a seeded random unitary: the best-of-3 wall
+time of one ``criticality_decompose`` call, the peak of memory
+``tracemalloc`` traces during a fourth call, and the iteration counts of
+the two CGLS solves of the cross-check (for M and for I).  The second
+table gives the same time and peak for each layer -- ``check_identities``,
+``inf_act`` (of the moment matrix), ``moment_matrix``,
+``subspace_product(full, full)`` and ``structure_profile`` -- on mu_he(n)
+rotated by a seeded random unitary at n = 3, 4, 8, 12, 16 and 20.  Too
+slow for the test suite; ``tests/test_moment.py`` and
+``tests/test_bracket.py`` guard the traced peaks at n = 20 alone.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from leibcrit.bracket import gl_act  # noqa: E402
+from leibcrit.bracket import check_identities, gl_act, inf_act  # noqa: E402
 from leibcrit.catalog import get  # noqa: E402
-from leibcrit.moment import _row_space_projection, criticality_decompose  # noqa: E402
+from leibcrit.linalg import Subspace, subspace_product  # noqa: E402
+from leibcrit.moment import _row_space_projection, criticality_decompose, moment_matrix  # noqa: E402
+from leibcrit.structure import structure_profile  # noqa: E402
 
 FAMILIES = ("mu_hy", "mu_he", "mu_sy")
 SIZES = (8, 12, 16, 20)
+LAYER_SIZES = (3, 4, 8, 12, 16, 20)
 
 
 def _unitary(n: int, seed: int) -> np.ndarray:
@@ -38,22 +46,40 @@ def _unitary(n: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def probe(mu) -> tuple[float, float, int, int]:
-    """(best-of-3 seconds, traced peak in MB, CGLS iterations for M and for I)."""
+def timed(call) -> tuple[float, float]:
+    """(best-of-3 seconds, traced peak in MB of a fourth call) of call()."""
     best = float("inf")
     for _ in range(3):
         start = perf_counter()
-        rep = criticality_decompose(mu)
+        call()
         best = min(best, perf_counter() - start)
     tracemalloc.start()
     try:
-        criticality_decompose(mu)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _, it_m = _row_space_projection(rep.M, mu)
+    return best, peak / 1e6
+
+
+def probe(mu) -> tuple[float, float, int, int]:
+    """(best-of-3 seconds, traced peak in MB, CGLS iterations for M and for I)."""
+    secs, peak = timed(lambda: criticality_decompose(mu))
+    _, it_m = _row_space_projection(moment_matrix(mu), mu)
     _, it_i = _row_space_projection(np.eye(mu.dim, dtype=complex), mu)
-    return best, peak / 1e6, it_m, it_i
+    return secs, peak, it_m, it_i
+
+
+def layers(mu) -> dict:
+    """The per-layer calls, by name, on the product mu."""
+    m, full = moment_matrix(mu), Subspace.full(mu.dim)
+    return {
+        "check_identities": lambda: check_identities(mu),
+        "inf_act": lambda: inf_act(m, mu),
+        "moment_matrix": lambda: moment_matrix(mu),
+        "subspace_product": lambda: subspace_product(mu, full, full),
+        "structure_profile": lambda: structure_profile(mu),
+    }
 
 
 def main() -> int:
@@ -66,6 +92,13 @@ def main() -> int:
                 secs, peak, it_m, it_i = probe(alg)
                 print(f"{name:10s} {n:3d} {basis:8s} {secs * 1e3:9.2f} {peak:8.2f}"
                       f" {it_m:6d} {it_i:6d}")
+    print()
+    print(f"{'layer (mu_he rotated)':22s} {'n':>3s} {'best ms':>9s} {'peak MB':>8s}")
+    for n in LAYER_SIZES:
+        mu = gl_act(_unitary(n, n), get("mu_he", n=n).bracket)
+        for name, call in layers(mu).items():
+            secs, peak = timed(call)
+            print(f"{name:22s} {n:3d} {secs * 1e3:9.3f} {peak:8.2f}")
     return 0
 
 

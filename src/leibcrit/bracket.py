@@ -192,11 +192,9 @@ def inf_act(a: np.ndarray, mu: Bracket) -> Bracket:
     if a.shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n}, got shape {a.shape}")
     c = mu.coeffs
-    out = (
-        np.einsum("km,ijm->ijk", a, c)
-        - np.einsum("mi,mjk->ijk", a, c)
-        - np.einsum("mj,imk->ijk", a, c)
-    )
+    out = (c.reshape(n * n, n) @ a.T).reshape(n, n, n)
+    out -= (a.T @ c.reshape(n, n * n)).reshape(n, n, n)
+    out -= a.T @ c
     return Bracket(n, out)
 
 
@@ -229,21 +227,20 @@ def check_identities(mu: Bracket, tol: float = DEFAULT_IDENTITY_TOL) -> Identity
     _check_tol(tol)
     if mu.is_zero:
         return IdentityReport(0.0, 0.0, 0.0, 0.0, tol)
-    c = mu.coeffs / mu.norm
-    # x(yz), (xy)z, y(xz), (xz)y indexed [a, b, c, k] for the triple
-    # (x, y, z) = (e_a, e_b, e_c).
-    x_yz = np.einsum("bcm,amk->abck", c, c)
-    xy_z = np.einsum("abm,mck->abck", c, c)
-    y_xz = np.einsum("acm,bmk->abck", c, c)
-    xz_y = np.einsum("acm,mbk->abck", c, c)
-    left = _max_defect_norm(x_yz - xy_z - y_xz)
-    right = _max_defect_norm(xy_z - xz_y - x_yz)
+    n, c = mu.dim, mu.coeffs / mu.norm
+    # Two (n^2, n) @ (n, n^2) products, indexed [a, b, c, k] for the triple
+    # (x, y, z) = (e_a, e_b, e_c): t = z(xy), t[a, b, c, k] = sum_m
+    # c[a, b, m] c[c, m, k], and xy_z = (xy)z.  The other four terms are axis
+    # permutations of these: x(yz) is t read as [b, c, a, k], y(zx) is t read
+    # as [c, a, b, k], y(xz) is x(yz) with a <-> b, (xz)y is (xy)z with b <-> c.
+    flat = c.reshape(n * n, n)
+    t = (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    xy_z = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
+    x_yz = t.transpose(2, 0, 1, 3)
+    left = _max_defect_norm(x_yz - xy_z - x_yz.transpose(1, 0, 2, 3))
+    right = _max_defect_norm(xy_z - xy_z.transpose(0, 2, 1, 3) - x_yz)
     anti = _max_defect_norm(c + c.transpose(1, 0, 2))
-    jac = _max_defect_norm(
-        x_yz
-        + np.einsum("cam,bmk->abck", c, c)
-        + np.einsum("abm,cmk->abck", c, c)
-    )
+    jac = _max_defect_norm(x_yz + t.transpose(1, 2, 0, 3) + t)
     return IdentityReport(left, right, anti, jac, tol)
 
 

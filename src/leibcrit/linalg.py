@@ -182,6 +182,13 @@ class Subspace:
         return float(np.linalg.norm(d)) <= tol * max(1.0, float(np.linalg.norm(other.basis)))
 
 
+def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(n, ru * rw) matrix whose column a * rw + b is mu(u[:, a], w[:, b])."""
+    n, ru, rw = mu.dim, u.shape[1], w.shape[1]
+    left = (u.T @ mu.coeffs.reshape(n, n * n)).reshape(ru, n, n)
+    return (w.T @ left).reshape(ru * rw, n).T
+
+
 def subspace_product(mu: Bracket, u: Subspace, w: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     """Orthonormal span of all products mu(x, y) with x in u, y in w."""
     n = mu.dim
@@ -189,8 +196,7 @@ def subspace_product(mu: Bracket, u: Subspace, w: Subspace, rtol: float = RANK_R
         raise ValueError("ambient dimensions must match the bracket")
     if u.rank == 0 or w.rank == 0:
         return Subspace.zero(n)
-    imgs = np.einsum("ia,jb,ijk->kab", u.basis, w.basis, mu.coeffs)
-    return Subspace.from_span(n, imgs.reshape(n, -1), rtol=rtol)
+    return Subspace.from_span(n, _products(mu, u.basis, w.basis), rtol=rtol)
 
 
 def restrict(mu: Bracket, sub: Subspace) -> Bracket:

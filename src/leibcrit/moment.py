@@ -134,11 +134,11 @@ class MomentReport:
 
 def moment_matrix(mu: Bracket) -> np.ndarray:
     """Hermitian moment matrix of mu (zero bracket gives the zero matrix)."""
-    c = mu.coeffs
-    t1 = np.einsum("iju,ijv->uv", c, c.conj())
-    t2 = np.einsum("ivj,iuj->uv", c, c.conj())
-    t3 = np.einsum("vij,uij->uv", c, c.conj())
-    m = 2.0 * (t1 - t2 - t3)
+    n, c = mu.dim, mu.coeffs
+    # Gram matrices of the slices c[:, :, u], c[:, u, :] and c[u, :, :] as rows
+    s1, s2 = c.reshape(n * n, n).T, c.transpose(1, 0, 2).reshape(n, n * n)
+    s3 = c.reshape(n, n * n)
+    m = 2.0 * (s1 @ s1.conj().T - s2.conj() @ s2.T - s3.conj() @ s3.T)
     return 0.5 * (m + m.conj().T)
 
 
@@ -204,11 +204,10 @@ _CGLS_MAX_ITER: int | None = None
 def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
     """Adjoint of a -> a.mu on Hermitian maps (Re tr(a b*) pairing) at the
     coefficient tensor r, given the conjugated coefficients of mu."""
-    x = (
-        np.einsum("ijp,ijq->pq", r, c_conj)
-        - np.einsum("qjk,pjk->pq", r, c_conj)
-        - np.einsum("iqk,ipk->pq", r, c_conj)
-    )
+    n = r.shape[0]
+    x = r.reshape(n * n, n).T @ c_conj.reshape(n * n, n)
+    x -= c_conj.reshape(n, n * n) @ r.reshape(n, n * n).T
+    x -= c_conj.transpose(1, 0, 2).reshape(n, n * n) @ r.transpose(1, 0, 2).reshape(n, n * n).T
     return 0.5 * (x + x.conj().T)
 
 

@@ -26,6 +26,7 @@ from .linalg import (
     right_op,
     subspace_product,
     _nullspace,
+    _products,
 )
 from .moment import CriticalType, MomentReport, criticality_decompose
 
@@ -209,13 +210,11 @@ def _strip_zero(t: CriticalType) -> CriticalType | None:
     return CriticalType(ks, ds, t.scale)
 
 
-def _outside(unit: Bracket, sub: Subspace, spec: str, *factors: np.ndarray) -> float:
-    """Largest norm outside ``sub`` of the products listed, one per column,
-    by ``einsum(spec, *factors, unit.coeffs)``; the spec fixes the summation
-    order and with it the last bits of the residual."""
-    n = unit.dim
-    prods = np.einsum(spec, *factors, unit.coeffs).reshape(n, -1)
-    proj_out = np.eye(n, dtype=complex) - sub.projector()
+def _outside(unit: Bracket, sub: Subspace, u: np.ndarray, w: np.ndarray) -> float:
+    """Largest norm outside ``sub`` of the products unit(x, y) of the columns
+    x of u and y of w."""
+    prods = _products(unit, u, w)
+    proj_out = np.eye(unit.dim, dtype=complex) - sub.projector()
     return float(np.linalg.norm(proj_out @ prods, axis=0).max(initial=0.0))
 
 
@@ -246,7 +245,7 @@ def _l0_reductive(unit: Bracket, l0: Subspace, tol: float) -> tuple:
     residual, Killing singular-value ratio, center of l_0 as ambient columns)."""
     if l0.rank == 0:
         return True, 0.0, None, l0.basis
-    closure = _outside(unit, l0, "ia,jb,ijk->kab", l0.basis, l0.basis)
+    closure = _outside(unit, l0, l0.basis, l0.basis)
     restr0 = restrict(unit, l0)
     idr0 = check_identities(restr0)
     lie_res = 0.0 if restr0.is_zero else max(
@@ -279,10 +278,8 @@ def _nilradical(unit: Bracket, lp: Subspace, parent_type: CriticalType, tol: flo
     """
     if lp.rank == 0:
         return True, 0.0, True, False, None, _strip_zero(parent_type) is None
-    ideal_res = max(
-        _outside(unit, lp, "ia,ijk->kaj", lp.basis),
-        _outside(unit, lp, "ja,ijk->kai", lp.basis),
-    )
+    eye = np.eye(unit.dim, dtype=complex)
+    ideal_res = max(_outside(unit, lp, lp.basis, eye), _outside(unit, lp, eye, lp.basis))
     restrp = restrict(unit, lp)
     if restrp.norm <= tol:
         return ideal_res < tol, ideal_res, True, True, None, True

@@ -149,3 +149,30 @@ def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, leibcrit; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def filiform(n: int) -> Bracket:
+    """m0(n): the filiform Lie algebra [e1, ei] = e(i+1)."""
+    return Bracket.from_entries(n, {(1, i, i + 1): 1 for i in range(2, n)}, antisymmetrize=True)
+
+
+#: Descents that stay in their orbit, with their exact step counts and limit
+#: types.  A kernel that changes a trajectory shows here first.
+PINNED_DESCENTS = [
+    ("L5", lambda: get("L5").bracket, 33, "(0;3)"),
+    ("S3(beta=1)", lambda: get("S3", {"beta": 1}).bracket, 99, "(1<2;2,1)"),
+    ("S2+0.3/seed1", lambda: perturb_in_orbit(get("S2").bracket, 0.3, 1), 66, "(1<2;2,1)"),
+    ("m0(5)", lambda: filiform(5), 68, "(2<9<11<13<15;1,1,1,1,1)"),
+    ("m0(6)", lambda: filiform(6), 134, "(1<9<10<11<12<13;1,1,1,1,1,1)"),
+    ("m0(7)", lambda: filiform(7), 229, "(1<16<17<18<19<20<21;1,1,1,1,1,1,1)"),
+    ("m0(8)", lambda: filiform(8), 359, "(1<26<27<28<29<30<31<32;1,1,1,1,1,1,1,1)"),
+]
+
+
+@pytest.mark.parametrize("start, steps, type_",
+                         [pytest.param(s, k, t, id=label) for label, s, k, t in PINNED_DESCENTS])
+def test_pinned_descent(start, steps, type_):
+    tr = descend(start())
+    assert tr.converged
+    assert tr.iterations == steps
+    assert str(critical_type(tr.final_report.D)) == type_

@@ -1,0 +1,206 @@
+"""The tensor kernels against their einsum references.
+
+``check_identities``, ``inf_act``, ``moment_matrix``, the adjoint of
+``inf_act`` used by the criticality cross-check, ``subspace_product`` and
+the structure checks' ``_outside`` are matrix products of reshaped
+coefficient tensors.  The ``reference_*`` helpers below keep their former
+einsum forms; each kernel must agree with its reference to
+1e-13 * max(1, |ref|) on the catalog, the three families at n = 3..12 in
+the catalog basis and under a seeded unitary, random non-Leibniz products,
+the zero bracket and n = 0.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import random_bracket, random_hermitian, random_unitary
+from leibcrit.bracket import Bracket, _max_defect_norm, check_identities, gl_act, inf_act
+from leibcrit.catalog import get, standard_rows
+from leibcrit.linalg import Subspace, _products, subspace_product
+from leibcrit.moment import _inf_act_adjoint, moment_matrix
+from leibcrit.structure import _outside
+
+RTOL = 1e-13
+
+
+def reference_check_identities(mu: Bracket) -> tuple[float, ...]:
+    """(left, right, anticommutativity, Jacobi) residuals by six einsums."""
+    if mu.is_zero:
+        return 0.0, 0.0, 0.0, 0.0
+    c = mu.coeffs / mu.norm
+    x_yz = np.einsum("bcm,amk->abck", c, c)
+    xy_z = np.einsum("abm,mck->abck", c, c)
+    y_xz = np.einsum("acm,bmk->abck", c, c)
+    xz_y = np.einsum("acm,mbk->abck", c, c)
+    return (
+        _max_defect_norm(x_yz - xy_z - y_xz),
+        _max_defect_norm(xy_z - xz_y - x_yz),
+        _max_defect_norm(c + c.transpose(1, 0, 2)),
+        _max_defect_norm(
+            x_yz + np.einsum("cam,bmk->abck", c, c) + np.einsum("abm,cmk->abck", c, c)
+        ),
+    )
+
+
+def reference_inf_act(a: np.ndarray, mu: Bracket) -> np.ndarray:
+    c = mu.coeffs
+    return (
+        np.einsum("km,ijm->ijk", a, c)
+        - np.einsum("mi,mjk->ijk", a, c)
+        - np.einsum("mj,imk->ijk", a, c)
+    )
+
+
+def reference_inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
+    x = (
+        np.einsum("ijp,ijq->pq", r, c_conj)
+        - np.einsum("qjk,pjk->pq", r, c_conj)
+        - np.einsum("iqk,ipk->pq", r, c_conj)
+    )
+    return 0.5 * (x + x.conj().T)
+
+
+def reference_moment_matrix(mu: Bracket) -> np.ndarray:
+    c = mu.coeffs
+    t1 = np.einsum("iju,ijv->uv", c, c.conj())
+    t2 = np.einsum("ivj,iuj->uv", c, c.conj())
+    t3 = np.einsum("vij,uij->uv", c, c.conj())
+    m = 2.0 * (t1 - t2 - t3)
+    return 0.5 * (m + m.conj().T)
+
+
+def reference_products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    n = mu.dim
+    return np.einsum("ia,jb,ijk->kab", u, w, mu.coeffs).reshape(n, -1)
+
+
+def reference_subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
+    n = mu.dim
+    if u.rank == 0 or w.rank == 0:
+        return Subspace.zero(n)
+    return Subspace.from_span(n, reference_products(mu, u.basis, w.basis))
+
+
+def reference_outside(unit: Bracket, sub: Subspace, spec: str, *factors: np.ndarray) -> float:
+    n = unit.dim
+    prods = np.einsum(spec, *factors, unit.coeffs).reshape(n, -1)
+    proj_out = np.eye(n, dtype=complex) - sub.projector()
+    return float(np.linalg.norm(proj_out @ prods, axis=0).max(initial=0.0))
+
+
+def assert_close(got, ref) -> None:
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    bound = RTOL * max(1.0, float(np.linalg.norm(ref)))
+    assert float(np.linalg.norm(got - ref)) <= bound
+
+
+def kernel_cases() -> list:
+    cases = [pytest.param(e.bracket, id=f"row-{i}-{e.label}") for i, e in enumerate(standard_rows())]
+    for name in ("mu_hy", "mu_he", "mu_sy"):
+        for n in range(3, 13):
+            mu = get(name, n=n).bracket
+            cases.append(pytest.param(mu, id=f"{name}({n})"))
+            u = random_unitary(n, np.random.default_rng([n, 1]))
+            cases.append(pytest.param(gl_act(u, mu), id=f"{name}({n})@U"))
+    for n in (1, 2, 3, 5, 8):
+        for seed in range(3):
+            mu = random_bracket(n, np.random.default_rng([n, seed]))
+            cases.append(pytest.param(mu, id=f"random({n})/seed{seed}"))
+    cases += [pytest.param(Bracket.zero(3), id="zero(3)"), pytest.param(Bracket.zero(0), id="zero(0)")]
+    return cases
+
+
+CASES = kernel_cases()
+
+
+def case_rng(mu: Bracket) -> np.random.Generator:
+    return np.random.default_rng([mu.dim, 7])
+
+
+def random_subspace(n: int, rank: int, rng: np.random.Generator) -> Subspace:
+    z = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    return Subspace(np.linalg.qr(z)[0])
+
+
+@pytest.mark.parametrize("mu", CASES)
+def test_check_identities_matches_reference(mu):
+    got = check_identities(mu)
+    ref = reference_check_identities(mu)
+    residuals = (got.left_residual, got.right_residual,
+                 got.anticommutativity_residual, got.jacobi_residual)
+    for value, want in zip(residuals, ref):
+        assert abs(value - want) <= RTOL * max(1.0, want)
+    tol = got.tol
+    assert got.is_left_leibniz == (ref[0] <= tol)
+    assert got.is_right_leibniz == (ref[1] <= tol)
+    assert got.is_symmetric_leibniz == (ref[0] <= tol and ref[1] <= tol)
+    assert got.is_lie == (ref[2] <= tol and ref[3] <= tol)
+
+
+@pytest.mark.parametrize("mu", CASES)
+def test_inf_act_matches_reference(mu):
+    rng = case_rng(mu)
+    n = mu.dim
+    for a in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+              random_hermitian(n, rng), np.eye(n)):
+        assert_close(inf_act(a, mu).coeffs, reference_inf_act(a.astype(complex), mu))
+
+
+@pytest.mark.parametrize("mu", CASES)
+def test_inf_act_adjoint_matches_reference(mu):
+    rng = case_rng(mu)
+    n = mu.dim
+    r = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    c_conj = mu.coeffs.conj()
+    for t in (r, mu.coeffs):
+        assert_close(_inf_act_adjoint(t, c_conj), reference_inf_act_adjoint(t, c_conj))
+
+
+@pytest.mark.parametrize("mu", CASES)
+def test_moment_matrix_matches_reference(mu):
+    assert_close(moment_matrix(mu), reference_moment_matrix(mu))
+
+
+@pytest.mark.parametrize("mu", CASES)
+def test_subspace_product_matches_reference(mu):
+    n = mu.dim
+    rng = case_rng(mu)
+    full = Subspace.full(n)
+    pairs = [(full, full), (Subspace.zero(n), full)]
+    if n:
+        pairs.append((random_subspace(n, max(1, n // 2), rng), random_subspace(n, max(1, n // 3), rng)))
+    for u, w in pairs:
+        if n:  # the einsum reference cannot reshape an empty result with n = 0
+            assert_close(_products(mu, u.basis, w.basis), reference_products(mu, u.basis, w.basis))
+        got, ref = subspace_product(mu, u, w), reference_subspace_product(mu, u, w)
+        assert got.rank == ref.rank
+        assert_close(got.projector(), ref.projector())
+
+
+@pytest.mark.parametrize("mu", [case for case in CASES if case.values[0].dim])
+def test_outside_matches_reference(mu):
+    n = mu.dim
+    sub = random_subspace(n, max(1, n // 2), case_rng(mu))
+    b, eye = sub.basis, np.eye(n, dtype=complex)
+    for (u, w), spec, factors in (
+        ((b, b), "ia,jb,ijk->kab", (b, b)),
+        ((b, eye), "ia,ijk->kaj", (b,)),
+        ((eye, b), "ja,ijk->kai", (b,)),
+    ):
+        got, ref = _outside(mu, sub, u, w), reference_outside(mu, sub, spec, *factors)
+        assert abs(got - ref) <= RTOL * max(1.0, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inf_act_adjoint_identity(n, seed):
+    # Re <a.mu, r> = Re tr(a adj(r)*) for Hermitian a
+    rng = np.random.default_rng([n, seed, 11])
+    mu = random_bracket(n, rng)
+    a = random_hermitian(n, rng)
+    r = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    lhs = np.vdot(r, inf_act(a, mu).coeffs).real
+    rhs = np.vdot(_inf_act_adjoint(r, mu.coeffs.conj()), a).real
+    scale = inf_act(a, mu).norm * np.linalg.norm(r)
+    assert abs(lhs - rhs) <= 1e-13 * scale

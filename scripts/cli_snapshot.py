@@ -84,6 +84,9 @@ EDGE_CASES = {
     "perturb-1e308": ["flow", "inputs/L5.json", "--perturb", "1e308"],
 }
 
+#: Help texts, which show the default of --tol.
+HELP = {"help": ["--help"], "flow-help": ["flow", "--help"], "extend-help": ["extend", "--help"]}
+
 BAD_SHOWS = {
     "unknown-param": ["S3", "--param", "alpha=0.25"],
     "n-on-fixed-dim": ["S1", "--n", "7"],
@@ -149,7 +152,7 @@ def _commands(stems: list[str]) -> dict[str, list[str]]:
     cmds["flow-L5"] = ["flow", "inputs/L5.json"]
     cmds["flow-L3-alpha2-perturbed"] = ["flow", "inputs/L3-alpha2.json",
                                         "--perturb", "0.5", "--seed", "1"]
-    cmds |= BAD_NUMBERS | REMOVED_FLAGS | EDGE_CASES
+    cmds |= BAD_NUMBERS | REMOVED_FLAGS | EDGE_CASES | HELP
     for mode in ("solvable", "general"):
         cmds[f"extend-{mode}"] = ["extend", mode, "inputs/spec-" + mode + ".json",
                                   "-o", "written.json"]
@@ -180,6 +183,7 @@ def main(argv: list[str]) -> int:
         print("usage: cli_snapshot.py OUTDIR", file=sys.stderr)
         return 2
     outdir = Path(argv[0])
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
     (outdir / "inputs").mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     stems = _write_inputs(Path("inputs"))

@@ -67,19 +67,17 @@ class Bracket:
         dim: int,
         entries: Mapping[tuple[int, int, int], complex],
         *,
-        one_based: bool = True,
         antisymmetrize: bool = False,
     ) -> "Bracket":
-        """Build a bracket from a sparse table of coefficients.
+        """Build a bracket from a sparse table of coefficients indexed from 1.
 
         With ``antisymmetrize=True`` every entry ``(i, j, k) -> v`` also
         contributes ``(j, i, k) -> -v``, which turns a Lie multiplication
         table (one product per unordered pair) into the full tensor.
         """
-        off = 1 if one_based else 0
         c = np.zeros((dim, dim, dim), dtype=complex)
         for (i, j, k), v in entries.items():
-            ii, jj, kk = i - off, j - off, k - off
+            ii, jj, kk = i - 1, j - 1, k - 1
             for idx in (ii, jj, kk):
                 if not 0 <= idx < dim:
                     raise ValueError(f"index {(i, j, k)} out of range for dim {dim}")

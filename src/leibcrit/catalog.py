@@ -18,7 +18,7 @@ from typing import Callable
 
 from .bracket import Bracket, check_identities
 from .flow import descend
-from .moment import CriticalType, criticality_decompose
+from .moment import DEFAULT_CRITICAL_TOL, CriticalType, criticality_decompose
 
 __all__ = ["CatalogEntry", "VerifyRow", "get", "names", "standard_rows", "verify_catalog"]
 
@@ -331,7 +331,7 @@ def _relerr(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def verify_catalog(tol: float = 1e-8) -> list[VerifyRow]:
+def verify_catalog(tol: float = DEFAULT_CRITICAL_TOL) -> list[VerifyRow]:
     """Certify every :func:`standard_rows` entry against its expected type and value.
 
     Entries critical in their stored basis are compared directly at

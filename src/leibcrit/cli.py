@@ -29,7 +29,7 @@ from .fileio import (
     save_algebra,
 )
 from .flow import descend, perturb_in_orbit
-from .moment import criticality_decompose
+from .moment import DEFAULT_CRITICAL_TOL, criticality_decompose
 from .structure import structure_profile, verify_structure_theorem
 
 
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="leibcrit",
         description="Moment-map analysis and critical points for complex Leibniz algebras.",
     )
-    parser.add_argument("--tol", type=float, default=1e-8,
+    parser.add_argument("--tol", type=float, default=DEFAULT_CRITICAL_TOL,
                         help="criticality tolerance, also the flow's stopping tolerance"
                              " (default 1e-8)")
     parser.add_argument("--format", choices=("text", "json"), default="text",

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracket import Bracket, _check_tol, check_identities, gl_act, inf_act
-from .moment import CriticalType, MomentReport, criticality_decompose
+from .moment import DEFAULT_CRITICAL_TOL, CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
     "ExtensionSpec",
@@ -249,8 +249,9 @@ def _assemble(
 def _identity_gate(
     out: Bracket, rmaps: list[np.ndarray], d1: int, tol: float
 ) -> None:
-    """Accept symmetric Leibniz output, or left Leibniz with R in Der(out)."""
-    idr = check_identities(out)
+    """Accept symmetric Leibniz output, or left Leibniz with R in Der(out),
+    each at the build's ``tol``."""
+    idr = check_identities(out, tol)
     if idr.is_symmetric_leibniz:
         return
     if idr.is_left_leibniz:
@@ -342,7 +343,7 @@ def _build(
 
 
 def build_solvable_extension(
-    spec: ExtensionSpec, tol: float = 1e-8
+    spec: ExtensionSpec, tol: float = DEFAULT_CRITICAL_TOL
 ) -> tuple[Bracket, MomentReport]:
     """Extend the core by an abelian algebra acting through (L, R).
 
@@ -357,7 +358,7 @@ def build_solvable_extension(
 
 
 def build_general_extension(
-    spec: ExtensionSpec, tol: float = 1e-8
+    spec: ExtensionSpec, tol: float = DEFAULT_CRITICAL_TOL
 ) -> tuple[Bracket, MomentReport]:
     """Extend the core by a reductive Lie algebra f = semisimple + center.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bracket import Bracket, _check_tol, gl_act, inf_act, inner_product
-from .moment import MomentReport, criticality_decompose, moment_matrix
+from .moment import DEFAULT_CRITICAL_TOL, MomentReport, criticality_decompose, moment_matrix
 
 __all__ = ["FlowTrace", "descend", "perturb_in_orbit"]
 
@@ -40,7 +40,7 @@ class FlowTrace:
     message: str = field(default="", compare=False)
 
 
-def descend(mu0: Bracket, tol: float = 1e-8) -> FlowTrace:
+def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     """Minimize F over the orbit of mu0, stopping at a certified critical point.
 
     Iterates are kept at unit norm; convergence means the tangential

@@ -30,6 +30,7 @@ __all__ = [
 #: Relative singular-value threshold for numerical rank decisions.
 RANK_RTOL = 1e-9
 
+#: Relative defect |a - a*| / max(|a|, 1) up to which a map counts as Hermitian.
 HERMITIAN_CERT_TOL = 1e-12
 
 
@@ -54,9 +55,9 @@ def trace_pairing(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(b, a))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_CERT_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     nrm = np.linalg.norm(a)
-    return float(np.linalg.norm(a - a.conj().T)) <= tol * max(nrm, 1.0)
+    return float(np.linalg.norm(a - a.conj().T)) <= HERMITIAN_CERT_TOL * max(nrm, 1.0)
 
 
 def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,19 +155,19 @@ class Subspace:
         return cls(np.zeros((n, 0), dtype=complex))
 
     @classmethod
-    def from_span(cls, n: int, vectors: np.ndarray, rtol: float = RANK_RTOL) -> "Subspace":
+    def from_span(cls, n: int, vectors: np.ndarray) -> "Subspace":
         """Orthonormal span of the given column vectors.
 
-        Rank is the number of singular values above ``rtol`` times the
-        largest one (or above ``rtol`` itself when all are tiny).
+        Rank is the number of singular values above ``RANK_RTOL`` times the
+        largest one (or above ``RANK_RTOL`` itself when all are tiny).
         """
         m = np.asarray(vectors, dtype=complex).reshape(n, -1)
         if m.shape[1] == 0:
             return cls.zero(n)
         u, s, _ = np.linalg.svd(m, full_matrices=False)
-        if s.size == 0 or s[0] <= rtol:
+        if s.size == 0 or s[0] <= RANK_RTOL:
             return cls.zero(n)
-        keep = s > rtol * s[0]
+        keep = s > RANK_RTOL * s[0]
         return cls(u[:, keep])
 
     def projector(self) -> np.ndarray:
@@ -175,11 +176,12 @@ class Subspace:
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.conj().T @ v)
 
-    def contains(self, other: "Subspace", tol: float = 1e-10) -> bool:
+    def contains(self, other: "Subspace") -> bool:
+        """Whether other lies in self, to 1e-10 relative to |other.basis|."""
         if other.rank == 0:
             return True
         d = other.basis - self.project(other.basis)
-        return float(np.linalg.norm(d)) <= tol * max(1.0, float(np.linalg.norm(other.basis)))
+        return float(np.linalg.norm(d)) <= 1e-10 * max(1.0, float(np.linalg.norm(other.basis)))
 
 
 def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -189,14 +191,15 @@ def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w.T @ left).reshape(ru * rw, n).T
 
 
-def subspace_product(mu: Bracket, u: Subspace, w: Subspace, rtol: float = RANK_RTOL) -> Subspace:
-    """Orthonormal span of all products mu(x, y) with x in u, y in w."""
+def subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
+    """Orthonormal span of all products mu(x, y) with x in u, y in w,
+    with rank cut at ``RANK_RTOL`` (see :meth:`Subspace.from_span`)."""
     n = mu.dim
     if u.dim_ambient != n or w.dim_ambient != n:
         raise ValueError("ambient dimensions must match the bracket")
     if u.rank == 0 or w.rank == 0:
         return Subspace.zero(n)
-    return Subspace.from_span(n, _products(mu, u.basis, w.basis), rtol=rtol)
+    return Subspace.from_span(n, _products(mu, u.basis, w.basis))
 
 
 def restrict(mu: Bracket, sub: Subspace) -> Bracket:

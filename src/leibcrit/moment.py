@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bracket import Bracket, _check_tol, inf_act, inner_product
-from .linalg import _action_matrix, cluster_values, hermitian_eigen
+from .linalg import RANK_RTOL, _action_matrix, cluster_values, hermitian_eigen
 
 __all__ = [
     "MomentReport",
@@ -122,7 +122,7 @@ class MomentReport:
 
     @property
     def type(self) -> CriticalType | None:
-        """Critical type of ``D`` at the default margins, recomputed on each read;
+        """Critical type of ``D`` from :func:`critical_type`, recomputed on each read;
         None when the report is not critical or the spectrum of ``D`` is not rational."""
         if not self.is_critical:
             return None
@@ -166,7 +166,7 @@ def _hermitian_coords(m: np.ndarray, n: int) -> np.ndarray:
     return np.hstack([m[:, :: n + 1], r * (upper + lower), 1j * r * (upper - lower)])
 
 
-def hermitian_derivations(mu: Bracket, tol: float = 1e-9) -> list[np.ndarray]:
+def hermitian_derivations(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
     """Real-orthonormal basis of the Hermitian derivations of mu.
 
     One real-linear solve over the n^2 real coordinates of Hermitian maps:
@@ -196,9 +196,6 @@ def hermitian_derivations(mu: Bracket, tol: float = 1e-9) -> list[np.ndarray]:
 
 #: CGLS stops once |A* r| <= _CGLS_RTOL |A* b|.
 _CGLS_RTOL = 1e-13
-#: Iteration cap of a CGLS solve; None means 2 n^2 + 10, twice the n^2
-#: steps it takes in exact arithmetic plus a margin.
-_CGLS_MAX_ITER: int | None = None
 
 
 def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
@@ -218,10 +215,10 @@ def _row_space_projection(x: np.ndarray, mu: Bracket) -> tuple[np.ndarray, int]:
     CGLS on ``A y = b``, b = A x, started at 0 stays in the row space of A and
     converges to its min-norm solution, which is that projection; it uses
     only :func:`~leibcrit.bracket.inf_act` and its adjoint.  Raises
-    ``numpy.linalg.LinAlgError`` when the iteration cap is reached.
+    ``numpy.linalg.LinAlgError`` after 2 n^2 + 10 iterations: twice the n^2
+    steps it takes in exact arithmetic, plus a margin.
     """
-    n = mu.dim
-    cap = _CGLS_MAX_ITER if _CGLS_MAX_ITER is not None else 2 * n * n + 10
+    cap = 2 * mu.dim**2 + 10
     c_conj = mu.coeffs.conj()
     y = np.zeros_like(x)
     r = inf_act(x, mu).coeffs
@@ -289,24 +286,21 @@ def criticality_decompose(
     )
 
 
-def critical_type(
-    d: np.ndarray,
-    tol: float = DEFAULT_TYPE_TOL,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-) -> CriticalType:
+def critical_type(d: np.ndarray) -> CriticalType:
     """Integer type of a Hermitian map with (projectively) rational spectrum.
 
-    Eigenvalues are clustered within ``tol * max(1, |d|)``; the cluster
-    representatives are scaled by the positive constant reconstructed from
-    their ratios by continued fractions (denominators bounded by
-    ``max_denominator``) so that they become coprime integers.  Raises
+    Eigenvalues are clustered within ``DEFAULT_TYPE_TOL * max(1, |d|)``; the
+    cluster representatives are scaled by the positive constant reconstructed
+    from their ratios by continued fractions (denominators bounded by
+    ``DEFAULT_MAX_DENOMINATOR``) so that they become coprime integers, to a
+    rounding error below ``DEFAULT_TYPE_TOL``.  Raises
     :class:`IrrationalTypeError` when no admissible constant exists.
     """
     w, _ = hermitian_eigen(d)
     n = len(w)
     if n == 0:
         raise ValueError("empty matrix has no type")
-    gap = tol * max(1.0, float(np.abs(w).max()))
+    gap = DEFAULT_TYPE_TOL * max(1.0, float(np.abs(w).max()))
     clusters = cluster_values(w, gap)
     reps = np.array([cl[0] for cl in clusters])
     mults = [cl[2] - cl[1] for cl in clusters]
@@ -314,7 +308,7 @@ def critical_type(
         return CriticalType.zero(n)
 
     ref = reps[int(np.argmax(np.abs(reps)))]
-    fracs = [Fraction(float(r / ref)).limit_denominator(max_denominator) for r in reps]
+    fracs = [Fraction(float(r / ref)).limit_denominator(DEFAULT_MAX_DENOMINATOR) for r in reps]
     common = math.lcm(*(fr.denominator for fr in fracs))
     ints = [fr.numerator * (common // fr.denominator) for fr in fracs]
     sign = 1 if ref > 0 else -1
@@ -323,7 +317,7 @@ def critical_type(
     ks = [m // g for m in ints]
     scale = common / (g * abs(ref))
     err = float(np.abs(scale * reps - np.array(ks, dtype=float)).max())
-    if err >= tol:
+    if err >= DEFAULT_TYPE_TOL:
         raise IrrationalTypeError(
             f"no admissible scaling found (best rounding error {err:.3g})"
         )

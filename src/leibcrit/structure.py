@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, _check_tol, check_identities, inf_act
+from .bracket import Bracket, check_identities, inf_act
 from .linalg import (
     RANK_RTOL,
     Subspace,
@@ -28,7 +28,7 @@ from .linalg import (
     _nullspace,
     _products,
 )
-from .moment import CriticalType, MomentReport, criticality_decompose
+from .moment import DEFAULT_CRITICAL_TOL, CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
     "StructureProfile",
@@ -117,8 +117,9 @@ def _series_dims(mu: Bracket, step) -> tuple[tuple[int, ...], bool]:
     return tuple(dims), False
 
 
-def center_subspace(mu: Bracket, rtol: float = RANK_RTOL) -> Subspace:
-    """{x : mu(x, .) = mu(., x) = 0} via the joint nullspace of both actions."""
+def center_subspace(mu: Bracket) -> Subspace:
+    """{x : mu(x, .) = mu(., x) = 0} via the joint nullspace of both actions,
+    with singular values up to ``RANK_RTOL`` times the largest coefficient."""
     n = mu.dim
     c = mu.coeffs
     # rows (j, k): coefficients of mu(x, e_j) and mu(e_j, x) in e_k
@@ -126,19 +127,17 @@ def center_subspace(mu: Bracket, rtol: float = RANK_RTOL) -> Subspace:
     right_rows = c.transpose(0, 2, 1).reshape(n * n, n)
     stacked = np.vstack([left_rows, right_rows])
     scale = max(float(np.abs(stacked).max()), 1.0) if stacked.size else 1.0
-    null = _nullspace(stacked, abs_tol=rtol * scale)
+    null = _nullspace(stacked, abs_tol=RANK_RTOL * scale)
     return Subspace(null)
 
 
-def structure_profile(mu: Bracket, tol: float = RANK_RTOL) -> StructureProfile:
-    """Derived/lower-central series dimensions, center and the two flags."""
-    _check_tol(tol)
+def structure_profile(mu: Bracket) -> StructureProfile:
+    """Derived/lower-central series dimensions, center and the two flags;
+    every rank is cut at ``RANK_RTOL``."""
     full = Subspace.full(mu.dim)
-    derived, solvable = _series_dims(mu, lambda s: subspace_product(mu, s, s, rtol=tol))
-    lower, nilpotent = _series_dims(
-        mu, lambda s: subspace_product(mu, full, s, rtol=tol)
-    )
-    center = center_subspace(mu, tol)
+    derived, solvable = _series_dims(mu, lambda s: subspace_product(mu, s, s))
+    lower, nilpotent = _series_dims(mu, lambda s: subspace_product(mu, full, s))
+    center = center_subspace(mu)
     return StructureProfile(
         derived_dims=derived,
         lower_central_dims=lower,
@@ -149,7 +148,7 @@ def structure_profile(mu: Bracket, tol: float = RANK_RTOL) -> StructureProfile:
 
 
 def grading_decomposition(
-    mu: Bracket, d: np.ndarray, tol: float = 1e-8
+    mu: Bracket, d: np.ndarray, tol: float = DEFAULT_CRITICAL_TOL
 ) -> GradingDecomposition:
     """Eigenspace decomposition of a Hermitian derivation of mu."""
     d = np.asarray(d, dtype=complex)
@@ -304,7 +303,7 @@ def _lminus_nonnormality(unit: Bracket, lm: Subspace) -> float | None:
 
 
 def verify_structure_theorem(
-    mu: Bracket, report: MomentReport, tol: float = 1e-8
+    mu: Bracket, report: MomentReport, tol: float = DEFAULT_CRITICAL_TOL
 ) -> StructureVerdict:
     """Check the four structural properties of a symmetric critical point.
 

@@ -170,7 +170,7 @@ def test_criterion_8_rationality_nonnegativity():
                       "symmetric ones are nonnegative, nilpotent symmetric ones positive"):
         nilpotent_witnesses = set()
         for label, mu, rep in _critical_points_found():
-            t = critical_type(rep.D, max_denominator=100)  # raises if irrational
+            t = critical_type(rep.D)  # raises if irrational
             eigs = np.linalg.eigvalsh(rep.D)
             idr = check_identities(mu)
             if idr.is_symmetric_leibniz:

@@ -20,7 +20,6 @@ from leibcrit.catalog import get
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import derivation_space
 from leibcrit.moment import criticality_decompose, hermitian_derivations
-from leibcrit.structure import structure_profile
 
 E2 = np.eye(2)
 E3 = np.eye(3)
@@ -215,7 +214,6 @@ TOL_CHECKED = {
     "derivation_space": derivation_space,
     "hermitian_derivations": hermitian_derivations,
     "criticality_decompose": criticality_decompose,
-    "structure_profile": structure_profile,
     "descend": descend,
 }
 

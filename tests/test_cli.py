@@ -7,7 +7,7 @@ from helpers import irrational_type_s2, random_bracket
 from leibcrit.bracket import Bracket
 from leibcrit.catalog import get
 from leibcrit.cli import run, _analysis_document
-from leibcrit.extensions import ExtensionError, build_solvable_extension
+from leibcrit.extensions import HypothesisViolation, build_solvable_extension
 from leibcrit.fileio import (
     AlgebraFileError,
     algebra_to_dict,
@@ -171,12 +171,12 @@ class TestAnalyzeCommand:
                 " (needs a symmetric Leibniz critical point)\n") in out
 
     def test_cgls_iteration_cap_exit_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("leibcrit.moment._CGLS_MAX_ITER", 1)
+        monkeypatch.setattr("leibcrit.moment._CGLS_RTOL", 0.0)
         path = tmp_path / "random3.json"
         save_algebra(path, random_bracket(3, np.random.default_rng(0)))
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert code == 3 and out == ""
-        assert err.startswith("internal error: CGLS did not converge in 1 iterations")
+        assert err.startswith("internal error: CGLS did not converge in 28 iterations")
 
     def test_linalg_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -413,20 +413,27 @@ class TestExtendCommand:
         assert json.loads(out)["type"] == "(0<1;1,2)"
 
     def test_core_certified_at_the_build_tolerance(self, tmp_path, capsys):
-        # S1 plus 1e-6 e1 on e2.e3: tangent residual 6.3e-7, critical at 1e-3 only
+        # S1 plus 1e-6 e1 on e2.e3: tangent residual 6.3e-7 and left defect
+        # 3.7e-7, so the core and the assembled product pass at 1e-3 only
         core = get("S1").bracket.coeffs.copy()
         core[1, 2, 0] += 1e-6
         path = self.write_solvable_spec(tmp_path)
         spec = json.loads(path.read_text())
         spec["core"] = {"algebra": algebra_to_dict(Bracket(3, core))}
         path.write_text(json.dumps(spec))
-        with pytest.raises(ExtensionError) as info:
-            build_solvable_extension(load_extension_spec(path), 1e-3)
-        code, _, err = run_cli(capsys, "--tol", "1e-3", "extend", "solvable", str(path),
-                               "-o", str(tmp_path / "out.json"))
+        _, rep = build_solvable_extension(load_extension_spec(path), 1e-3)
+        assert str(rep.type) == "(0<3<5<6;1,1,1,1)"
+        assert rep.F == pytest.approx(10 / 3, rel=1e-9)
+        code, out, _ = run_cli(capsys, "--tol", "1e-3", "--format", "json", "extend", "solvable",
+                               str(path), "-o", str(tmp_path / "out.json"))
+        assert code == 0
+        assert json.loads(out)["type"] == "(0<3<5<6;1,1,1,1)"
+        with pytest.raises(HypothesisViolation, match="core criticality") as info:
+            build_solvable_extension(load_extension_spec(path))
+        assert info.value.residual == pytest.approx(6.32e-7, rel=1e-2)
+        code, _, err = run_cli(capsys, "extend", "solvable", str(path))
         assert code == 1
         assert err == f"verification failed: {info.value}\n"
-        assert "core criticality" not in err
 
     def test_hypothesis_violation_exit_1(self, tmp_path, capsys):
         spec = {

@@ -213,7 +213,7 @@ class TestSubspaceProduct:
         full = Subspace.full(4)
         inner = subspace_product(mu, u_small, w_small)
         outer = subspace_product(mu, full, full)
-        assert outer.contains(inner, tol=1e-10)
+        assert outer.contains(inner)
 
 
 class TestRestrict:

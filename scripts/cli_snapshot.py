@@ -152,6 +152,9 @@ def _commands(stems: list[str]) -> dict[str, list[str]]:
     cmds["flow-L5"] = ["flow", "inputs/L5.json"]
     cmds["flow-L3-alpha2-perturbed"] = ["flow", "inputs/L3-alpha2.json",
                                         "--perturb", "0.5", "--seed", "1"]
+    for stem in ("so3", "L2"):  # limits critical to about 1e-8, graded by their type
+        cmds[f"flow-{stem}-perturbed"] = ["flow", f"inputs/{stem}.json",
+                                          "--perturb", "0.3", "--seed", "0"]
     cmds |= BAD_NUMBERS | REMOVED_FLAGS | EDGE_CASES | HELP
     for mode in ("solvable", "general"):
         cmds[f"extend-{mode}"] = ["extend", mode, "inputs/spec-" + mode + ".json",

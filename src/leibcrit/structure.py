@@ -19,7 +19,6 @@ from .bracket import Bracket, check_identities, inf_act
 from .linalg import (
     RANK_RTOL,
     Subspace,
-    cluster_values,
     hermitian_eigen,
     left_op,
     restrict,
@@ -56,13 +55,15 @@ class StructureProfile:
 
 @dataclass(frozen=True)
 class GradingDecomposition:
-    """Eigenspace splitting of a Hermitian derivation."""
+    """Eigenspaces of a certified derivation D, one per entry of its critical
+    type, with their mean eigenvalues and their sums by sign of the type."""
 
     negative_part: Subspace
     zero_part: Subspace
     positive_part: Subspace
     eigenvalues: tuple[float, ...]
     eigenspaces: tuple[Subspace, ...]
+    type: CriticalType
 
 
 @dataclass(frozen=True)
@@ -147,45 +148,35 @@ def structure_profile(mu: Bracket) -> StructureProfile:
     )
 
 
-def grading_decomposition(
-    mu: Bracket, d: np.ndarray, tol: float = DEFAULT_CRITICAL_TOL
-) -> GradingDecomposition:
-    """Eigenspace decomposition of a Hermitian derivation of mu."""
-    d = np.asarray(d, dtype=complex)
-    defect = inf_act(d, mu).norm
-    scale = max(float(np.linalg.norm(d)), 1.0) * max(mu.norm, 1.0)
-    if defect > tol * scale:
-        raise ValueError(
-            f"matrix is not a derivation (defect {defect:.3g} vs scale {scale:.3g})"
-        )
-    w, u = hermitian_eigen(d)
-    gap = tol * max(1.0, float(np.abs(w).max()) if len(w) else 1.0)
-    clusters = cluster_values(w, gap)
-    spaces = []
-    values = []
-    neg_cols, zero_cols, pos_cols = [], [], []
-    for val, start, stop in clusters:
-        cols = u[:, start:stop]
-        spaces.append(Subspace(cols))
-        values.append(val)
-        if abs(val) <= gap:
-            zero_cols.append(cols)
-        elif val < 0:
-            neg_cols.append(cols)
-        else:
-            pos_cols.append(cols)
+def grading_decomposition(report: MomentReport) -> GradingDecomposition:
+    """Eigenspaces of the certified derivation ``report.D``, graded by its
+    critical type.
 
-    def _join(parts: list[np.ndarray]) -> Subspace:
-        if not parts:
-            return Subspace.zero(mu.dim)
-        return Subspace(np.hstack(parts))
+    The ascending eigenvalues of D are split in order by the multiplicities
+    of ``report.type`` (ascending, since its scale is positive); the sign of
+    each integer puts its block in l_-, l_0 or l_+.  Raises ValueError when
+    the report does not certify a critical point or has no rational type.
+    """
+    if not report.is_critical:
+        raise ValueError("report does not certify a critical point")
+    t = report.type
+    if t is None:
+        raise ValueError("report has no rational critical type")
+    w, u = hermitian_eigen(report.D)
+    bounds = np.cumsum((0,) + t.ds)
+    blocks = list(zip(t.ks, bounds, bounds[1:]))
+
+    def _part(sign: int) -> Subspace:
+        cols = [u[:, a:b] for k, a, b in blocks if np.sign(k) == sign]
+        return Subspace(np.hstack(cols)) if cols else Subspace.zero(len(w))
 
     return GradingDecomposition(
-        negative_part=_join(neg_cols),
-        zero_part=_join(zero_cols),
-        positive_part=_join(pos_cols),
-        eigenvalues=tuple(values),
-        eigenspaces=tuple(spaces),
+        negative_part=_part(-1),
+        zero_part=_part(0),
+        positive_part=_part(1),
+        eigenvalues=tuple(float(np.mean(w[a:b])) for _, a, b in blocks),
+        eigenspaces=tuple(Subspace(u[:, a:b]) for _, a, b in blocks),
+        type=t,
     )
 
 
@@ -307,21 +298,24 @@ def verify_structure_theorem(
 ) -> StructureVerdict:
     """Check the four structural properties of a symmetric critical point.
 
-    Requires ``report.is_critical``, a rational ``report.type`` and a
-    symmetric Leibniz input.  The restriction of mu to the positive
-    eigenspace of D is re-certified and its type compared against the
-    parent type with the zero entry removed, except in the degenerate
-    abelian case which is only reported.
+    Requires ``report.is_critical``, a rational ``report.type``, a
+    symmetric Leibniz input and a report of this product: |D.mu| at most
+    ``report.tol * |M| * |mu|``, which for mu's own report is its tangent
+    residual.  The restriction of mu to the positive eigenspace of D is
+    re-certified and its type compared against the parent type with the
+    zero entry removed, except in the degenerate abelian case which is only
+    reported.
     """
-    if not report.is_critical:
-        raise ValueError("report does not certify a critical point")
-    parent_type = report.type
-    if parent_type is None:
-        raise ValueError("report has no rational critical type")
+    grading = grading_decomposition(report)
     if not check_identities(mu).is_symmetric_leibniz:
         raise ValueError("bracket is not symmetric Leibniz")
+    defect = inf_act(report.D, mu).norm
+    bound = report.tol * float(np.linalg.norm(report.M)) * mu.norm
+    if not defect <= bound:
+        raise ValueError(
+            f"report does not certify this bracket (|D.mu| {defect:.3g} vs {bound:.3g})"
+        )
     unit = mu.normalized()
-    grading = grading_decomposition(unit, report.D, tol)
     l0 = grading.zero_part
     closure = _adjoint_closure(unit, l0, tol)
     *reductive, center = _l0_reductive(unit, l0, tol)
@@ -329,6 +323,6 @@ def verify_structure_theorem(
         *closure,
         *reductive,
         *_center_normal(unit, center, tol),
-        *_nilradical(unit, grading.positive_part, parent_type, tol),
+        *_nilradical(unit, grading.positive_part, grading.type, tol),
         _lminus_nonnormality(unit, grading.negative_part),
     )

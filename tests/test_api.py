@@ -21,7 +21,6 @@ TOL_DEFAULTS = {
     "derivation_space": RANK_RTOL,
     "hermitian_derivations": RANK_RTOL,
     "criticality_decompose": DEFAULT_CRITICAL_TOL,
-    "grading_decomposition": DEFAULT_CRITICAL_TOL,
     "verify_structure_theorem": DEFAULT_CRITICAL_TOL,
     "descend": DEFAULT_CRITICAL_TOL,
     "verify_catalog": DEFAULT_CRITICAL_TOL,
@@ -37,6 +36,7 @@ FIXED_CUTS = {
     linalg.subspace_product: ["mu", "u", "w"],
     structure.center_subspace: ["mu"],
     structure.structure_profile: ["mu"],
+    structure.grading_decomposition: ["report"],
     moment.critical_type: ["d"],
     Bracket.from_entries: ["dim", "entries", "antisymmetrize"],
 }

@@ -227,6 +227,17 @@ class TestFlowCommand:
         assert doc["flow"]["iterations"] > 0
         assert doc["final"]["moment"]["F"] == pytest.approx(12.0, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_perturbed_so3_limit_passes_structure_checks(self, tmp_path, capsys, seed):
+        # the limit's D is a derivation only to its tangent residual, about 1e-8
+        path = tmp_path / "so3.json"
+        save_algebra(path, get("so3").bracket, name="so3")
+        code, out, err = run_cli(capsys, "flow", str(path), "--perturb", "0.3", "--seed", seed)
+        assert code == 0, err
+        assert "critical type = (0;3)" in out
+        assert ("structure checks: adjoint-closed yes; l0 reductive yes;"
+                " center normal yes; nilradical yes") in out
+
     def test_nan_perturb_exit_2(self, tmp_path, capsys):
         path = tmp_path / "l5.json"
         save_algebra(path, get("L5").bracket, name="L5")

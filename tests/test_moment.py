@@ -338,6 +338,18 @@ class TestCriticalityDecompose:
             if f.name != "residual_decomp":
                 assert np.array_equal(getattr(rep, f.name), getattr(ref, f.name)), f.name
 
+    @pytest.mark.parametrize("mu", [pytest.param(e.bracket, id=e.label) for e in standard_rows()]
+                             + [pytest.param(random_bracket(n, np.random.default_rng(n)),
+                                             id=f"random({n})") for n in range(2, 7)])
+    def test_derivation_part_moves_mu_off_its_line(self, mu):
+        # <M.mu, mu> = -c |mu|^2 and I.mu = -mu, so D.mu is the part of M.mu
+        # orthogonal to mu, which residual_tangent measures
+        rep = criticality_decompose(mu)
+        scale = float(np.linalg.norm(rep.M)) * mu.norm
+        assert inf_act(rep.D, mu).norm == pytest.approx(
+            rep.residual_tangent * scale, rel=1e-12, abs=1e-15 * scale
+        )
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr("leibcrit.moment._CGLS_RTOL", 0.0)
         mu = random_bracket(3, np.random.default_rng(0))

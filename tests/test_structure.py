@@ -4,6 +4,7 @@ import pytest
 from helpers import irrational_type_s2, random_bracket
 from leibcrit.bracket import Bracket
 from leibcrit.catalog import get, standard_rows
+from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.moment import criticality_decompose
 from leibcrit.structure import (
     center_subspace,
@@ -70,44 +71,65 @@ class TestStructureProfile:
 
 class TestGradingDecomposition:
     def test_l2_grading(self):
-        l2 = get("L2").bracket
-        rep = criticality_decompose(l2)
-        g = grading_decomposition(l2, rep.D)
+        g = grading_decomposition(criticality_decompose(get("L2").bracket))
         assert g.zero_part.rank == 1
         assert g.positive_part.rank == 2
         assert g.negative_part.rank == 0
         np.testing.assert_allclose(np.abs(g.zero_part.basis[:, 0]), [1, 0, 0], atol=1e-12)
 
     def test_zero_derivation(self):
-        g = grading_decomposition(SO3, np.zeros((3, 3)))
+        rep = criticality_decompose(SO3)
+        assert np.linalg.norm(rep.D) < 1e-12
+        g = grading_decomposition(rep)
         assert g.zero_part.rank == 3
+        assert g.eigenvalues == pytest.approx((0.0,), abs=1e-12)
 
     def test_s1_all_positive(self):
-        s1 = get("S1").bracket
-        rep = criticality_decompose(s1)
-        g = grading_decomposition(s1, rep.D)
+        g = grading_decomposition(criticality_decompose(get("S1").bracket))
         assert g.positive_part.rank == 3
         assert g.zero_part.rank == 0
 
-    def test_rejects_non_derivation(self):
-        with pytest.raises(ValueError, match="not a derivation"):
-            grading_decomposition(get("S1").bracket, np.diag([1.0, 0.0, 0.0]))
+    def test_rejects_uncertified_report(self):
+        with pytest.raises(ValueError, match="does not certify a critical point"):
+            grading_decomposition(criticality_decompose(get("L5").bracket))
+        rep = criticality_decompose(irrational_type_s2(), 1e-2)
+        assert rep.is_critical
+        with pytest.raises(ValueError, match="no rational critical type"):
+            grading_decomposition(rep)
 
     def test_parts_orthogonal_and_complete(self):
-        s2 = get("S2").bracket
-        rep = criticality_decompose(s2)
-        g = grading_decomposition(s2, rep.D)
+        g = grading_decomposition(criticality_decompose(get("S2").bracket))
         total = sum(s.rank for s in g.eigenspaces)
         assert total == 3
         stacked = np.hstack([s.basis for s in g.eigenspaces])
         np.testing.assert_allclose(stacked.conj().T @ stacked, np.eye(3), atol=1e-10)
 
+    def test_eigenspaces_follow_the_type(self):
+        for entry in symmetric_critical_entries():
+            rep = criticality_decompose(entry.bracket)
+            g = grading_decomposition(rep)
+            assert g.type == rep.type, entry.label
+            assert tuple(s.rank for s in g.eigenspaces) == g.type.ds, entry.label
+            np.testing.assert_allclose(
+                g.type.scale * np.array(g.eigenvalues), g.type.ks, atol=1e-6
+            )
+            signs = np.sign(g.type.ks)
+            for part, sign in ((g.negative_part, -1), (g.zero_part, 0), (g.positive_part, 1)):
+                assert part.rank == sum(d for k, d in zip(signs, g.type.ds) if k == sign)
+
+    def test_perturbed_l2_limit_has_one_block_per_type_entry(self):
+        # critical to about 1e-8, with D eigenvalues 0, 1.99999999 and 2.00000001
+        rep = descend(perturb_in_orbit(get("L2").bracket, 0.3, 0)).final_report
+        assert rep.is_critical and str(rep.type) == "(0<1;1,2)"
+        g = grading_decomposition(rep)
+        assert tuple(s.rank for s in g.eigenspaces) == (1, 2) == rep.type.ds
+        assert g.eigenvalues == pytest.approx((0.0, 2.0), abs=1e-7)
+
     def test_eigenspace_product_rule(self):
         # products of eigenvectors land in the eigenspace of the summed weight
         for entry in symmetric_critical_entries():
             mu = entry.bracket.normalized()
-            rep = criticality_decompose(mu)
-            g = grading_decomposition(mu, rep.D)
+            g = grading_decomposition(criticality_decompose(mu))
             values = np.array(g.eigenvalues)
             for a, sa in zip(g.eigenvalues, g.eigenspaces):
                 for b, sb in zip(g.eigenvalues, g.eigenspaces):
@@ -156,6 +178,40 @@ class TestVerifyStructure:
         assert v.killing_min_sv is not None and v.killing_min_sv > 1e-6
         assert v.restricted_type is None  # no positive part at all
 
+    def test_rejects_report_of_another_bracket(self):
+        s1, s2, l2 = (get(name).bracket for name in ("S1", "S2", "L2"))
+        with pytest.raises(ValueError, match="does not certify this bracket"):
+            verify_structure_theorem(s2, criticality_decompose(s1))
+        with pytest.raises(ValueError, match="does not certify this bracket"):
+            verify_structure_theorem(s1, criticality_decompose(l2))
+
+    def test_rejects_non_derivation(self):
+        import dataclasses
+
+        s1 = get("S1").bracket
+        rep = dataclasses.replace(criticality_decompose(s1), D=np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="does not certify this bracket"):
+            verify_structure_theorem(s1, rep)
+
+    def test_reads_the_critical_type_once(self, monkeypatch):
+        import leibcrit.moment as moment
+
+        real = moment.critical_type
+        for entry in symmetric_critical_entries():
+            rep = criticality_decompose(entry.bracket)
+            seen = []
+
+            def counting(d):
+                seen.append(d is rep.D)
+                return real(d)
+
+            monkeypatch.setattr(moment, "critical_type", counting)
+            verify_structure_theorem(entry.bracket, rep)
+            monkeypatch.setattr(moment, "critical_type", real)
+            # one read of rep.type; any other call types the re-certified l_+
+            assert seen.count(True) == 1, entry.label
+            assert len(seen) <= 2, entry.label
+
     def test_center_of_l0_computed_once(self, monkeypatch):
         import leibcrit.structure as structure
 
@@ -176,7 +232,7 @@ class TestVerifyStructure:
         for entry in symmetric_critical_entries():
             mu = entry.bracket.normalized()
             rep = criticality_decompose(mu)
-            g = grading_decomposition(mu, rep.D)
+            g = grading_decomposition(rep)
             lp = g.positive_part
             if lp.rank == 0:
                 continue

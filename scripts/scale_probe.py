@@ -13,9 +13,14 @@ the two CGLS solves of the cross-check (for M and for I).  The second
 table gives the same time and peak for each layer -- ``check_identities``,
 ``inf_act`` (of the moment matrix), ``moment_matrix``,
 ``subspace_product(full, full)`` and ``structure_profile`` -- on mu_he(n)
-rotated by a seeded random unitary at n = 3, 4, 8, 12, 16 and 20.  Too
-slow for the test suite; ``tests/test_moment.py`` and
-``tests/test_bracket.py`` guard the traced peaks at n = 20 alone.
+rotated by a seeded random unitary at n = 3, 4, 8, 12, 16 and 20.  The
+third table runs ``descend`` from the thirteen descent starts of the
+benchmark and from L4, whose orbit has no critical point: steps,
+line-search trials (moment matrices of rejected and accepted candidates),
+wall time of one run and the condition number of the final group
+element.  Too slow for the test suite; ``tests/test_moment.py`` and
+``tests/test_bracket.py`` guard the traced peaks at n = 20 alone, and
+``tests/test_flow.py`` pins the step counts.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from leibcrit.bracket import check_identities, gl_act, inf_act  # noqa: E402
+from leibcrit import flow  # noqa: E402
+from leibcrit.bracket import Bracket, check_identities, gl_act, inf_act  # noqa: E402
 from leibcrit.catalog import get  # noqa: E402
 from leibcrit.linalg import Subspace, subspace_product  # noqa: E402
 from leibcrit.moment import _row_space_projection, criticality_decompose, moment_matrix  # noqa: E402
@@ -82,6 +88,48 @@ def layers(mu) -> dict:
     }
 
 
+def filiform(n: int) -> Bracket:
+    """m0(n): the filiform Lie algebra [e1, ei] = e(i+1)."""
+    return Bracket.from_entries(n, {(1, i, i + 1): 1 for i in range(2, n)}, antisymmetrize=True)
+
+
+def descent_starts() -> list[tuple[str, Bracket]]:
+    perturb = flow.perturb_in_orbit
+    starts = [
+        ("L5", get("L5").bracket),
+        ("S3(beta=1)", get("S3", {"beta": 1}).bracket),
+        ("S2+0.3/seed1", perturb(get("S2").bracket, 0.3, 1)),
+        ("L3(alpha=2)+0.5/seed1", perturb(get("L3", {"alpha": 2}).bracket, 0.5, 1)),
+        ("S7(alpha=2)+0.5/seed1", perturb(get("S7", {"alpha": 2}).bracket, 0.5, 1)),
+    ]
+    starts += [(f"m0({n})", filiform(n)) for n in (5, 6, 7, 8)]
+    starts += [(f"m0({n})+0.5/seed2", perturb(filiform(n), 0.5, 2)) for n in (5, 6, 7, 8)]
+    return starts + [("L4", get("L4").bracket)]
+
+
+def descent_row(mu) -> tuple[int, int, float, float]:
+    """(steps, line-search trials, seconds, cond(G)) of one descent from mu.
+
+    ``descend`` computes one moment matrix per iterate and one per trial;
+    the trials are counted by wrapping the module's ``moment_matrix``.
+    """
+    real, calls = flow.moment_matrix, 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return real(x)
+
+    flow.moment_matrix = counted
+    try:
+        start = perf_counter()
+        tr = flow.descend(mu)
+        secs = perf_counter() - start
+    finally:
+        flow.moment_matrix = real
+    return tr.iterations, calls - tr.iterations - 1, secs, tr.cond_g
+
+
 def main() -> int:
     print(f"{'algebra':10s} {'n':>3s} {'basis':8s} {'best ms':>9s} {'peak MB':>8s}"
           f" {'iter M':>6s} {'iter I':>6s}")
@@ -99,6 +147,11 @@ def main() -> int:
         for name, call in layers(mu).items():
             secs, peak = timed(call)
             print(f"{name:22s} {n:3d} {secs * 1e3:9.3f} {peak:8.2f}")
+    print()
+    print(f"{'descent':22s} {'steps':>6s} {'trials':>6s} {'ms':>9s} {'cond(G)':>9s}")
+    for label, mu in descent_starts():
+        steps, trials, secs, cond_g = descent_row(mu)
+        print(f"{label:22s} {steps:6d} {trials:6d} {secs * 1e3:9.2f} {cond_g:9.3g}")
     return 0
 
 

@@ -174,9 +174,17 @@ def gl_act(g: np.ndarray, mu: Bracket) -> Bracket:
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise ValueError(f"matrix is singular or ill-conditioned (cond={cond:.3g})")
-    ginv = np.linalg.inv(g)
-    c = np.einsum("ai,bj,kc,abc->ijk", ginv, ginv, g, mu.coeffs, optimize=True)
-    return Bracket(n, c)
+    return Bracket(n, _base_change(g, np.linalg.inv(g), mu.coeffs))
+
+
+def _base_change(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Coefficients of :func:`gl_act` by g, given its inverse ginv and the
+    coefficient tensor c: three (n^2, n) or (n, n^2) matrix products,
+    ``out[i, j, k] = sum ginv[a, i] ginv[b, j] g[k, m] c[a, b, m]``."""
+    n = c.shape[0]
+    t = (c.reshape(n * n, n) @ g.T).reshape(n, n * n)  # [a, b, k]
+    t = (ginv.T @ t).reshape(n, n, n)  # [i, b, k]
+    return ginv.T @ t  # [i, j, k]
 
 
 def inf_act(a: np.ndarray, mu: Bracket) -> Bracket:

@@ -218,6 +218,7 @@ def _cmd_flow(args) -> int:
         "F_initial": float(trace.F_history[0]),
         "F_final": float(trace.F_history[-1]),
         "residual_final": float(trace.residual_history[-1]),
+        "cond_g": trace.cond_g,
     }
     if args.format == "json":
         print(json.dumps({"flow": flow_doc, "final": final_doc}, indent=2))

@@ -3,10 +3,20 @@
 Within a distinguished orbit F attains its minimum exactly at the critical
 set, which is a single unitary orbit; descending F from any starting
 product therefore converges to the critical point of the isomorphism
-class when one exists.  The descent direction at mu is the orbit tangent
-generated by the moment matrix, projected off the radial direction; each
-step is followed by renormalization to the unit sphere and accepted only
-if it decreases F (backtracking line search).
+class when one exists.  The descent moves a group element G, not the
+coefficients: every iterate is mu = G.mu0 / |G.mu0|, recomputed from the
+fixed unit start mu0, so round-off cannot carry it out of the orbit.
+
+Each step takes the direction a = M minus its Frobenius projection onto
+span{I, G X G^-1 : X a derivation of mu0}: the part of the moment matrix
+that moves mu other than by scaling, with nothing that moves it not at
+all.  The step is the Cayley transform G <- (I + h a/2)^-1 (I - h a/2) G.
+Its length h is the Barzilai-Borwein step |s|^2 / Re<s, y> from the last
+move s of mu and the change y of the tangential gradient, clamped to
+[0.01, 10] / |M|; it is accepted only if it decreases F (backtracking
+line search).  When the orbit has no critical point, F tends to its
+infimum only as G leaves every compact set; the condition number of the
+final G tells the two cases apart.
 """
 
 from __future__ import annotations
@@ -16,27 +26,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bracket import Bracket, _check_tol, gl_act, inf_act, inner_product
+from .bracket import Bracket, _base_change, _check_tol, gl_act, inf_act, inner_product
+from .linalg import derivation_space
 from .moment import DEFAULT_CRITICAL_TOL, MomentReport, criticality_decompose, moment_matrix
 
 __all__ = ["FlowTrace", "descend", "perturb_in_orbit"]
 
-_STEP0 = 0.1  # the trial step is _STEP0 / |M|, a dimensionless step scale
+_STEP0 = 0.1  # first and fallback step, _STEP0 / |M|, a dimensionless step scale
+_STEP_MIN, _STEP_MAX = 0.01, 10.0  # clamp of the Barzilai-Borwein step, times 1 / |M|
 _MAX_ITER = 50_000
 _MAX_BACKTRACKS = 60
 _ARMIJO_C = 1e-4  # sufficient-decrease fraction of the slope
 _SHRINK = 0.5  # step factor per backtrack
-_MAX_PERTURB_COND = 1e4  # gl_act's round-off left the orbit from cond 8.6e4 on
+#: A group element with a larger condition number is taken to leave the
+#: orbit: gl_act's round-off left it from cond 8.6e4 on, descents whose
+#: limit lies in the orbit end below cond 2, and closure limits above 1e7.
+_ORBIT_COND = 1e4
 
 
 @dataclass(frozen=True)
 class FlowTrace:
+    """A descent's iterates and limit.  ``cond_g`` is the condition number
+    of the group element G that carries the unit start to the limit."""
+
     final_bracket: Bracket
     F_history: np.ndarray
     residual_history: np.ndarray
     iterations: int
     converged: bool
     final_report: MomentReport
+    cond_g: float
     message: str = field(default="", compare=False)
 
 
@@ -44,48 +63,61 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     """Minimize F over the orbit of mu0, stopping at a certified critical point.
 
     Iterates are kept at unit norm; convergence means the tangential
-    residual of M.mu dropped below ``tol``.  A line-search underflow
-    is reported as non-convergence with a diagnostic message.
+    residual of M.mu dropped below ``tol``.  A converged limit reached by
+    a group element with condition number above 1e4 is flagged as a
+    closure limit.  A line-search underflow is reported as
+    non-convergence with a diagnostic message.
     """
     _check_tol(tol)
     if mu0.is_zero:
         raise ValueError("cannot flow from the zero bracket")
     mu = mu0.normalized()
+    n, c0 = mu.dim, mu.coeffs
+    ders = np.array(derivation_space(mu)).reshape(-1, n, n)
+    eye = np.eye(n, dtype=complex)
+    g = ginv = eye
     f_hist: list[float] = []
     r_hist: list[float] = []
     message = ""
     converged = False
+    prev = None  # (coefficients, tangential gradient) of the last iterate
     it = 0
     while it <= _MAX_ITER:
         m = moment_matrix(mu)
         norm_m = float(np.linalg.norm(m))
         f = float(np.vdot(m, m).real)  # |mu| = 1
         v = inf_act(m, mu).coeffs
-        v_perp = v - inner_product(Bracket(mu.dim, v), mu) * mu.coeffs
+        v_perp = v - inner_product(Bracket(n, v), mu) * mu.coeffs
         res = float(np.linalg.norm(v_perp)) / norm_m
         f_hist.append(f)
         r_hist.append(res)
         if res < tol:
             converged = True
-            if it > 0:
-                # a gradient limit is only guaranteed to sit in the closure
-                # of the starting orbit; isomorphism to the start is not
-                # certified (and genuinely fails for some inputs)
-                message = "limit may lie outside the starting orbit (closure limit)"
             break
         if it == _MAX_ITER:
             message = "iteration limit reached"
             break
 
         h = _STEP0 / norm_m
+        if prev is not None:
+            s, y = mu.coeffs - prev[0], v_perp - prev[1]
+            sy = float(np.vdot(s, y).real)
+            if sy > 0:
+                h = min(max(float(np.vdot(s, s).real) / sy, _STEP_MIN / norm_m), _STEP_MAX / norm_m)
+        span = np.column_stack([eye.ravel(), (g @ ders @ ginv).reshape(-1, n * n).T])
+        q = np.linalg.qr(span)[0]
+        a = m - (q @ (q.conj().T @ m.ravel())).reshape(n, n)
         slope = float(np.vdot(v_perp, v_perp).real)
         # the slack keeps progress possible once per-step decreases of F
         # fall below its floating-point resolution near the minimum
         slack = 1e-14 * max(1.0, f)
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
-            cand = mu.coeffs - h * v_perp
-            cand_b = Bracket(mu.dim, cand / np.linalg.norm(cand))
+            half = 0.5 * h * a
+            g_cand = np.linalg.solve(eye + half, (eye - half) @ g)
+            ginv_cand = np.linalg.inv(g_cand)
+            cand = _base_change(g_cand, ginv_cand, c0)
+            cand_b = Bracket(n, cand / np.linalg.norm(cand))
             mc = moment_matrix(cand_b)
             f_cand = float(np.vdot(mc, mc).real)
             if f_cand <= f - _ARMIJO_C * h * slope + slack:
@@ -95,9 +127,14 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
         if accepted is None:
             message = "line search underflow"
             break
-        mu = accepted
+        prev = (mu.coeffs, v_perp)
+        mu, g, ginv = accepted, g_cand, ginv_cand
         it += 1
 
+    cond_g = float(np.linalg.cond(g))
+    if converged and cond_g > _ORBIT_COND:
+        message = (f"limit may lie outside the starting orbit (closure limit):"
+                   f" cond(G) = {cond_g:.3g} > {_ORBIT_COND:.0e}")
     final_report = criticality_decompose(mu, tol)
     return FlowTrace(
         final_bracket=mu,
@@ -106,6 +143,7 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
         iterations=it,
         converged=converged,
         final_report=final_report,
+        cond_g=cond_g,
         message=message,
     )
 
@@ -128,7 +166,7 @@ def perturb_in_orbit(mu: Bracket, magnitude: float, seed: int) -> Bracket:
     with np.errstate(over="ignore", invalid="ignore"):
         g = scipy.linalg.expm(a)
     cond = float(np.linalg.cond(g)) if np.isfinite(g).all() else math.inf
-    if cond > _MAX_PERTURB_COND:
+    if cond > _ORBIT_COND:
         raise ValueError(f"perturbation magnitude {magnitude!r} is too large: the move has"
-                         f" condition number {cond:.3g} (at most {_MAX_PERTURB_COND:.0e})")
+                         f" condition number {cond:.3g} (at most {_ORBIT_COND:.0e})")
     return gl_act(g, mu)

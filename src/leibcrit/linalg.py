@@ -98,27 +98,31 @@ def _action_matrix(mu: Bracket) -> np.ndarray:
     """
     n = mu.dim
     c = mu.coeffs
-    eye = np.eye(n)
-    op = np.einsum("kp,ijq->ijkpq", eye, c)
-    op -= np.einsum("qi,pjk->ijkpq", eye, c)
-    op -= np.einsum("qj,ipk->ijkpq", eye, c)
+    r = np.arange(n)
+    op = np.zeros((n,) * 5, dtype=complex)  # [i, j, k, p, q]
+    op[:, :, r, r, :] = c[:, :, None, :]  # k = p: c[i, j, q]
+    op[r, :, :, :, r] -= c.transpose(1, 2, 0)  # q = i: c[p, j, k]
+    op[:, r, :, :, r] -= c.transpose(0, 2, 1)  # q = j: c[i, p, k]
     return op.reshape(n**3, n * n)
 
 
 def derivation_space(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
     """Orthonormal basis of the complex space of derivations of mu.
 
-    The right singular vectors of the (n^3, n^2) matrix of a -> a.mu whose
+    The right singular vectors of the (n^3, n^2) matrix A of a -> a.mu whose
     singular values are at most ``tol * |mu|``; every returned map a thus
-    satisfies ``|a.mu| <= tol * |mu|``.  For the zero bracket all n^2
-    elementary maps are derivations.  :func:`leibcrit.moment.hermitian_derivations`
+    satisfies ``|a.mu| <= tol * |mu|``.  They are taken from the SVD of the
+    (n^2, n^2) factor R of A = QR, which has the same singular values and
+    right singular vectors as A.  For the zero bracket all n^2 elementary
+    maps are derivations.  :func:`leibcrit.moment.hermitian_derivations`
     solves for the Hermitian ones directly.
     """
     _check_tol(tol)
     n = mu.dim
     if n == 0:
         return []
-    null = _nullspace(_action_matrix(mu), abs_tol=tol * mu.norm)
+    r = np.linalg.qr(_action_matrix(mu), mode="r")
+    null = _nullspace(r, abs_tol=tol * mu.norm)
     return [null[:, j].reshape(n, n) for j in range(null.shape[1])]
 
 

@@ -215,6 +215,7 @@ class TestFlowCommand:
         doc = json.loads(out)
         assert doc["flow"]["converged"]
         assert doc["final"]["moment"]["F"] == pytest.approx(4.0 / 3.0, abs=1e-6)
+        assert 1.0 <= doc["flow"]["cond_g"] < 10.0 and doc["flow"]["message"] == ""
 
     def test_perturb_flag(self, tmp_path, capsys):
         path = tmp_path / "s2.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from leibcrit.bracket import Bracket, check_identities
-from leibcrit.catalog import get
+from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.moment import critical_type, critical_value_formula, criticality_decompose
 
@@ -81,13 +81,25 @@ class TestDescend:
         assert tr.final_bracket.norm == pytest.approx(1.0, abs=1e-12)
 
     def test_closure_limit_flagged(self):
-        # this orbit contains no critical point: the converged limit lives in
-        # a boundary orbit and the trace must say so
-        s6 = get("S6").bracket
-        tr = descend(s6)
+        # these orbits contain no critical point: the converged limit lives in
+        # a boundary orbit, reached only as G degenerates, and the trace must
+        # say so (S6 ends at cond(G) 8.7e7, S8 at 3.0e8)
+        for name in ("S6", "S8"):
+            tr = descend(get(name).bracket)
+            assert tr.converged
+            assert "closure" in tr.message
+            assert tr.cond_g > 1e4
+            assert tr.final_report.F == pytest.approx(4.0, abs=1e-6)
+
+    def test_l4_stays_lie_without_a_type(self):
+        # L4's orbit has no critical point and F tends to its infimum 4: the
+        # descent must not cross to a lower F (the coefficient-space descent
+        # reached (0;3) at F = 4/3 from L4+0.3/seed0) or to another class
+        tr = descend(get("L4").bracket)
         assert tr.converged
-        assert "closure" in tr.message
+        assert check_identities(tr.final_bracket).is_lie
         assert tr.final_report.F == pytest.approx(4.0, abs=1e-6)
+        assert tr.final_report.type is None
 
     def test_already_critical_has_no_caveat(self):
         tr = descend(get("S1").bracket)
@@ -151,28 +163,83 @@ def test_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_descend_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from leibcrit import descend, get; "
+            "assert descend(get('L5').bracket).converged; sys.exit('scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def filiform(n: int) -> Bracket:
     """m0(n): the filiform Lie algebra [e1, ei] = e(i+1)."""
     return Bracket.from_entries(n, {(1, i, i + 1): 1 for i in range(2, n)}, antisymmetrize=True)
 
 
-#: Descents that stay in their orbit, with their exact step counts and limit
-#: types.  A kernel that changes a trajectory shows here first.
+M0_TYPES = {
+    5: "(2<9<11<13<15;1,1,1,1,1)",
+    6: "(1<9<10<11<12<13;1,1,1,1,1,1)",
+    7: "(1<16<17<18<19<20<21;1,1,1,1,1,1,1)",
+    8: "(1<26<27<28<29<30<31<32;1,1,1,1,1,1,1,1)",
+}
+
+#: Descents with their exact step counts and limit types: the perfbench
+#: starts.  A kernel that changes a trajectory shows here first.  The
+#: perturbed L3, S7 and m0 starts are the ones a descent in coefficient
+#: space carried out of their orbit, to type (0;n).
 PINNED_DESCENTS = [
-    ("L5", lambda: get("L5").bracket, 33, "(0;3)"),
-    ("S3(beta=1)", lambda: get("S3", {"beta": 1}).bracket, 99, "(1<2;2,1)"),
-    ("S2+0.3/seed1", lambda: perturb_in_orbit(get("S2").bracket, 0.3, 1), 66, "(1<2;2,1)"),
-    ("m0(5)", lambda: filiform(5), 68, "(2<9<11<13<15;1,1,1,1,1)"),
-    ("m0(6)", lambda: filiform(6), 134, "(1<9<10<11<12<13;1,1,1,1,1,1)"),
-    ("m0(7)", lambda: filiform(7), 229, "(1<16<17<18<19<20<21;1,1,1,1,1,1,1)"),
-    ("m0(8)", lambda: filiform(8), 359, "(1<26<27<28<29<30<31<32;1,1,1,1,1,1,1,1)"),
+    ("L5", lambda: get("L5").bracket, 7, "(0;3)"),
+    ("S3(beta=1)", lambda: get("S3", {"beta": 1}).bracket, 7, "(1<2;2,1)"),
+    ("S2+0.3/seed1", lambda: perturb_in_orbit(get("S2").bracket, 0.3, 1), 5, "(1<2;2,1)"),
+    ("L3(alpha=2)+0.5/seed1",
+     lambda: perturb_in_orbit(get("L3", {"alpha": 2}).bracket, 0.5, 1), 4, "(0<1;1,2)"),
+    ("S7(alpha=2)+0.5/seed1",
+     lambda: perturb_in_orbit(get("S7", {"alpha": 2}).bracket, 0.5, 1), 24, "(0<1;1,2)"),
+    ("m0(5)", lambda: filiform(5), 5, M0_TYPES[5]),
+    ("m0(6)", lambda: filiform(6), 5, M0_TYPES[6]),
+    ("m0(7)", lambda: filiform(7), 10, M0_TYPES[7]),
+    ("m0(8)", lambda: filiform(8), 14, M0_TYPES[8]),
+    ("m0(5)+0.5/seed2", lambda: perturb_in_orbit(filiform(5), 0.5, 2), 13, M0_TYPES[5]),
+    ("m0(6)+0.5/seed2", lambda: perturb_in_orbit(filiform(6), 0.5, 2), 19, M0_TYPES[6]),
+    ("m0(7)+0.5/seed2", lambda: perturb_in_orbit(filiform(7), 0.5, 2), 30, M0_TYPES[7]),
+    ("m0(8)+0.5/seed2", lambda: perturb_in_orbit(filiform(8), 0.5, 2), 27, M0_TYPES[8]),
 ]
 
 
 @pytest.mark.parametrize("start, steps, type_",
                          [pytest.param(s, k, t, id=label) for label, s, k, t in PINNED_DESCENTS])
 def test_pinned_descent(start, steps, type_):
-    tr = descend(start())
+    mu = start()
+    tr = descend(mu)
     assert tr.converged
     assert tr.iterations == steps
     assert str(critical_type(tr.final_report.D)) == type_
+    assert tr.message == "" and tr.cond_g < 10.0
+    assert identity_flags(tr.final_bracket) == identity_flags(mu)
+
+
+def identity_flags(mu: Bracket) -> tuple[bool, bool, bool]:
+    idr = check_identities(mu)
+    return idr.is_left_leibniz, idr.is_right_leibniz, idr.is_lie
+
+
+def sweep_entries() -> list:
+    """Every critical standard row, and the three families at n = 5 and 6."""
+    entries = [e for e in standard_rows() if e.expected_type is not None]
+    entries += [get(name, n=n) for name in ("mu_hy", "mu_he", "mu_sy") for n in (5, 6)]
+    return [pytest.param(e, id=e.label) for e in entries]
+
+
+@pytest.mark.parametrize("entry", sweep_entries())
+def test_perturbed_starts_reach_their_type(entry):
+    # 32 entries x 2 magnitudes x 4 seeds = 256 descents, 1,190 steps in all;
+    # the coefficient-space descent got 150 of them right in 62,659 steps
+    for magnitude in (0.3, 0.5):
+        for seed in range(4):
+            mu = perturb_in_orbit(entry.bracket, magnitude, seed)
+            tr = descend(mu)
+            label = f"{entry.label}+{magnitude}/seed{seed}"
+            assert tr.converged, label
+            assert tr.final_report.type == entry.expected_type, label
+            assert identity_flags(tr.final_bracket) == identity_flags(mu), label
+            assert tr.message == "" and tr.cond_g < 10.0, label

@@ -1,22 +1,34 @@
 """The tensor kernels against their einsum references.
 
-``check_identities``, ``inf_act``, ``moment_matrix``, the adjoint of
-``inf_act`` used by the criticality cross-check, ``subspace_product`` and
-the structure checks' ``_outside`` are matrix products of reshaped
-coefficient tensors.  The ``reference_*`` helpers below keep their former
-einsum forms; each kernel must agree with its reference to
-1e-13 * max(1, |ref|) on the catalog, the three families at n = 3..12 in
-the catalog basis and under a seeded unitary, random non-Leibniz products,
-the zero bracket and n = 0.
+``check_identities``, ``inf_act``, ``gl_act``, ``moment_matrix``, the
+adjoint of ``inf_act`` used by the criticality cross-check,
+``subspace_product`` and the structure checks' ``_outside`` are matrix
+products of reshaped coefficient tensors.  The ``reference_*`` helpers
+below keep their former einsum forms; each kernel must agree with its
+reference to 1e-13 * max(1, |ref|) on the catalog, the three families at
+n = 3..12 in the catalog basis and under a seeded unitary, random
+non-Leibniz products, the zero bracket and n = 0.
+
+The derivation solve builds the matrix of a -> a.mu by index assignment
+and takes the SVD of its triangular factor; it must reproduce the einsum
+matrix exactly and the dense SVD's null space to 1e-10.
 """
 
 import numpy as np
 import pytest
 
-from helpers import random_bracket, random_hermitian, random_unitary
+from helpers import random_bracket, random_hermitian, random_invertible, random_unitary
 from leibcrit.bracket import Bracket, _max_defect_norm, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
-from leibcrit.linalg import Subspace, _products, subspace_product
+from leibcrit.linalg import (
+    RANK_RTOL,
+    Subspace,
+    _action_matrix,
+    _nullspace,
+    _products,
+    derivation_space,
+    subspace_product,
+)
 from leibcrit.moment import _inf_act_adjoint, moment_matrix
 from leibcrit.structure import _outside
 
@@ -58,6 +70,25 @@ def reference_inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
         - np.einsum("iqk,ipk->pq", r, c_conj)
     )
     return 0.5 * (x + x.conj().T)
+
+
+def reference_gl_act(g: np.ndarray, mu: Bracket) -> np.ndarray:
+    ginv = np.linalg.inv(g)
+    return np.einsum("ai,bj,kc,abc->ijk", ginv, ginv, g, mu.coeffs, optimize=True)
+
+
+def reference_action_matrix(mu: Bracket) -> np.ndarray:
+    n, c, eye = mu.dim, mu.coeffs, np.eye(mu.dim)
+    op = np.einsum("kp,ijq->ijkpq", eye, c)
+    op -= np.einsum("qi,pjk->ijkpq", eye, c)
+    op -= np.einsum("qj,ipk->ijkpq", eye, c)
+    return op.reshape(n**3, n * n)
+
+
+def reference_derivation_projector(mu: Bracket) -> np.ndarray:
+    """Projector onto the derivations, from the dense SVD of the (n^3, n^2) matrix."""
+    null = _nullspace(reference_action_matrix(mu), abs_tol=RANK_RTOL * mu.norm)
+    return null @ null.conj().T
 
 
 def reference_moment_matrix(mu: Bracket) -> np.ndarray:
@@ -145,6 +176,35 @@ def test_inf_act_matches_reference(mu):
     for a in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
               random_hermitian(n, rng), np.eye(n)):
         assert_close(inf_act(a, mu).coeffs, reference_inf_act(a.astype(complex), mu))
+
+
+@pytest.mark.parametrize("mu", [case for case in CASES if case.values[0].dim])
+def test_gl_act_matches_reference(mu):
+    rng = case_rng(mu)
+    n = mu.dim
+    for g in (random_unitary(n, rng), random_invertible(n, rng), 2.0 * np.eye(n)):
+        assert_close(gl_act(g, mu).coeffs, reference_gl_act(g.astype(complex), mu))
+
+
+@pytest.mark.parametrize("mu", CASES)
+def test_action_matrix_matches_reference(mu):
+    np.testing.assert_array_equal(_action_matrix(mu), reference_action_matrix(mu))
+
+
+def derivation_cases() -> list:
+    cases = [pytest.param(e.bracket, id=f"row-{i}-{e.label}") for i, e in enumerate(standard_rows())]
+    for name in ("mu_hy", "mu_he", "mu_sy"):
+        cases += [pytest.param(get(name, n=n).bracket, id=f"{name}({n})") for n in range(3, 9)]
+    return cases
+
+
+@pytest.mark.parametrize("mu", derivation_cases())
+def test_derivation_space_matches_dense_svd(mu):
+    ders = derivation_space(mu)
+    ref = reference_derivation_projector(mu)
+    basis = np.array([d.ravel() for d in ders]).reshape(-1, mu.dim**2).T
+    assert basis.shape[1] == round(np.trace(ref).real)
+    assert float(np.linalg.norm(basis @ basis.conj().T - ref)) <= 1e-10
 
 
 @pytest.mark.parametrize("mu", CASES)

@@ -39,7 +39,6 @@ from .moment import (
     critical_value_formula,
     criticality_decompose,
     functional_value,
-    hermitian_derivations,
     moment_matrix,
 )
 from .structure import (
@@ -74,7 +73,7 @@ __all__ = [
     "right_op", "subspace_product",
     "CriticalType", "IrrationalTypeError", "MomentReport", "critical_type",
     "critical_value_formula", "criticality_decompose", "functional_value",
-    "hermitian_derivations", "moment_matrix",
+    "moment_matrix",
     "GradingDecomposition", "StructureProfile", "StructureVerdict",
     "grading_decomposition", "structure_profile", "verify_structure_theorem",
     "FlowTrace", "descend", "perturb_in_orbit",

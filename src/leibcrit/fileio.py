@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from typing import Any
 
 import numpy as np
@@ -106,13 +107,16 @@ def bracket_from_dict(doc: Any) -> tuple[Bracket, dict]:
     return Bracket(dim, c), meta
 
 
-def load_algebra(path) -> tuple[Bracket, dict]:
+def _read_json(path) -> Any:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"{path}: invalid JSON ({exc})") from None
-    return bracket_from_dict(doc)
+
+
+def load_algebra(path) -> tuple[Bracket, dict]:
+    return bracket_from_dict(_read_json(path))
 
 
 def _is_number(x: Any) -> bool:
@@ -161,15 +165,9 @@ def load_extension_spec(path):
     ``semisimple`` and ``center`` are 1-based.  ``core_report`` is left
     None, so the builder certifies the core at its own tolerance.
     """
-    import os
-
     from .extensions import ExtensionSpec
 
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise AlgebraFileError(f"{path}: invalid JSON ({exc})") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise AlgebraFileError("extension spec must be a JSON object")
     core_doc = doc.get("core")

@@ -157,16 +157,30 @@ def perturb_in_orbit(mu: Bracket, magnitude: float, seed: int) -> Bracket:
         )
     if magnitude == 0.0:
         return mu
-    import scipy.linalg  # here, so that importing the package does not load scipy
-
     rng = np.random.default_rng(seed)
     n = mu.dim
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a *= magnitude / np.linalg.norm(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = scipy.linalg.expm(a)
+        g = _expm(a)
     cond = float(np.linalg.cond(g)) if np.isfinite(g).all() else math.inf
     if cond > _ORBIT_COND:
         raise ValueError(f"perturbation magnitude {magnitude!r} is too large: the move has"
                          f" condition number {cond:.3g} (at most {_ORBIT_COND:.0e})")
     return gl_act(g, mu)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring (Higham 2005): the degree-18 Taylor sum
+    of a / 2^s, whose 1-norm is at most 1/2, truncates at about
+    0.5^19 / 19! ~ 1.6e-23, then s squarings.  An a whose 1-norm overflows
+    gives a non-finite result."""
+    s = max(0, math.frexp(float(np.linalg.norm(a, 1)))[1] + 1)  # |a|_1 < 2^(s - 1)
+    x = a * math.ldexp(1.0, -s)
+    e = term = np.eye(a.shape[0], dtype=a.dtype)
+    for k in range(1, 19):
+        term = term @ x / k
+        e = e + term
+    for _ in range(s):
+        e = e @ e
+    return e

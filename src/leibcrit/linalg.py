@@ -114,8 +114,7 @@ def derivation_space(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
     satisfies ``|a.mu| <= tol * |mu|``.  They are taken from the SVD of the
     (n^2, n^2) factor R of A = QR, which has the same singular values and
     right singular vectors as A.  For the zero bracket all n^2 elementary
-    maps are derivations.  :func:`leibcrit.moment.hermitian_derivations`
-    solves for the Hermitian ones directly.
+    maps are derivations.
     """
     _check_tol(tol)
     n = mu.dim

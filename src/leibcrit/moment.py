@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .bracket import Bracket, _check_tol, inf_act, inner_product
-from .linalg import RANK_RTOL, _action_matrix, cluster_values, hermitian_eigen
+from .linalg import cluster_values, hermitian_eigen
 
 __all__ = [
     "MomentReport",
@@ -36,7 +37,6 @@ __all__ = [
     "criticality_decompose",
     "critical_type",
     "critical_value_formula",
-    "hermitian_derivations",
     "DEFAULT_CRITICAL_TOL",
     "DEFAULT_TYPE_TOL",
     "DEFAULT_MAX_DENOMINATOR",
@@ -120,9 +120,9 @@ class MomentReport:
     is_critical: bool
     tol: float
 
-    @property
+    @cached_property
     def type(self) -> CriticalType | None:
-        """Critical type of ``D`` from :func:`critical_type`, recomputed on each read;
+        """Critical type of ``D`` from :func:`critical_type`, computed on the first read;
         None when the report is not critical or the spectrum of ``D`` is not rational."""
         if not self.is_critical:
             return None
@@ -149,49 +149,6 @@ def functional_value(mu: Bracket) -> float:
         raise ValueError("the zero bracket has no projective class")
     m = moment_matrix(mu)
     return float(np.vdot(m, m).real) / nsq**2
-
-
-def _hermitian_coords(m: np.ndarray, n: int) -> np.ndarray:
-    """Columns of m recombined from elementary maps to the Hermitian basis.
-
-    The columns of m are indexed by the elementary maps E_pq (column
-    ``p * n + q``).  The result has one column per element of the fixed
-    basis E_pp, (E_pq + E_qp)/sqrt(2), i(E_pq - E_qp)/sqrt(2) (p < q) of the
-    Hermitian n x n maps, which is orthonormal under Re tr(a b*); applied
-    to the identity it gives that basis itself.
-    """
-    p, q = np.triu_indices(n, 1)
-    upper, lower = m[:, p * n + q], m[:, q * n + p]
-    r = math.sqrt(0.5)
-    return np.hstack([m[:, :: n + 1], r * (upper + lower), 1j * r * (upper - lower)])
-
-
-def hermitian_derivations(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
-    """Real-orthonormal basis of the Hermitian derivations of mu.
-
-    One real-linear solve over the n^2 real coordinates of Hermitian maps:
-    the operator a -> a.mu is taken in a fixed real-orthonormal basis of
-    the Hermitian maps, its real and imaginary parts are stacked into a
-    (2 n^3, n^2) real matrix, and the right singular vectors of a thin SVD
-    with singular value at most ``tol * |mu|`` are kept.  Every returned map
-    a is Hermitian and satisfies ``|a.mu| <= tol * |mu| * |a|``; the maps
-    are orthonormal under the real trace pairing Re tr(a b*).  For the zero
-    bracket all n^2 basis maps are returned.
-
-    The solve costs O(n^7) and nothing in the library calls it; the tests
-    use it as the SVD reference of the matrix-free cross-check in
-    :func:`criticality_decompose`.
-    """
-    _check_tol(tol)
-    n = mu.dim
-    if n == 0:
-        return []
-    op = _hermitian_coords(_action_matrix(mu), n)
-    _, s, vh = np.linalg.svd(np.vstack([op.real, op.imag]), full_matrices=False)
-    null = vh[s <= tol * mu.norm]
-    basis = _hermitian_coords(np.eye(n * n, dtype=complex), n)
-    maps = basis @ null.T
-    return [maps[:, j].reshape(n, n) for j in range(maps.shape[1])]
 
 
 #: CGLS stops once |A* r| <= _CGLS_RTOL |A* b|.

@@ -19,7 +19,6 @@ MODULES = (bracket, catalog, extensions, flow, linalg, moment, structure)
 TOL_DEFAULTS = {
     "check_identities": DEFAULT_IDENTITY_TOL,
     "derivation_space": RANK_RTOL,
-    "hermitian_derivations": RANK_RTOL,
     "criticality_decompose": DEFAULT_CRITICAL_TOL,
     "verify_structure_theorem": DEFAULT_CRITICAL_TOL,
     "descend": DEFAULT_CRITICAL_TOL,

@@ -19,7 +19,7 @@ from leibcrit.bracket import (
 from leibcrit.catalog import get
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import derivation_space
-from leibcrit.moment import criticality_decompose, hermitian_derivations
+from leibcrit.moment import criticality_decompose
 
 E2 = np.eye(2)
 E3 = np.eye(3)
@@ -212,7 +212,6 @@ class TestIdentities:
 TOL_CHECKED = {
     "check_identities": check_identities,
     "derivation_space": derivation_space,
-    "hermitian_derivations": hermitian_derivations,
     "criticality_decompose": criticality_decompose,
     "descend": descend,
 }

@@ -128,6 +128,19 @@ class TestAnalyzeCommand:
         assert doc["structure_checks"]["restricted_type"] == "(3<5<6;1,1,1)"
         assert doc["structure"]["derived_dims"] == [3, 1, 0]
 
+    def test_computes_the_type_once_per_report(self, tmp_path, capsys, monkeypatch):
+        # one call types the certificate of S2, one the re-certified l_+
+        import leibcrit.moment as moment
+
+        calls = []
+        real = moment.critical_type
+        monkeypatch.setattr(moment, "critical_type", lambda d: calls.append(d) or real(d))
+        path = tmp_path / "s2.json"
+        save_algebra(path, get("S2").bracket, name="S2")
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and "(1<2;2,1)" in out
+        assert len(calls) == 2
+
     def test_deterministic(self, tmp_path, capsys):
         path = tmp_path / "l1.json"
         save_algebra(path, get("L1").bracket)

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from leibcrit.bracket import Bracket, check_identities
 from leibcrit.catalog import get, standard_rows
-from leibcrit.flow import descend, perturb_in_orbit
+from leibcrit.flow import _expm, descend, perturb_in_orbit
 from leibcrit.moment import critical_type, critical_value_formula, criticality_decompose
 
 
@@ -156,19 +157,49 @@ class TestPerturbInOrbit:
             perturb_in_orbit(get("L5").bracket, magnitude, seed=0)
 
 
-def test_import_does_not_load_scipy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, leibcrit; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+#: Scripts that must run without loading scipy; sys.argv[1] is a scratch file.
+NO_SCIPY_CASES = {
+    "import": "import leibcrit",
+    "descend": "from leibcrit import descend, get; assert descend(get('L5').bracket).converged",
+    "perturb": ("from leibcrit import get, perturb_in_orbit;"
+                " perturb_in_orbit(get('S2').bracket, 0.3, seed=1)"),
+    "cli-flow-perturb": ("from leibcrit import cli, get, save_algebra;"
+                         " save_algebra(sys.argv[1], get('S2').bracket);"
+                         " assert cli.run(['flow', sys.argv[1], '--perturb', '0.3']) == 0"),
+}
 
 
-def test_descend_does_not_load_scipy():
+@pytest.mark.parametrize("code", NO_SCIPY_CASES.values(), ids=NO_SCIPY_CASES)
+def test_does_not_load_scipy(code, tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys; from leibcrit import descend, get; "
-            "assert descend(get('L5').bracket).converged; sys.exit('scipy' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    script = f"import sys; {code}; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s2.json")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_expm_matches_scipy(n):
+    # perturb_in_orbit's moves, kept when their condition number is at most 1e4
+    for seed in range(10):
+        for magnitude in (0.01, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a *= magnitude / np.linalg.norm(a)
+            ref = scipy.linalg.expm(a)
+            if np.linalg.cond(ref) > 1e4:
+                continue
+            err = np.linalg.norm(_expm(a) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-13, (seed, magnitude, err)
+
+
+def test_expm_with_overflowing_norm_is_nonfinite():
+    # finite entries whose 1-norm overflows: no OverflowError, so
+    # perturb_in_orbit reads the result as condition number inf
+    a = np.full((3, 3), 1e308, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(_expm(a)).all()
 
 
 def filiform(n: int) -> Bracket:

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import irrational_type_s2, random_bracket, random_hermitian, random_unitary
-from leibcrit.bracket import Bracket, evaluate, gl_act, inf_act, inner_product
+from leibcrit.bracket import Bracket, _check_tol, evaluate, gl_act, inf_act, inner_product
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
-from leibcrit.linalg import _nullspace, derivation_space, trace_pairing
+from leibcrit.linalg import RANK_RTOL, _action_matrix, _nullspace, derivation_space, trace_pairing
 from leibcrit.moment import (
     CriticalType,
     MomentReport,
@@ -21,7 +21,6 @@ from leibcrit.moment import (
     critical_value_formula,
     criticality_decompose,
     functional_value,
-    hermitian_derivations,
     moment_matrix,
 )
 
@@ -48,6 +47,48 @@ def moment_entrywise(mu: Bracket) -> np.ndarray:
                     t3 += prods[v, i][j] * np.conj(prods[u, i][j])
             m[u, v] = 2.0 * (t1 - t2 - t3)
     return m
+
+
+def _hermitian_coords(m: np.ndarray, n: int) -> np.ndarray:
+    """Columns of m recombined from elementary maps to the Hermitian basis.
+
+    The columns of m are indexed by the elementary maps E_pq (column
+    ``p * n + q``).  The result has one column per element of the fixed
+    basis E_pp, (E_pq + E_qp)/sqrt(2), i(E_pq - E_qp)/sqrt(2) (p < q) of the
+    Hermitian n x n maps, which is orthonormal under Re tr(a b*); applied
+    to the identity it gives that basis itself.
+    """
+    p, q = np.triu_indices(n, 1)
+    upper, lower = m[:, p * n + q], m[:, q * n + p]
+    r = math.sqrt(0.5)
+    return np.hstack([m[:, :: n + 1], r * (upper + lower), 1j * r * (upper - lower)])
+
+
+def hermitian_derivations(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
+    """Real-orthonormal basis of the Hermitian derivations of mu.
+
+    One real-linear solve over the n^2 real coordinates of Hermitian maps:
+    the operator a -> a.mu is taken in a fixed real-orthonormal basis of
+    the Hermitian maps, its real and imaginary parts are stacked into a
+    (2 n^3, n^2) real matrix, and the right singular vectors of a thin SVD
+    with singular value at most ``tol * |mu|`` are kept.  Every returned map
+    a is Hermitian and satisfies ``|a.mu| <= tol * |mu| * |a|``; the maps
+    are orthonormal under the real trace pairing Re tr(a b*).  For the zero
+    bracket all n^2 basis maps are returned.
+
+    The solve costs O(n^7); it is the SVD reference of the matrix-free
+    cross-check in :func:`criticality_decompose`.
+    """
+    _check_tol(tol)
+    n = mu.dim
+    if n == 0:
+        return []
+    op = _hermitian_coords(_action_matrix(mu), n)
+    _, s, vh = np.linalg.svd(np.vstack([op.real, op.imag]), full_matrices=False)
+    null = vh[s <= tol * mu.norm]
+    basis = _hermitian_coords(np.eye(n * n, dtype=complex), n)
+    maps = basis @ null.T
+    return [maps[:, j].reshape(n, n) for j in range(maps.shape[1])]
 
 
 def reference_hermitian_derivations(mu: Bracket, tol: float) -> list[np.ndarray]:

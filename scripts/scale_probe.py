@@ -8,8 +8,11 @@ Runs in process from the ``src`` directory next to this script.  The
 first table covers mu_hy, mu_he and mu_sy at n = 8, 12, 16 and 20, in the
 catalog basis and rotated by a seeded random unitary: the best-of-3 wall
 time of one ``criticality_decompose`` call, the peak of memory
-``tracemalloc`` traces during a fourth call, and the iteration counts of
-the two CGLS solves of the cross-check (for M and for I).  The second
+``tracemalloc`` traces during a fourth call, and the iteration count of
+the cross-check's one CGLS solve.  These critical families take 0
+iterations, so the table ends with two non-critical rows that run the
+loop: the perturbed filiform m0(8)+0.5/seed2 and the closure limit of the
+descent from L4.  The second
 table gives the same time and peak for each layer -- ``check_identities``,
 ``inf_act`` (of the moment matrix), ``moment_matrix``,
 ``subspace_product(full, full)`` and ``structure_profile`` -- on mu_he(n)
@@ -68,12 +71,11 @@ def timed(call) -> tuple[float, float]:
     return best, peak / 1e6
 
 
-def probe(mu) -> tuple[float, float, int, int]:
-    """(best-of-3 seconds, traced peak in MB, CGLS iterations for M and for I)."""
+def probe(mu) -> tuple[float, float, int]:
+    """(best-of-3 seconds, traced peak in MB, CGLS iterations)."""
     secs, peak = timed(lambda: criticality_decompose(mu))
-    _, it_m = _row_space_projection(moment_matrix(mu), mu)
-    _, it_i = _row_space_projection(np.eye(mu.dim, dtype=complex), mu)
-    return secs, peak, it_m, it_i
+    _, iters = _row_space_projection(moment_matrix(mu), mu)
+    return secs, peak, iters
 
 
 def layers(mu) -> dict:
@@ -131,15 +133,17 @@ def descent_row(mu) -> tuple[int, int, float, float]:
 
 
 def main() -> int:
-    print(f"{'algebra':10s} {'n':>3s} {'basis':8s} {'best ms':>9s} {'peak MB':>8s}"
-          f" {'iter M':>6s} {'iter I':>6s}")
+    print(f"{'algebra':16s} {'n':>3s} {'basis':9s} {'best ms':>9s} {'peak MB':>8s} {'CGLS':>5s}")
+    rows = []
     for name in FAMILIES:
         for n in SIZES:
             mu = get(name, n=n).bracket
-            for basis, alg in (("catalog", mu), ("rotated", gl_act(_unitary(n, n), mu))):
-                secs, peak, it_m, it_i = probe(alg)
-                print(f"{name:10s} {n:3d} {basis:8s} {secs * 1e3:9.2f} {peak:8.2f}"
-                      f" {it_m:6d} {it_i:6d}")
+            rows += [(name, "catalog", mu), (name, "rotated", gl_act(_unitary(n, n), mu))]
+    rows.append(("m0(8)+0.5/seed2", "perturbed", flow.perturb_in_orbit(filiform(8), 0.5, 2)))
+    rows.append(("limit of L4", "limit", flow.descend(get("L4").bracket).final_bracket))
+    for name, basis, mu in rows:
+        secs, peak, iters = probe(mu)
+        print(f"{name:16s} {mu.dim:3d} {basis:9s} {secs * 1e3:9.2f} {peak:8.2f} {iters:5d}")
     print()
     print(f"{'layer (mu_he rotated)':22s} {'n':>3s} {'best ms':>9s} {'peak MB':>8s}")
     for n in LAYER_SIZES:

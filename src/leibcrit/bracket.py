@@ -14,6 +14,7 @@ unitary subgroup of the GL(n) action implemented by :func:`gl_act`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -94,7 +95,15 @@ class Bracket:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq)
+        nsq = self.norm_sq
+        if sys.float_info.min <= nsq < math.inf:
+            return math.sqrt(nsq)
+        # |mu|^2 overflowed or lost precision to underflow: scale by max |c| first
+        big = float(np.abs(self.coeffs).max(initial=0.0))
+        if big == 0.0:
+            return 0.0
+        x = self.coeffs / big
+        return big * math.sqrt(float(np.vdot(x, x).real))
 
     @property
     def is_zero(self) -> bool:

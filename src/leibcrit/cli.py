@@ -29,7 +29,7 @@ from .fileio import (
     save_algebra,
 )
 from .flow import descend, perturb_in_orbit
-from .moment import DEFAULT_CRITICAL_TOL, criticality_decompose
+from .moment import DEFAULT_CRITICAL_TOL, MomentReport, criticality_decompose
 from .structure import structure_profile, verify_structure_theorem
 
 
@@ -101,9 +101,9 @@ def _parse_params(items: list[str]) -> dict:
     return out
 
 
-def _analysis_document(mu: Bracket, meta: dict, tol: float) -> dict:
+def _analysis_document(mu: Bracket, meta: dict, rep: MomentReport) -> dict:
+    """The analysis of mu, given its criticality certificate ``rep``."""
     idr = check_identities(mu)
-    rep = criticality_decompose(mu, tol)
     prof = structure_profile(mu)
     doc = {
         "algebra": {"dim": mu.dim, **meta},
@@ -113,7 +113,7 @@ def _analysis_document(mu: Bracket, meta: dict, tol: float) -> dict:
         "structure_checks": None,
     }
     if rep.type is not None and idr.is_symmetric_leibniz:
-        doc["structure_checks"] = report_dict(verify_structure_theorem(mu, rep, tol))
+        doc["structure_checks"] = report_dict(verify_structure_theorem(mu, rep))
     return doc
 
 
@@ -200,7 +200,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_analyze(args) -> int:
     mu, meta = load_algebra(args.file)
-    doc = _analysis_document(mu, meta, args.tol)
+    doc = _analysis_document(mu, meta, criticality_decompose(mu, args.tol))
     _emit_analysis(doc, args.format == "json")
     return 0
 
@@ -210,7 +210,7 @@ def _cmd_flow(args) -> int:
     if args.perturb:
         mu = perturb_in_orbit(mu, args.perturb, args.seed)
     trace = descend(mu, args.tol)
-    final_doc = _analysis_document(trace.final_bracket, meta, args.tol)
+    final_doc = _analysis_document(trace.final_bracket, meta, trace.final_report)
     flow_doc = {
         "iterations": trace.iterations,
         "converged": trace.converged,

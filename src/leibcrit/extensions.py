@@ -25,9 +25,10 @@ and its criticality, constant and type are re-certified from scratch
 before it is returned.
 
 A clearly-labeled degenerate mode accepts the zero core (abelian
-nilradical) when the caller supplies the intended scalar derivation
-``core_scale`` and constant ``core_c`` explicitly; the conclusion then
-rests entirely on the final certification.
+nilradical) when the caller supplies the intended constant ``core_c``
+explicitly; its derivation is the identity, whose positive multiples
+commute with every map alike.  The conclusion then rests entirely on the
+final certification.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class ExtensionSpec:
     Lie bracket of the reductive extending algebra with ``semisimple`` and
     ``center`` naming the (0-based) generator indices of the two summands.
     The degenerate abelian-core mode sets ``core`` to the zero bracket and
-    supplies ``core_scale`` (D = scale * I) and ``core_c`` explicitly.
+    supplies ``core_c`` explicitly (the core derivation is D = I).
     """
 
     core: Bracket
@@ -109,7 +110,6 @@ class ExtensionSpec:
     f_bracket: Bracket | None = None
     semisimple: tuple[int, ...] = ()
     center: tuple[int, ...] = ()
-    core_scale: float | None = None
     core_c: float | None = None
 
     def __post_init__(self) -> None:
@@ -130,21 +130,18 @@ class ExtensionSpec:
 
     @property
     def degenerate_core(self) -> bool:
-        return self.core_scale is not None or self.core_c is not None
+        return self.core_c is not None
 
 
 def _core_data(spec: ExtensionSpec, tol: float) -> tuple[np.ndarray, float, CriticalType]:
     """The core derivation, constant and type, honoring the degenerate mode."""
     m = spec.core.dim
     if spec.degenerate_core:
-        if spec.core_scale is None or spec.core_c is None:
-            raise ValueError("degenerate mode needs both core_scale and core_c")
         if not spec.core.is_zero:
             raise ValueError("degenerate mode requires the zero core")
-        if not (spec.core_scale > 0 and spec.core_c < 0):
-            raise ValueError("degenerate mode needs core_scale > 0 and core_c < 0")
-        d = spec.core_scale * np.eye(m, dtype=complex)
-        return d, spec.core_c, CriticalType((1,), (m,))
+        if not spec.core_c < 0:
+            raise ValueError("degenerate mode needs core_c < 0")
+        return np.eye(m, dtype=complex), spec.core_c, CriticalType((1,), (m,))
     rep = spec.core_report
     if rep is None:
         rep = criticality_decompose(spec.core, tol)

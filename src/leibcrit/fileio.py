@@ -160,7 +160,7 @@ def load_extension_spec(path):
 
     The core is given as ``{"catalog": NAME}``, ``{"file": PATH}`` (relative
     to the document's directory), an inline ``{"algebra": {...}}``, or the degenerate
-    ``{"abelian": {"dim": m, "scale": s, "c": c}}``.  Matrices are lists of
+    ``{"abelian": {"dim": m, "c": c}}``.  Matrices are lists of
     rows whose cells are numbers or [re, im] pairs; generator index lists
     ``semisimple`` and ``center`` are 1-based.  ``core_report`` is left
     None, so the builder certifies the core at its own tolerance.
@@ -174,15 +174,14 @@ def load_extension_spec(path):
     if not isinstance(core_doc, dict):
         raise AlgebraFileError("'core' must be an object")
 
-    core_scale = core_c = None
+    core_c = None
     if "abelian" in core_doc:
         ab = core_doc["abelian"]
-        if not isinstance(ab, dict) or not {"dim", "scale", "c"} <= set(ab):
-            raise AlgebraFileError("'core.abelian' needs numeric dim, scale and c")
+        if not isinstance(ab, dict) or not {"dim", "c"} <= set(ab):
+            raise AlgebraFileError("'core.abelian' needs numeric dim and c")
         m = ab["dim"]
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise AlgebraFileError(f"'core.abelian.dim'={m!r} must be a positive integer")
-        core_scale = _finite(ab["scale"], "'core.abelian.scale'")
         core_c = _finite(ab["c"], "'core.abelian.c'")
         core = Bracket.zero(m)
     elif "catalog" in core_doc:
@@ -242,7 +241,6 @@ def load_extension_spec(path):
         f_bracket=f_bracket,
         semisimple=semisimple,
         center=center,
-        core_scale=core_scale,
         core_c=core_c,
     )
 

@@ -26,9 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bracket import Bracket, _base_change, _check_tol, gl_act, inf_act, inner_product
+from .bracket import Bracket, _base_change, _check_tol, gl_act
 from .linalg import derivation_space
-from .moment import DEFAULT_CRITICAL_TOL, MomentReport, criticality_decompose, moment_matrix
+from .moment import (
+    DEFAULT_CRITICAL_TOL,
+    MomentReport,
+    _tangent,
+    criticality_decompose,
+    moment_matrix,
+)
 
 __all__ = ["FlowTrace", "descend", "perturb_in_orbit"]
 
@@ -86,9 +92,8 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
         m = moment_matrix(mu)
         norm_m = float(np.linalg.norm(m))
         f = float(np.vdot(m, m).real)  # |mu| = 1
-        v = inf_act(m, mu).coeffs
-        v_perp = v - inner_product(Bracket(n, v), mu) * mu.coeffs
-        res = float(np.linalg.norm(v_perp)) / norm_m
+        v_perp = _tangent(m, mu)
+        res = float(np.linalg.norm(v_perp)) / (norm_m * mu.norm)  # as in the final report
         f_hist.append(f)
         r_hist.append(res)
         if res < tol:

@@ -19,13 +19,14 @@ multiplicities form the critical type, and they determine F through
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .bracket import Bracket, _check_tol, inf_act, inner_product
+from .bracket import Bracket, _check_tol, inf_act
 from .linalg import cluster_values, hermitian_eigen
 
 __all__ = [
@@ -98,15 +99,15 @@ class CriticalType:
 class MomentReport:
     """Moment matrix of a product with its criticality certificate.
 
-    ``residual_tangent`` is the certifying residual: the component of M.mu
-    orthogonal to mu, relative to |M| |mu|.  ``residual_decomp`` is an
+    ``residual_tangent`` is the certifying residual: the component T(M) of
+    M.mu orthogonal to mu, relative to |M| |mu|.  ``residual_decomp`` is an
     independent cross-check: the distance (relative to |M|) from M to
-    span_R{I} + Hermitian derivations, that is min_t |P(M - tI)| / |M| for
-    the projection P onto the row space of a -> a.mu on Hermitian maps.
-    With u = P(M) and w = P(I), each from one CGLS solve started at 0, it
-    is |u - t w| / |M| at t = Re<w, u> / |w|^2.  ``c`` and ``D`` always hold
-    the candidate decomposition M = c I + D with c = tr(M^2)/tr(M); its
-    defect as a derivation is ``derivation_defect = |D.mu| / |mu|``.
+    span_R{I} + Hermitian derivations, which is the kernel of T on
+    Hermitian maps, so the distance is |P(M)| / |M| for the projection P
+    onto the row space of T, from one CGLS solve started at 0.  ``c`` and
+    ``D`` always hold the candidate decomposition M = c I + D with
+    c = tr(M^2)/tr(M); its defect as a derivation is
+    ``derivation_defect = |D.mu| / |mu|``.
     """
 
     M: np.ndarray
@@ -144,20 +145,29 @@ def moment_matrix(mu: Bracket) -> np.ndarray:
 
 def functional_value(mu: Bracket) -> float:
     """F = tr(M^2) / |mu|^4; invariant under scaling and unitary base change."""
-    nsq = mu.norm_sq
-    if nsq == 0.0:
-        raise ValueError("the zero bracket has no projective class")
+    nsq = _norm_sq(mu)
     m = moment_matrix(mu)
     return float(np.vdot(m, m).real) / nsq**2
 
 
-#: CGLS stops once |A* r| <= _CGLS_RTOL |A* b|.
+#: CGLS stops once |T* r| <= _CGLS_RTOL |mu|^2 |x|, the scale of T*T x.
 _CGLS_RTOL = 1e-13
+
+
+def _tangent(a: np.ndarray, mu: Bracket) -> np.ndarray:
+    """T(a): the part of a.mu orthogonal to mu, as a coefficient tensor.
+
+    For Hermitian a, <a.mu, mu> = tr(a M) / 2 is real and I.mu = -mu, so
+    T(a) = 0 exactly when a lies in span_R{I} + Hermitian derivations.
+    """
+    v = inf_act(a, mu).coeffs
+    return v - complex(np.vdot(mu.coeffs, v)) / mu.norm_sq * mu.coeffs
 
 
 def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
     """Adjoint of a -> a.mu on Hermitian maps (Re tr(a b*) pairing) at the
-    coefficient tensor r, given the conjugated coefficients of mu."""
+    coefficient tensor r, given the conjugated coefficients of mu; on r
+    orthogonal to mu it is also the adjoint of :func:`_tangent`."""
     n = r.shape[0]
     x = r.reshape(n * n, n).T @ c_conj.reshape(n * n, n)
     x -= c_conj.reshape(n, n * n) @ r.reshape(n, n * n).T
@@ -166,31 +176,34 @@ def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
 
 
 def _row_space_projection(x: np.ndarray, mu: Bracket) -> tuple[np.ndarray, int]:
-    """Projection of the Hermitian map x onto the row space of a -> a.mu,
-    with the number of CGLS iterations it took.
+    """Projection of the Hermitian map x onto the row space of T =
+    :func:`_tangent`, with the number of CGLS iterations it took.
 
-    CGLS on ``A y = b``, b = A x, started at 0 stays in the row space of A and
-    converges to its min-norm solution, which is that projection; it uses
-    only :func:`~leibcrit.bracket.inf_act` and its adjoint.  Raises
+    CGLS on ``T y = b``, b = T x, started at 0 stays in the row space of T
+    and converges to its min-norm solution, which is that projection; x
+    minus it is the nearest point of span_R{I} + Hermitian derivations.
+    It stops once |T* r| <= ``_CGLS_RTOL`` |mu|^2 |x|, not relative to
+    |T* b|, which is round-off at a critical point.  Raises
     ``numpy.linalg.LinAlgError`` after 2 n^2 + 10 iterations: twice the n^2
     steps it takes in exact arithmetic, plus a margin.
     """
     cap = 2 * mu.dim**2 + 10
     c_conj = mu.coeffs.conj()
+    scale = mu.norm_sq * float(np.linalg.norm(x))
     y = np.zeros_like(x)
-    r = inf_act(x, mu).coeffs
+    r = _tangent(x, mu)
     s = _inf_act_adjoint(r, c_conj)
-    gamma0 = gamma = float(np.vdot(s, s).real)
+    gamma = float(np.vdot(s, s).real)
     p = s
     it = 0
-    while gamma > _CGLS_RTOL**2 * gamma0:
+    while gamma > (_CGLS_RTOL * scale) ** 2:
         if it == cap:
             raise np.linalg.LinAlgError(
                 f"CGLS did not converge in {cap} iterations"
-                f" (|A* r| / |A* b| = {math.sqrt(gamma / gamma0):.3g})"
+                f" (|T* r| / (|mu|^2 |x|) = {math.sqrt(gamma) / scale:.3g})"
             )
         it += 1
-        q = inf_act(p, mu).coeffs
+        q = _tangent(p, mu)
         alpha = gamma / float(np.vdot(q, q).real)
         y = y + alpha * p
         r = r - alpha * q
@@ -200,14 +213,22 @@ def _row_space_projection(x: np.ndarray, mu: Bracket) -> tuple[np.ndarray, int]:
     return y, it
 
 
+def _norm_sq(mu: Bracket) -> float:
+    """|mu|^2, rejected when mu is zero or |mu|^2 is not a normal float."""
+    if mu.is_zero:
+        raise ValueError("the zero bracket has no projective class")
+    nsq = mu.norm_sq
+    if not sys.float_info.min <= nsq < math.inf:
+        raise ValueError("|mu|^2 is outside the float range; rescale")
+    return nsq
+
+
 def criticality_decompose(
     mu: Bracket, tol: float = DEFAULT_CRITICAL_TOL
 ) -> MomentReport:
     """Compute M, F and the criticality certificate of a nonzero product."""
     _check_tol(tol)
-    nsq = mu.norm_sq
-    if nsq == 0.0:
-        raise ValueError("the zero bracket has no projective class")
+    nsq = _norm_sq(mu)
     m = moment_matrix(mu)
     norm_m = float(np.linalg.norm(m))
     tr_m = float(np.trace(m).real)
@@ -216,18 +237,10 @@ def criticality_decompose(
     c = tr_m2 / tr_m
     d = m - c * np.eye(mu.dim)
     d_defect = inf_act(d, mu).norm / mu.norm
-
-    v = inf_act(m, mu)
-    along = inner_product(v, mu) / nsq
-    v_perp = v.coeffs - along * mu.coeffs
-    residual_tangent = float(np.linalg.norm(v_perp)) / (norm_m * mu.norm)
-
-    # independent residual: |P(M - tI)| minimized over t, P the projection
-    # onto the row space of a -> a.mu on Hermitian maps
+    residual_tangent = float(np.linalg.norm(_tangent(m, mu))) / (norm_m * mu.norm)
+    # independent residual: the distance from M to ker T = span_R{I} + HermDer
     u, _ = _row_space_projection(m, mu)
-    w, _ = _row_space_projection(np.eye(mu.dim, dtype=complex), mu)
-    t = float(np.vdot(w, u).real) / float(np.vdot(w, w).real)
-    residual_decomp = float(np.linalg.norm(u - t * w)) / norm_m
+    residual_decomp = float(np.linalg.norm(u)) / norm_m
 
     return MomentReport(
         M=m,

@@ -27,7 +27,7 @@ from .linalg import (
     _nullspace,
     _products,
 )
-from .moment import DEFAULT_CRITICAL_TOL, CriticalType, MomentReport, criticality_decompose
+from .moment import CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
     "StructureProfile",
@@ -293,18 +293,16 @@ def _lminus_nonnormality(unit: Bracket, lm: Subspace) -> float | None:
     return worst
 
 
-def verify_structure_theorem(
-    mu: Bracket, report: MomentReport, tol: float = DEFAULT_CRITICAL_TOL
-) -> StructureVerdict:
+def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerdict:
     """Check the four structural properties of a symmetric critical point.
 
     Requires ``report.is_critical``, a rational ``report.type``, a
     symmetric Leibniz input and a report of this product: |D.mu| at most
     ``report.tol * |M| * |mu|``, which for mu's own report is its tangent
-    residual.  The restriction of mu to the positive eigenspace of D is
-    re-certified and its type compared against the parent type with the
-    zero entry removed, except in the degenerate abelian case which is only
-    reported.
+    residual.  Every property is checked at ``report.tol``.  The restriction
+    of mu to the positive eigenspace of D is re-certified and its type
+    compared against the parent type with the zero entry removed, except in
+    the degenerate abelian case which is only reported.
     """
     grading = grading_decomposition(report)
     if not check_identities(mu).is_symmetric_leibniz:
@@ -315,7 +313,7 @@ def verify_structure_theorem(
         raise ValueError(
             f"report does not certify this bracket (|D.mu| {defect:.3g} vs {bound:.3g})"
         )
-    unit = mu.normalized()
+    unit, tol = mu.normalized(), report.tol
     l0 = grading.zero_part
     closure = _adjoint_closure(unit, l0, tol)
     *reductive, center = _l0_reductive(unit, l0, tol)

@@ -20,7 +20,6 @@ TOL_DEFAULTS = {
     "check_identities": DEFAULT_IDENTITY_TOL,
     "derivation_space": RANK_RTOL,
     "criticality_decompose": DEFAULT_CRITICAL_TOL,
-    "verify_structure_theorem": DEFAULT_CRITICAL_TOL,
     "descend": DEFAULT_CRITICAL_TOL,
     "verify_catalog": DEFAULT_CRITICAL_TOL,
     "build_solvable_extension": DEFAULT_CRITICAL_TOL,
@@ -36,6 +35,7 @@ FIXED_CUTS = {
     structure.center_subspace: ["mu"],
     structure.structure_profile: ["mu"],
     structure.grading_decomposition: ["report"],
+    structure.verify_structure_theorem: ["mu", "report"],
     moment.critical_type: ["d"],
     Bracket.from_entries: ["dim", "entries", "antisymmetrize"],
 }

@@ -16,7 +16,7 @@ from leibcrit.bracket import (
     inf_act,
     inner_product,
 )
-from leibcrit.catalog import get
+from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import derivation_space
 from leibcrit.moment import criticality_decompose
@@ -49,6 +49,15 @@ class TestBracketType:
         assert Bracket.zero(3).norm_sq == 0.0
         assert Bracket.zero(3).is_zero
         assert LIE2.norm_sq > 0 and not LIE2.is_zero
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
+    def test_norm_outside_the_range_of_norm_sq(self, scale):
+        # |mu|^2 overflows above about 1e154 and underflows below about 1e-162
+        base = random_bracket(3, np.random.default_rng(7))
+        mu = Bracket(3, scale * base.coeffs)
+        assert not 1e-300 < mu.norm_sq < np.inf
+        assert mu.norm == pytest.approx(scale * base.norm, rel=1e-14)
+        assert np.linalg.norm(mu.normalized().coeffs) == pytest.approx(1.0, rel=1e-14)
 
     def test_from_entries_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -181,6 +190,17 @@ class TestIdentities:
         r1 = check_identities(NS2)
         r2 = check_identities(Bracket(2, 77.0 * NS2.coeffs))
         assert r1.right_residual == pytest.approx(r2.right_residual, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e170, 1e300, 1e-170, 1e-300])
+    def test_flags_at_extreme_scales(self, scale):
+        # a product's identity flags do not depend on its scale, also where
+        # |mu|^2 leaves the float range
+        for entry in standard_rows():
+            mu = entry.bracket
+            scaled = check_identities(Bracket(mu.dim, scale * mu.coeffs))
+            ref = check_identities(mu)
+            for flag in ("is_left_leibniz", "is_right_leibniz", "is_symmetric_leibniz", "is_lie"):
+                assert getattr(scaled, flag) == getattr(ref, flag), (entry.label, flag)
 
     def test_lie_implies_leibniz_residuals(self, rng):
         # anticommutativity + Jacobi residuals below tol force both Leibniz

@@ -16,6 +16,7 @@ from leibcrit.fileio import (
     load_extension_spec,
     save_algebra,
 )
+from leibcrit.moment import criticality_decompose
 
 
 def run_cli(capsys, *argv):
@@ -98,7 +99,8 @@ class TestAnalyzeCommand:
         loaded_doc = json.loads(out)
         # exporting lost nothing: the in-memory analysis of the catalog
         # bracket serializes to the identical report
-        direct_doc = _analysis_document(entry.bracket, {}, 1e-8)
+        rep = criticality_decompose(entry.bracket, 1e-8)
+        direct_doc = _analysis_document(entry.bracket, {}, rep)
         for section in ("identities", "moment", "structure", "structure_checks"):
             assert json.dumps(loaded_doc[section]) == json.dumps(
                 json.loads(json.dumps(direct_doc[section]))
@@ -140,6 +142,15 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(capsys, "analyze", str(path))
         assert code == 0 and "(1<2;2,1)" in out
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_norm_sq_out_of_float_range_exit_2(self, tmp_path, capsys, scale):
+        # nonzero, so not the zero-bracket message; |mu|^2 overflows or underflows
+        path = tmp_path / "s1.json"
+        save_algebra(path, Bracket(3, scale * get("S1").bracket.coeffs))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert "outside the float range; rescale" in err and "zero bracket" not in err
 
     def test_deterministic(self, tmp_path, capsys):
         path = tmp_path / "l1.json"
@@ -251,6 +262,34 @@ class TestFlowCommand:
         assert "critical type = (0;3)" in out
         assert ("structure checks: adjoint-closed yes; l0 reductive yes;"
                 " center normal yes; nilradical yes") in out
+
+    def test_certifies_the_limit_once(self, tmp_path, capsys, monkeypatch):
+        # one call certifies the limit, one the re-certified l_+ of its structure checks
+        import leibcrit.moment as moment
+
+        calls = []
+        real = moment.criticality_decompose
+
+        def counted(mu, tol=moment.DEFAULT_CRITICAL_TOL):
+            calls.append(mu)
+            return real(mu, tol)
+
+        for module in ("cli", "flow", "structure"):
+            monkeypatch.setattr(f"leibcrit.{module}.criticality_decompose", counted)
+        path = tmp_path / "s2.json"
+        save_algebra(path, get("S2").bracket, name="S2")
+        code, out, _ = run_cli(capsys, "flow", str(path), "--perturb", "0.3", "--seed", "1")
+        assert code == 0 and "critical type = (1<2;2,1)" in out
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    def test_flows_at_extreme_scales(self, tmp_path, capsys, scale):
+        path = tmp_path / "s1.json"
+        save_algebra(path, Bracket(3, scale * get("S1").bracket.coeffs))
+        code, out, err = run_cli(capsys, "flow", str(path))
+        assert code == 0 and err == ""
+        assert "converged yes" in out and "critical type = (3<5<6;1,1,1)" in out
+        assert "symmetric Leibniz:  yes" in out
 
     def test_nan_perturb_exit_2(self, tmp_path, capsys):
         path = tmp_path / "l5.json"
@@ -426,16 +465,21 @@ class TestExtendCommand:
         assert doc["F"] == pytest.approx(1.25, abs=1e-8)
 
     def test_abelian_core_spec(self, tmp_path, capsys):
-        spec = {
-            "core": {"abelian": {"dim": 2, "scale": 4.0, "c": -4.0}},
-            "left_maps": [[[1, 0], [0, 0]]],
-            "right_maps": [[[-1, 0], [0, 0]]],
-        }
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        code, out, _ = run_cli(capsys, "--format", "json", "extend", "solvable", str(path))
-        assert code == 0
-        assert json.loads(out)["type"] == "(0<1;1,2)"
+        # a "scale" key of the former D = scale * I is ignored like any unknown key
+        outputs = []
+        for core in ({"dim": 2, "c": -4.0}, {"dim": 2, "scale": 4.0, "c": -4.0}):
+            spec = {
+                "core": {"abelian": core},
+                "left_maps": [[[1, 0], [0, 0]]],
+                "right_maps": [[[-1, 0], [0, 0]]],
+            }
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            code, out, _ = run_cli(capsys, "--format", "json", "extend", "solvable", str(path))
+            assert code == 0
+            assert json.loads(out)["type"] == "(0<1;1,2)"
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_core_certified_at_the_build_tolerance(self, tmp_path, capsys):
         # S1 plus 1e-6 e1 on e2.e3: tangent residual 6.3e-7 and left defect
@@ -481,16 +525,16 @@ class TestExtendCommand:
     @pytest.mark.parametrize(
         "abelian,msg",
         [
-            ({"dim": 2.7, "scale": 4.0, "c": -4.0}, "'core.abelian.dim'=2.7"),
-            ({"dim": True, "scale": 4.0, "c": -4.0}, "'core.abelian.dim'=True"),
-            ({"dim": 0, "scale": 4.0, "c": -4.0}, "'core.abelian.dim'=0"),
-            ({"dim": "2", "scale": 4.0, "c": -4.0}, "'core.abelian.dim'='2'"),
-            ({"dim": 2, "scale": True, "c": -4.0}, "'core.abelian.scale'=True"),
-            ({"dim": 2, "scale": float("nan"), "c": -4.0}, "'core.abelian.scale'=nan"),
-            ({"dim": 2, "scale": 4.0, "c": float("-inf")}, "'core.abelian.c'=-inf"),
-            ({"dim": 2, "scale": 4.0, "c": "-4"}, "'core.abelian.c'='-4'"),
-            ({"dim": 2, "scale": 4.0, "c": -10 ** 400}, "'core.abelian.c'="),
-            ({"dim": 2, "scale": 4.0}, "needs numeric dim, scale and c"),
+            ({"dim": 2.7, "c": -4.0}, "'core.abelian.dim'=2.7"),
+            ({"dim": True, "c": -4.0}, "'core.abelian.dim'=True"),
+            ({"dim": 0, "c": -4.0}, "'core.abelian.dim'=0"),
+            ({"dim": "2", "c": -4.0}, "'core.abelian.dim'='2'"),
+            ({"dim": 2, "c": True}, "'core.abelian.c'=True"),
+            ({"dim": 2, "c": float("nan")}, "'core.abelian.c'=nan"),
+            ({"dim": 2, "c": float("-inf")}, "'core.abelian.c'=-inf"),
+            ({"dim": 2, "c": "-4"}, "'core.abelian.c'='-4'"),
+            ({"dim": 2, "c": -10 ** 400}, "'core.abelian.c'="),
+            ({"dim": 2}, "needs numeric dim and c"),
         ],
     )
     def test_bad_abelian_core_exit_2(self, tmp_path, capsys, abelian, msg):

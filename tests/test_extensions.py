@@ -114,7 +114,7 @@ class TestSolvableExtension:
         nil = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         spec_nil = ExtensionSpec(
             core=Bracket.zero(2), core_report=None, left_maps=(nil,), right_maps=(Z2,),
-            core_scale=1.0, core_c=-1.0,
+            core_c=-1.0,
         )
         assert_both_reject(spec_nil, "(ii)")
 
@@ -123,7 +123,7 @@ class TestSolvableExtension:
             core=Bracket.zero(2), core_report=None,
             left_maps=(np.diag([1.0, 0.0]).astype(complex),),
             right_maps=(np.diag([-1.0, 0.0]).astype(complex),),
-            core_scale=4.0, core_c=-4.0,
+            core_c=-4.0,
         )
         out, rep = build_solvable_extension(spec)
         assert str(critical_type(rep.D)) == "(0<1;1,2)"
@@ -138,7 +138,7 @@ class TestSolvableExtension:
             core=Bracket.zero(2), core_report=None,
             left_maps=(np.diag([1.0, 0.0]).astype(complex),),
             right_maps=(Z2,),
-            core_scale=2.0, core_c=-2.0,
+            core_c=-2.0,
         )
         out, rep = build_solvable_extension(spec)
         assert str(critical_type(rep.D)) == "(0<1;1,2)"
@@ -152,7 +152,7 @@ class TestSolvableExtension:
         spec = ExtensionSpec(
             core=get("S1").bracket, core_report=None,
             left_maps=(Z3,), right_maps=(Z3,),
-            core_scale=1.0, core_c=-1.0,
+            core_c=-1.0,
         )
         with pytest.raises(ValueError, match="zero core"):
             build_solvable_extension(spec)
@@ -262,7 +262,7 @@ class TestGeneralExtension:
             left_maps=(skew, Z2, Z2, np.diag([1.0, 0.0]).astype(complex)),
             right_maps=(Z2, Z2, Z2, Z2),
             f_bracket=Bracket(4, c), semisimple=(0, 1, 2), center=(3,),
-            core_scale=1.0, core_c=-1.0,
+            core_c=-1.0,
         )
         with pytest.raises(HypothesisViolation) as info:
             build_general_extension(spec)

@@ -249,6 +249,14 @@ def test_pinned_descent(start, steps, type_):
     assert identity_flags(tr.final_bracket) == identity_flags(mu)
 
 
+@pytest.mark.parametrize("start", [pytest.param(s, id=label) for label, s, _, _ in PINNED_DESCENTS])
+def test_history_ends_at_the_final_certificate(start):
+    # the descent's stopping residual is the certificate's, bit for bit
+    tr = descend(start())
+    assert tr.residual_history[-1] == tr.final_report.residual_tangent
+    assert tr.converged == tr.final_report.is_critical
+
+
 def identity_flags(mu: Bracket) -> tuple[bool, bool, bool]:
     idr = check_identities(mu)
     return idr.is_left_leibniz, idr.is_right_leibniz, idr.is_lie

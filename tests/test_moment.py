@@ -183,7 +183,7 @@ def reference_report(mu: Bracket, tol: float = 1e-8) -> MomentReport:
 
 def decomp_equivalence_cases() -> list:
     """equivalence_cases() plus near-threshold families, random products,
-    a perturbed filiform and three descent limits."""
+    a perturbed filiform and five descent limits, two of them closure limits."""
     cases = equivalence_cases()
     for beta in (0.3, 0.26, 0.2501, 0.250001):
         cases.append(pytest.param(get("S3", {"beta": beta}).bracket, id=f"S3({beta})"))
@@ -198,6 +198,8 @@ def decomp_equivalence_cases() -> list:
         ("L5", get("L5").bracket),
         ("S3(1)", get("S3", {"beta": 1}).bracket),
         ("S2+0.3/seed1", perturb_in_orbit(get("S2").bracket, 0.3, seed=1)),
+        ("L4", get("L4").bracket),
+        ("S3(1/4)", get("S3", {"beta": 0.25}).bracket),
     ):
         cases.append(pytest.param(descend(mu).final_bracket, id=f"limit of {label}"))
     return cases

@@ -263,7 +263,7 @@ class TestVerifyStructure:
         rep = criticality_decompose(mu, 1e-2)
         assert rep.is_critical
         with pytest.raises(ValueError, match="no rational critical type"):
-            verify_structure_theorem(mu, rep, 1e-2)
+            verify_structure_theorem(mu, rep)
 
 
 class TestFailingClauses:

@@ -50,8 +50,15 @@ BAD_CORES = {
 #: Inputs read only by the flow and bad-input commands.
 EXTRA_ALGEBRAS = {"L5": ("L5", None), "L3-alpha2": ("L3", {"alpha": 2})}
 
-#: S1 scaled so far that |mu|^2 overflows or underflows, by file stem.
-SCALED_S1 = {"S1-1e160": 1e160, "S1-1e-170": 1e-170}
+#: Scaled catalog products, by file stem: (name, factor).  S1 at 3e-4 and
+#: 1e-10 and L5 at 1e-45 lie inside the certificate's range, S1 at 1e60 and
+#: L5 at 1e-60 just outside it, and S1 at 1e160 and 1e-170 so far out that
+#: |mu|^2 overflows or underflows.
+SCALED = {
+    "S1-1e160": ("S1", 1e160), "S1-1e-170": ("S1", 1e-170), "S1-3e-4": ("S1", 3e-4),
+    "S1-1e-10": ("S1", 1e-10), "S1-1e60": ("S1", 1e60), "L5-1e-45": ("L5", 1e-45),
+    "L5-1e-60": ("L5", 1e-60),
+}
 
 #: Non-finite tolerances and perturbation magnitudes.
 BAD_NUMBERS = {
@@ -118,8 +125,8 @@ def _write_inputs(inputs: Path) -> list[str]:
     for stem, (name, params) in EXTRA_ALGEBRAS.items():
         entry = get(name, params)
         save_algebra(inputs / f"{stem}.json", entry.bracket, stem, entry.params)
-    for stem, scale in SCALED_S1.items():
-        save_algebra(inputs / f"{stem}.json", Bracket(3, scale * get("S1").bracket.coeffs), stem)
+    for stem, (name, scale) in SCALED.items():
+        save_algebra(inputs / f"{stem}.json", Bracket(3, scale * get(name).bracket.coeffs), stem)
     # S2 moved by I + 1e-4 R: critical at tol 1e-2, type rational only to 6.1e-5
     r = np.random.default_rng(3).standard_normal((3, 3))
     save_algebra(inputs / "S2-irrational.json", gl_act(np.eye(3) + 1e-4 * r, get("S2").bracket),
@@ -151,7 +158,7 @@ def _commands(stems: list[str]) -> dict[str, list[str]]:
         for verb in ("check", "analyze"):
             cmds[f"{verb}-{stem}-text"] = [verb, f"inputs/{stem}.json"]
             cmds[f"{verb}-{stem}-json"] = ["--format", "json", verb, f"inputs/{stem}.json"]
-    for stem in SCALED_S1:
+    for stem in SCALED:
         for verb in ("check", "analyze", "flow"):
             cmds[f"{verb}-{stem}"] = [verb, f"inputs/{stem}.json"]
     cmds["catalog-verify"] = ["catalog", "verify"]

@@ -15,7 +15,8 @@ loop: the perturbed filiform m0(8)+0.5/seed2 and the closure limit of the
 descent from L4.  The second
 table gives the same time and peak for each layer -- ``check_identities``,
 ``inf_act`` (of the moment matrix), ``moment_matrix``,
-``subspace_product(full, full)`` and ``structure_profile`` -- on mu_he(n)
+``subspace_product(full, full)``, ``structure_profile`` and
+``verify_structure_theorem`` (given the certificate) -- on mu_he(n)
 rotated by a seeded random unitary at n = 3, 4, 8, 12, 16 and 20.  The
 third table runs ``descend`` from the thirteen descent starts of the
 benchmark and from L4, whose orbit has no critical point: steps,
@@ -41,8 +42,13 @@ from leibcrit import flow  # noqa: E402
 from leibcrit.bracket import Bracket, check_identities, gl_act, inf_act  # noqa: E402
 from leibcrit.catalog import get  # noqa: E402
 from leibcrit.linalg import Subspace, subspace_product  # noqa: E402
-from leibcrit.moment import _row_space_projection, criticality_decompose, moment_matrix  # noqa: E402
-from leibcrit.structure import structure_profile  # noqa: E402
+from leibcrit.moment import (  # noqa: E402
+    _row_space_projection,
+    _tangent,
+    criticality_decompose,
+    moment_matrix,
+)
+from leibcrit.structure import structure_profile, verify_structure_theorem  # noqa: E402
 
 FAMILIES = ("mu_hy", "mu_he", "mu_sy")
 SIZES = (8, 12, 16, 20)
@@ -74,19 +80,22 @@ def timed(call) -> tuple[float, float]:
 def probe(mu) -> tuple[float, float, int]:
     """(best-of-3 seconds, traced peak in MB, CGLS iterations)."""
     secs, peak = timed(lambda: criticality_decompose(mu))
-    _, iters = _row_space_projection(moment_matrix(mu), mu)
+    m = moment_matrix(mu)
+    b = _tangent(m, mu) / (np.linalg.norm(m) * mu.norm)  # the certificate's CGLS start
+    _, iters = _row_space_projection(b, mu.normalized())
     return secs, peak, iters
 
 
 def layers(mu) -> dict:
     """The per-layer calls, by name, on the product mu."""
-    m, full = moment_matrix(mu), Subspace.full(mu.dim)
+    m, full, rep = moment_matrix(mu), Subspace.full(mu.dim), criticality_decompose(mu)
     return {
         "check_identities": lambda: check_identities(mu),
         "inf_act": lambda: inf_act(m, mu),
         "moment_matrix": lambda: moment_matrix(mu),
         "subspace_product": lambda: subspace_product(mu, full, full),
         "structure_profile": lambda: structure_profile(mu),
+        "verify_structure_theorem": lambda: verify_structure_theorem(mu, rep),
     }
 
 
@@ -145,12 +154,12 @@ def main() -> int:
         secs, peak, iters = probe(mu)
         print(f"{name:16s} {mu.dim:3d} {basis:9s} {secs * 1e3:9.2f} {peak:8.2f} {iters:5d}")
     print()
-    print(f"{'layer (mu_he rotated)':22s} {'n':>3s} {'best ms':>9s} {'peak MB':>8s}")
+    print(f"{'layer (mu_he rotated)':24s} {'n':>3s} {'best ms':>9s} {'peak MB':>8s}")
     for n in LAYER_SIZES:
         mu = gl_act(_unitary(n, n), get("mu_he", n=n).bracket)
         for name, call in layers(mu).items():
             secs, peak = timed(call)
-            print(f"{name:22s} {n:3d} {secs * 1e3:9.3f} {peak:8.2f}")
+            print(f"{name:24s} {n:3d} {secs * 1e3:9.3f} {peak:8.2f}")
     print()
     print(f"{'descent':22s} {'steps':>6s} {'trials':>6s} {'ms':>9s} {'cond(G)':>9s}")
     for label, mu in descent_starts():

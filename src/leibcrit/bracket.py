@@ -189,10 +189,11 @@ def gl_act(g: np.ndarray, mu: Bracket) -> Bracket:
 def _base_change(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Coefficients of :func:`gl_act` by g, given its inverse ginv and the
     coefficient tensor c: three (n^2, n) or (n, n^2) matrix products,
-    ``out[i, j, k] = sum ginv[a, i] ginv[b, j] g[k, m] c[a, b, m]``."""
-    n = c.shape[0]
-    t = (c.reshape(n * n, n) @ g.T).reshape(n, n * n)  # [a, b, k]
-    t = (ginv.T @ t).reshape(n, n, n)  # [i, b, k]
+    ``out[i, j, k] = sum ginv[a, i] ginv[b, j] g[k, m] c[a, b, m]``.  An (r, n)
+    g and (n, r) ginv give the (r, r, r) compression to ginv's columns."""
+    n, r = c.shape[0], g.shape[0]
+    t = (c.reshape(n * n, n) @ g.T).reshape(n, n * r)  # [a, b, k]
+    t = (ginv.T @ t).reshape(r, n, r)  # [i, b, k]
     return ginv.T @ t  # [i, j, k]
 
 

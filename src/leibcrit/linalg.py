@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, _check_tol
+from .bracket import Bracket, _base_change, _check_tol
 
 __all__ = [
     "Subspace",
@@ -212,8 +212,7 @@ def restrict(mu: Bracket, sub: Subspace) -> Bracket:
     in general it is the orthogonal projection of the products.
     """
     b = sub.basis
-    c = np.einsum("ia,jb,ijk,kc->abc", b, b, mu.coeffs, b.conj(), optimize=True)
-    return Bracket(sub.rank, c)
+    return Bracket(sub.rank, _base_change(b.conj().T, b, mu.coeffs))
 
 
 def cluster_values(values: np.ndarray, gap: float) -> list[tuple[float, int, int]]:

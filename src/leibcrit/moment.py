@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -124,13 +124,16 @@ class MomentReport:
     @cached_property
     def type(self) -> CriticalType | None:
         """Critical type of ``D`` from :func:`critical_type`, computed on the first read;
-        None when the report is not critical or the spectrum of ``D`` is not rational."""
+        None when the report is not critical or the spectrum of ``D`` is not rational.
+        ``D / norm_sq`` is typed, so that no cut depends on the scale of mu, and
+        its scale is divided back by ``norm_sq`` (the zero type keeps scale 1)."""
         if not self.is_critical:
             return None
         try:
-            return critical_type(self.D)
+            t = critical_type(self.D / self.norm_sq)
         except IrrationalTypeError:
             return None
+        return t if t.ks == (0,) else replace(t, scale=t.scale / self.norm_sq)
 
 
 def moment_matrix(mu: Bracket) -> np.ndarray:
@@ -150,8 +153,11 @@ def functional_value(mu: Bracket) -> float:
     return float(np.vdot(m, m).real) / nsq**2
 
 
-#: CGLS stops once |T* r| <= _CGLS_RTOL |mu|^2 |x|, the scale of T*T x.
+#: CGLS stops once |T* r| <= _CGLS_RTOL, the scale of T*T x for unit mu and x.
 _CGLS_RTOL = 1e-13
+
+#: |mu|^2 is accepted when its cube, the scale of |M.mu|^2, is a normal float.
+_NORM_SQ_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3))
 
 
 def _tangent(a: np.ndarray, mu: Bracket) -> np.ndarray:
@@ -175,35 +181,34 @@ def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def _row_space_projection(x: np.ndarray, mu: Bracket) -> tuple[np.ndarray, int]:
-    """Projection of the Hermitian map x onto the row space of T =
-    :func:`_tangent`, with the number of CGLS iterations it took.
+def _row_space_projection(r: np.ndarray, unit: Bracket) -> tuple[np.ndarray, int]:
+    """Projection of a unit Hermitian map x onto the row space of T =
+    :func:`_tangent` at the unit product ``unit``, given r = T x, with the
+    number of CGLS iterations it took.
 
-    CGLS on ``T y = b``, b = T x, started at 0 stays in the row space of T
-    and converges to its min-norm solution, which is that projection; x
-    minus it is the nearest point of span_R{I} + Hermitian derivations.
-    It stops once |T* r| <= ``_CGLS_RTOL`` |mu|^2 |x|, not relative to
-    |T* b|, which is round-off at a critical point.  Raises
-    ``numpy.linalg.LinAlgError`` after 2 n^2 + 10 iterations: twice the n^2
-    steps it takes in exact arithmetic, plus a margin.
+    CGLS on ``T y = r`` started at 0 stays in the row space of T and
+    converges to its min-norm solution, which is that projection; x minus
+    it is the nearest point of span_R{I} + Hermitian derivations.  It stops
+    once |T* r| <= ``_CGLS_RTOL``, not relative to its value at the start,
+    which is round-off at a critical point.  Raises ``numpy.linalg.LinAlgError``
+    after 2 n^2 + 10 iterations: twice the n^2 steps it takes in exact
+    arithmetic, plus a margin.
     """
-    cap = 2 * mu.dim**2 + 10
-    c_conj = mu.coeffs.conj()
-    scale = mu.norm_sq * float(np.linalg.norm(x))
-    y = np.zeros_like(x)
-    r = _tangent(x, mu)
+    cap = 2 * unit.dim**2 + 10
+    c_conj = unit.coeffs.conj()
+    y = np.zeros((unit.dim,) * 2, dtype=complex)
     s = _inf_act_adjoint(r, c_conj)
     gamma = float(np.vdot(s, s).real)
     p = s
     it = 0
-    while gamma > (_CGLS_RTOL * scale) ** 2:
+    while gamma > _CGLS_RTOL**2:
         if it == cap:
             raise np.linalg.LinAlgError(
                 f"CGLS did not converge in {cap} iterations"
-                f" (|T* r| / (|mu|^2 |x|) = {math.sqrt(gamma) / scale:.3g})"
+                f" (|T* r| = {math.sqrt(gamma):.3g})"
             )
         it += 1
-        q = _tangent(p, mu)
+        q = _tangent(p, unit)
         alpha = gamma / float(np.vdot(q, q).real)
         y = y + alpha * p
         r = r - alpha * q
@@ -214,11 +219,11 @@ def _row_space_projection(x: np.ndarray, mu: Bracket) -> tuple[np.ndarray, int]:
 
 
 def _norm_sq(mu: Bracket) -> float:
-    """|mu|^2, rejected when mu is zero or |mu|^2 is not a normal float."""
+    """|mu|^2, rejected when mu is zero or outside ``_NORM_SQ_RANGE``."""
     if mu.is_zero:
         raise ValueError("the zero bracket has no projective class")
     nsq = mu.norm_sq
-    if not sys.float_info.min <= nsq < math.inf:
+    if not _NORM_SQ_RANGE[0] <= nsq <= _NORM_SQ_RANGE[1]:
         raise ValueError("|mu|^2 is outside the float range; rescale")
     return nsq
 
@@ -237,10 +242,12 @@ def criticality_decompose(
     c = tr_m2 / tr_m
     d = m - c * np.eye(mu.dim)
     d_defect = inf_act(d, mu).norm / mu.norm
-    residual_tangent = float(np.linalg.norm(_tangent(m, mu))) / (norm_m * mu.norm)
-    # independent residual: the distance from M to ker T = span_R{I} + HermDer
-    u, _ = _row_space_projection(m, mu)
-    residual_decomp = float(np.linalg.norm(u)) / norm_m
+    t = _tangent(m, mu)
+    residual_tangent = float(np.linalg.norm(t)) / (norm_m * mu.norm)
+    # independent residual: the distance from M to ker T = span_R{I} + HermDer,
+    # on mu/|mu| and M/|M|, whose tangent is T(M)/(|M||mu|)
+    u, _ = _row_space_projection(t / (norm_m * mu.norm), mu.normalized())
+    residual_decomp = float(np.linalg.norm(u))
 
     return MomentReport(
         M=m,

@@ -15,18 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, check_identities, inf_act
-from .linalg import (
-    RANK_RTOL,
-    Subspace,
-    hermitian_eigen,
-    left_op,
-    restrict,
-    right_op,
-    subspace_product,
-    _nullspace,
-    _products,
-)
+from .bracket import Bracket, _base_change, _max_defect_norm, check_identities, inf_act
+from .linalg import RANK_RTOL, Subspace, hermitian_eigen, restrict, subspace_product, _nullspace
 from .moment import CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
@@ -133,8 +123,9 @@ def center_subspace(mu: Bracket) -> Subspace:
 
 
 def structure_profile(mu: Bracket) -> StructureProfile:
-    """Derived/lower-central series dimensions, center and the two flags;
-    every rank is cut at ``RANK_RTOL``."""
+    """Derived/lower-central series dimensions, center and the two flags of
+    mu/|mu|, so that no rank, each cut at ``RANK_RTOL``, depends on the scale."""
+    mu = mu if mu.is_zero else mu.normalized()
     full = Subspace.full(mu.dim)
     derived, solvable = _series_dims(mu, lambda s: subspace_product(mu, s, s))
     lower, nilpotent = _series_dims(mu, lambda s: subspace_product(mu, full, s))
@@ -182,9 +173,9 @@ def grading_decomposition(report: MomentReport) -> GradingDecomposition:
 
 def _killing_min_sv(h_bracket: Bracket) -> float:
     """Smallest singular value of the Killing form, relative to the largest."""
-    r = h_bracket.dim
-    ads = [left_op(h_bracket, np.eye(r)[:, a]) for a in range(r)]
-    k = np.array([[np.trace(ads[a] @ ads[b]) for b in range(r)] for a in range(r)])
+    r, c = h_bracket.dim, h_bracket.coeffs
+    # tr(ad_a ad_b) = sum_jk c[a, j, k] c[b, k, j]
+    k = c.reshape(r, r * r) @ c.transpose(0, 2, 1).reshape(r, r * r).T
     s = np.linalg.svd(k, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0.0
@@ -200,97 +191,96 @@ def _strip_zero(t: CriticalType) -> CriticalType | None:
     return CriticalType(ks, ds, t.scale)
 
 
-def _outside(unit: Bracket, sub: Subspace, u: np.ndarray, w: np.ndarray) -> float:
-    """Largest norm outside ``sub`` of the products unit(x, y) of the columns
-    x of u and y of w."""
-    prods = _products(unit, u, w)
-    proj_out = np.eye(unit.dim, dtype=complex) - sub.projector()
-    return float(np.linalg.norm(proj_out @ prods, axis=0).max(initial=0.0))
+def _outside(c: np.ndarray, xs: slice, ys: slice, part: slice) -> float:
+    """Largest norm off the coordinates ``part`` of c(e_a, e_b), a in ``xs``, b in ``ys``."""
+    return _max_defect_norm(np.delete(c[xs, ys], part, axis=-1))
 
 
-def _mult_ops(unit: Bracket, vectors: np.ndarray) -> list[np.ndarray]:
-    """Left and right multiplication operators of each column of ``vectors``."""
-    return [op for x in vectors.T for op in (left_op(unit, x), right_op(unit, x))]
+def _mult_ops(c: np.ndarray, part: slice, x: np.ndarray) -> np.ndarray:
+    """Transposed left and right multiplications by the columns of x, coordinates on ``part``."""
+    return np.concatenate([np.tensordot(x, c[part], (0, 0)), np.tensordot(x, c[:, part], (0, 1))])
 
 
-def _nonnormality(op: np.ndarray) -> float:
-    """|[X, X*]|, zero exactly when X is normal."""
-    return float(np.linalg.norm(op @ op.conj().T - op.conj().T @ op))
+def _nonnormality(ops: np.ndarray) -> np.ndarray:
+    """|[X, X*]| of each X in a stack, zero exactly when X is normal."""
+    adj = ops.conj().swapaxes(-1, -2)
+    return np.linalg.norm(ops @ adj - adj @ ops, axis=(-2, -1))
 
 
-# Each clause returns (passed, residual, ...) in the order of its
-# StructureVerdict fields; (ii) appends the center of l_0 for (iii).
+# Each clause reads the unit product c in an orthonormal eigenbasis of D, where
+# l_-, l_0 and l_+ are the index blocks neg, zero and pos, and returns (passed,
+# residual, ...) in the order of its StructureVerdict fields; (ii) appends the
+# center of l_0, in l_0's basis, for (iii).
 
 
-def _adjoint_closure(unit: Bracket, l0: Subspace, tol: float) -> tuple[bool, float]:
+def _adjoint_closure(unit: Bracket, zero: slice, tol: float) -> tuple[bool, float]:
     """(i) Adjoints of the multiplications by l_0 are again derivations."""
-    ops = _mult_ops(unit, l0.basis)
-    res = max((inf_act(op.conj().T, unit).norm for op in ops), default=0.0)
+    ops = _mult_ops(unit.coeffs, zero, np.eye(zero.stop - zero.start))
+    res = max((inf_act(op.conj(), unit).norm for op in ops), default=0.0)
     return res < tol, res
 
 
-def _l0_reductive(unit: Bracket, l0: Subspace, tol: float) -> tuple:
+def _l0_reductive(c: np.ndarray, zero: slice, tol: float) -> tuple:
     """(ii) l_0 is a Lie subalgebra, the sum of its center and its derived
     algebra h, with a nondegenerate Killing form on h.  Returns (passed,
-    residual, Killing singular-value ratio, center of l_0 as ambient columns)."""
-    if l0.rank == 0:
-        return True, 0.0, None, l0.basis
-    closure = _outside(unit, l0, l0.basis, l0.basis)
-    restr0 = restrict(unit, l0)
+    residual, Killing singular-value ratio, center of l_0)."""
+    r0 = zero.stop - zero.start
+    if r0 == 0:
+        return True, 0.0, None, np.zeros((0, 0))
+    closure = _outside(c, zero, zero, zero)
+    restr0 = Bracket(r0, c[zero, zero, zero])
     idr0 = check_identities(restr0)
     lie_res = 0.0 if restr0.is_zero else max(
         idr0.anticommutativity_residual, idr0.jacobi_residual
     ) * restr0.norm  # identity residuals are unit-normalized; undo for comparison
     z = center_subspace(restr0)
-    full = Subspace.full(l0.rank)
+    full = Subspace.full(r0)
     h = subspace_product(restr0, full, full)
     decomp_res = 1.0
-    if z.rank + h.rank == l0.rank:
-        decomp_res = float(np.linalg.norm(z.projector() + h.projector() - np.eye(l0.rank)))
+    if z.rank + h.rank == r0:
+        decomp_res = float(np.linalg.norm(z.projector() + h.projector() - np.eye(r0)))
     killing_sv = _killing_min_sv(restrict(restr0, h)) if h.rank > 0 else None
     killing_ok = killing_sv is None or killing_sv > KILLING_MIN_SV
     res = max(closure, lie_res, decomp_res)
-    return res < tol and killing_ok, res, killing_sv, l0.basis @ z.basis
+    return res < tol and killing_ok, res, killing_sv, z.basis
 
 
-def _center_normal(unit: Bracket, center: np.ndarray, tol: float) -> tuple[bool, float]:
+def _center_normal(c: np.ndarray, zero: slice, center: np.ndarray, tol: float) -> tuple[bool, float]:
     """(iii) Multiplications by the center of l_0 are normal operators."""
-    res = max((_nonnormality(op) for op in _mult_ops(unit, center)), default=0.0)
+    res = float(_nonnormality(_mult_ops(c, zero, center)).max(initial=0.0))
     return res < tol, res
 
 
-def _nilradical(unit: Bracket, lp: Subspace, parent_type: CriticalType, tol: float) -> tuple:
+def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float) -> tuple:
     """(iv) l_+ is a nilpotent two-sided ideal realizing the stripped type.
 
     Returns (passed, ideal residual, nilpotent, degenerate, restricted type,
     type matches).  A positive part restricting to the zero product is
     degenerate: reported, not compared, as it has no projective class.
     """
-    if lp.rank == 0:
+    rp = pos.stop - pos.start
+    if rp == 0:
         return True, 0.0, True, False, None, _strip_zero(parent_type) is None
-    eye = np.eye(unit.dim, dtype=complex)
-    ideal_res = max(_outside(unit, lp, lp.basis, eye), _outside(unit, lp, eye, lp.basis))
-    restrp = restrict(unit, lp)
+    ideal_res = max(_outside(c, pos, slice(None), pos), _outside(c, slice(None), pos, pos))
+    restrp = Bracket(rp, c[pos, pos, pos])
     if restrp.norm <= tol:
         return ideal_res < tol, ideal_res, True, True, None, True
-    is_nilp = structure_profile(restrp).is_nilpotent
+    is_nilp = _series_dims(restrp, lambda s: subspace_product(restrp, Subspace.full(rp), s))[1]
     restr_type = criticality_decompose(restrp, tol).type
     matches = restr_type == (_strip_zero(parent_type) or parent_type)
     return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches
 
 
-def _lminus_nonnormality(unit: Bracket, lm: Subspace) -> float | None:
-    """Smallest non-normality of right multiplications by 50 seeded unit
-    vectors of l_-, which should fail to be normal; None when l_- = 0."""
-    if lm.rank == 0:
+def _lminus_nonnormality(c: np.ndarray, neg: slice) -> float | None:
+    """Smallest non-normality of the right multiplications by the basis
+    vectors of l_- and their normalized pairwise sums, which should fail to
+    be normal; None when l_- = 0."""
+    rm = neg.stop - neg.start
+    if rm == 0:
         return None
-    rng = np.random.default_rng(0)
-    worst = np.inf
-    for _ in range(50):
-        coeff = rng.standard_normal(lm.rank) + 1j * rng.standard_normal(lm.rank)
-        x = lm.basis @ (coeff / np.linalg.norm(coeff))
-        worst = min(worst, _nonnormality(right_op(unit, x)))
-    return worst
+    e, (a, b) = np.eye(rm), np.triu_indices(rm, 1)
+    x = np.hstack([e, (e[:, a] + e[:, b]) / np.sqrt(2)])
+    return float(_nonnormality(np.tensordot(x, c[:, neg], (0, 1))).min())
 
 
 def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerdict:
@@ -299,10 +289,12 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
     Requires ``report.is_critical``, a rational ``report.type``, a
     symmetric Leibniz input and a report of this product: |D.mu| at most
     ``report.tol * |M| * |mu|``, which for mu's own report is its tangent
-    residual.  Every property is checked at ``report.tol``.  The restriction
-    of mu to the positive eigenspace of D is re-certified and its type
-    compared against the parent type with the zero entry removed, except in
-    the degenerate abelian case which is only reported.
+    residual.  Every property is checked at ``report.tol`` on the unit
+    product mu/|mu| written once in the eigenbasis of D that
+    :func:`grading_decomposition` gives.  The restriction of mu to the
+    positive eigenspace of D is re-certified and its type compared against
+    the parent type with the zero entry removed, except in the degenerate
+    abelian case which is only reported.
     """
     grading = grading_decomposition(report)
     if not check_identities(mu).is_symmetric_leibniz:
@@ -313,14 +305,15 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
         raise ValueError(
             f"report does not certify this bracket (|D.mu| {defect:.3g} vs {bound:.3g})"
         )
-    unit, tol = mu.normalized(), report.tol
-    l0 = grading.zero_part
-    closure = _adjoint_closure(unit, l0, tol)
-    *reductive, center = _l0_reductive(unit, l0, tol)
+    u = np.hstack([s.basis for s in grading.eigenspaces])
+    c, tol = _base_change(u.conj().T, u, mu.coeffs / mu.norm), report.tol
+    rm, r0 = grading.negative_part.rank, grading.zero_part.rank
+    neg, zero, pos = slice(0, rm), slice(rm, rm + r0), slice(rm + r0, mu.dim)
+    *reductive, center = _l0_reductive(c, zero, tol)
     return StructureVerdict(
-        *closure,
+        *_adjoint_closure(Bracket(mu.dim, c), zero, tol),
         *reductive,
-        *_center_normal(unit, center, tol),
-        *_nilradical(unit, grading.positive_part, grading.type, tol),
-        _lminus_nonnormality(unit, grading.negative_part),
+        *_center_normal(c, zero, center, tol),
+        *_nilradical(c, pos, grading.type, tol),
+        _lminus_nonnormality(c, neg),
     )

@@ -1,9 +1,10 @@
 """The tensor kernels against their einsum references.
 
-``check_identities``, ``inf_act``, ``gl_act``, ``moment_matrix``, the
-adjoint of ``inf_act`` used by the criticality cross-check,
-``subspace_product`` and the structure checks' ``_outside`` are matrix
-products of reshaped coefficient tensors.  The ``reference_*`` helpers
+``check_identities``, ``inf_act``, ``gl_act``, ``restrict``,
+``moment_matrix``, the adjoint of ``inf_act`` used by the criticality
+cross-check and ``subspace_product`` are matrix products of reshaped
+coefficient tensors; the structure checks' ``_outside`` reads index blocks
+of one.  The ``reference_*`` helpers
 below keep their former einsum forms; each kernel must agree with its
 reference to 1e-13 * max(1, |ref|) on the catalog, the three families at
 n = 3..12 in the catalog basis and under a seeded unitary, random
@@ -27,6 +28,7 @@ from leibcrit.linalg import (
     _nullspace,
     _products,
     derivation_space,
+    restrict,
     subspace_product,
 )
 from leibcrit.moment import _inf_act_adjoint, moment_matrix
@@ -110,6 +112,11 @@ def reference_subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspac
     if u.rank == 0 or w.rank == 0:
         return Subspace.zero(n)
     return Subspace.from_span(n, reference_products(mu, u.basis, w.basis))
+
+
+def reference_restrict(mu: Bracket, sub: Subspace) -> np.ndarray:
+    b = sub.basis
+    return np.einsum("ia,jb,ijk,kc->abc", b, b, mu.coeffs, b.conj())
 
 
 def reference_outside(unit: Bracket, sub: Subspace, spec: str, *factors: np.ndarray) -> float:
@@ -238,17 +245,32 @@ def test_subspace_product_matches_reference(mu):
         assert_close(got.projector(), ref.projector())
 
 
+@pytest.mark.parametrize("mu", CASES)
+def test_restrict_matches_reference(mu):
+    n = mu.dim
+    subs = [Subspace.full(n), Subspace.zero(n)]
+    if n:
+        subs.append(random_subspace(n, max(1, n // 2), case_rng(mu)))
+    for sub in subs:
+        got = restrict(mu, sub)
+        assert got.dim == sub.rank
+        assert_close(got.coeffs, reference_restrict(mu, sub))
+
+
 @pytest.mark.parametrize("mu", [case for case in CASES if case.values[0].dim])
 def test_outside_matches_reference(mu):
-    n = mu.dim
-    sub = random_subspace(n, max(1, n // 2), case_rng(mu))
-    b, eye = sub.basis, np.eye(n, dtype=complex)
-    for (u, w), spec, factors in (
-        ((b, b), "ia,jb,ijk->kab", (b, b)),
-        ((b, eye), "ia,ijk->kaj", (b,)),
-        ((eye, b), "ja,ijk->kai", (b,)),
+    # _outside reads index blocks, so sub is spanned by consecutive coordinate vectors
+    n, r = mu.dim, max(1, mu.dim // 2)
+    start = int(case_rng(mu).integers(n - r + 1))
+    part, every = slice(start, start + r), slice(None)
+    b = np.eye(n, dtype=complex)[:, part]
+    sub = Subspace(b)
+    for (xs, ys), spec, factors in (
+        ((part, part), "ia,jb,ijk->kab", (b, b)),
+        ((part, every), "ia,ijk->kaj", (b,)),
+        ((every, part), "ja,ijk->kai", (b,)),
     ):
-        got, ref = _outside(mu, sub, u, w), reference_outside(mu, sub, spec, *factors)
+        got, ref = _outside(mu.coeffs, xs, ys, part), reference_outside(mu, sub, spec, *factors)
         assert abs(got - ref) <= RTOL * max(1.0, ref)
 
 

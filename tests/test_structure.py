@@ -202,7 +202,9 @@ class TestVerifyStructure:
             seen = []
 
             def counting(d):
-                seen.append(d is rep.D)
+                # rep's own read types D/|mu|^2 while its cache is still empty;
+                # the re-certified l_+ of nonlie2 types an equal matrix later
+                seen.append(np.array_equal(d, rep.D / rep.norm_sq) and "type" not in vars(rep))
                 return real(d)
 
             monkeypatch.setattr(moment, "critical_type", counting)
@@ -300,6 +302,12 @@ class TestFailingClauses:
         assert v.center_residual == pytest.approx(2**-0.5)
         assert v.l0_reductive and v.nilradical_ok
         assert not v.all_passed
+
+    def test_lminus_nonnormality_over_basis_and_pairwise_sums(self):
+        # all of L1 is l_-; right multiplication by the central e3 is zero
+        v = self.verdict([-1.0, -1.0, -2.0])
+        assert v.lminus_min_nonnormality == 0.0
+        assert v.restricted_type is None
 
     def test_wrong_type_breaks_type_match(self):
         v = self.verdict([1.0, 2.0, 3.0])

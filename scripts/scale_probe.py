@@ -1,8 +1,8 @@
-"""Time and memory of ``criticality_decompose`` and of the tensor kernels.
+"""Time and memory of ``criticality_decompose``, of each layer and of descents.
 
 Usage::
 
-    python3 scripts/scale_probe.py
+    python3 scripts/scale_probe.py [--json PATH]
 
 Runs in process from the ``src`` directory next to this script.  The
 first table covers mu_hy, mu_he and mu_sy at n = 8, 12, 16 and 20, in the
@@ -12,23 +12,30 @@ time of one ``criticality_decompose`` call, the peak of memory
 the cross-check's one CGLS solve.  These critical families take 0
 iterations, so the table ends with two non-critical rows that run the
 loop: the perturbed filiform m0(8)+0.5/seed2 and the closure limit of the
-descent from L4.  The second
-table gives the same time and peak for each layer -- ``check_identities``,
-``inf_act`` (of the moment matrix), ``moment_matrix``,
-``subspace_product(full, full)``, ``structure_profile`` and
-``verify_structure_theorem`` (given the certificate) -- on mu_he(n)
-rotated by a seeded random unitary at n = 3, 4, 8, 12, 16 and 20.  The
+descent from L4.  The second table gives the same time and peak for each
+layer -- ``moment_matrix``, ``inf_act`` (of the moment matrix),
+``check_identities``, the derivation solve ``derivation_space``,
+``criticality_decompose``, ``critical_type`` (of the certificate's
+D/|mu|^2), ``subspace_product(full, full)``, ``structure_profile`` and
+``verify_structure_theorem`` (given the certificate) -- on mu_he(n) at
+n = 3, 4, 8, 12 and 16, in the catalog basis, where it is stored real, and
+rotated by a seeded random unitary, where it is stored complex.  The
 third table runs ``descend`` from the thirteen descent starts of the
 benchmark and from L4, whose orbit has no critical point: steps,
-line-search trials (moment matrices of rejected and accepted candidates),
-wall time of one run and the condition number of the final group
-element.  Too slow for the test suite; ``tests/test_moment.py`` and
-``tests/test_bracket.py`` guard the traced peaks at n = 20 alone, and
-``tests/test_flow.py`` pins the step counts.
+line-search trials (moment matrices of candidates), wall time of one run
+and the condition number of the final group element.  With ``--json
+PATH`` the second and third tables are also written to PATH, with the
+numpy version, machine and CPU count they were measured on.  Too slow for
+the test suite; ``tests/test_moment.py`` and ``tests/test_bracket.py``
+guard the traced peaks at n = 20 alone, and ``tests/test_flow.py`` pins
+the step counts.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
 import sys
 import tracemalloc
 from pathlib import Path
@@ -41,10 +48,11 @@ import numpy as np  # noqa: E402
 from leibcrit import flow  # noqa: E402
 from leibcrit.bracket import Bracket, check_identities, gl_act, inf_act  # noqa: E402
 from leibcrit.catalog import get  # noqa: E402
-from leibcrit.linalg import Subspace, subspace_product  # noqa: E402
+from leibcrit.linalg import Subspace, derivation_space, subspace_product  # noqa: E402
 from leibcrit.moment import (  # noqa: E402
     _row_space_projection,
     _tangent,
+    critical_type,
     criticality_decompose,
     moment_matrix,
 )
@@ -52,7 +60,7 @@ from leibcrit.structure import structure_profile, verify_structure_theorem  # no
 
 FAMILIES = ("mu_hy", "mu_he", "mu_sy")
 SIZES = (8, 12, 16, 20)
-LAYER_SIZES = (3, 4, 8, 12, 16, 20)
+LAYER_SIZES = (3, 4, 8, 12, 16)
 
 
 def _unitary(n: int, seed: int) -> np.ndarray:
@@ -81,7 +89,7 @@ def probe(mu) -> tuple[float, float, int]:
     """(best-of-3 seconds, traced peak in MB, CGLS iterations)."""
     secs, peak = timed(lambda: criticality_decompose(mu))
     m = moment_matrix(mu)
-    b = _tangent(m, mu) / (np.linalg.norm(m) * mu.norm)  # the certificate's CGLS start
+    b = _tangent(m, mu.coeffs) / (np.linalg.norm(m) * mu.norm)  # the certificate's CGLS start
     _, iters = _row_space_projection(b, mu.normalized())
     return secs, peak, iters
 
@@ -89,10 +97,14 @@ def probe(mu) -> tuple[float, float, int]:
 def layers(mu) -> dict:
     """The per-layer calls, by name, on the product mu."""
     m, full, rep = moment_matrix(mu), Subspace.full(mu.dim), criticality_decompose(mu)
+    d = rep.D / rep.norm_sq
     return {
-        "check_identities": lambda: check_identities(mu),
-        "inf_act": lambda: inf_act(m, mu),
         "moment_matrix": lambda: moment_matrix(mu),
+        "inf_act": lambda: inf_act(m, mu),
+        "check_identities": lambda: check_identities(mu),
+        "derivation_space": lambda: derivation_space(mu),
+        "criticality_decompose": lambda: criticality_decompose(mu),
+        "critical_type": lambda: critical_type(d),
         "subspace_product": lambda: subspace_product(mu, full, full),
         "structure_profile": lambda: structure_profile(mu),
         "verify_structure_theorem": lambda: verify_structure_theorem(mu, rep),
@@ -121,27 +133,31 @@ def descent_starts() -> list[tuple[str, Bracket]]:
 def descent_row(mu) -> tuple[int, int, float, float]:
     """(steps, line-search trials, seconds, cond(G)) of one descent from mu.
 
-    ``descend`` computes one moment matrix per iterate and one per trial;
-    the trials are counted by wrapping the module's ``moment_matrix``.
+    ``descend`` computes the start's moment matrix and then one per trial,
+    which it reuses for the next iterate when the trial is accepted; the
+    trials are counted by wrapping the module's ``_moment_matrix``.
     """
-    real, calls = flow.moment_matrix, 0
+    real, calls = flow._moment_matrix, 0
 
     def counted(x):
         nonlocal calls
         calls += 1
         return real(x)
 
-    flow.moment_matrix = counted
+    flow._moment_matrix = counted
     try:
         start = perf_counter()
         tr = flow.descend(mu)
         secs = perf_counter() - start
     finally:
-        flow.moment_matrix = real
-    return tr.iterations, calls - tr.iterations - 1, secs, tr.cond_g
+        flow._moment_matrix = real
+    return tr.iterations, calls, secs, tr.cond_g
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv and (len(argv) != 2 or argv[0] != "--json"):
+        print("usage: scale_probe.py [--json PATH]", file=sys.stderr)
+        return 2
     print(f"{'algebra':16s} {'n':>3s} {'basis':9s} {'best ms':>9s} {'peak MB':>8s} {'CGLS':>5s}")
     rows = []
     for name in FAMILIES:
@@ -154,19 +170,39 @@ def main() -> int:
         secs, peak, iters = probe(mu)
         print(f"{name:16s} {mu.dim:3d} {basis:9s} {secs * 1e3:9.2f} {peak:8.2f} {iters:5d}")
     print()
-    print(f"{'layer (mu_he rotated)':24s} {'n':>3s} {'best ms':>9s} {'peak MB':>8s}")
+    print(f"{'layer (mu_he)':24s} {'n':>3s} {'basis':8s} {'dtype':10s} {'best ms':>9s} {'peak MB':>8s}")
+    layer_rows = []
     for n in LAYER_SIZES:
-        mu = gl_act(_unitary(n, n), get("mu_he", n=n).bracket)
-        for name, call in layers(mu).items():
-            secs, peak = timed(call)
-            print(f"{name:24s} {n:3d} {secs * 1e3:9.3f} {peak:8.2f}")
+        mu = get("mu_he", n=n).bracket
+        for basis, b in (("catalog", mu), ("rotated", gl_act(_unitary(n, n), mu))):
+            for name, call in layers(b).items():
+                secs, peak = timed(call)
+                dtype = str(b.coeffs.dtype)
+                print(f"{name:24s} {n:3d} {basis:8s} {dtype:10s} {secs * 1e3:9.3f} {peak:8.2f}")
+                layer_rows.append({"layer": name, "algebra": "mu_he", "n": n, "basis": basis,
+                                   "dtype": dtype, "best_ms": round(secs * 1e3, 4),
+                                   "peak_mb": round(peak, 4)})
     print()
     print(f"{'descent':22s} {'steps':>6s} {'trials':>6s} {'ms':>9s} {'cond(G)':>9s}")
+    descent_rows = []
     for label, mu in descent_starts():
         steps, trials, secs, cond_g = descent_row(mu)
         print(f"{label:22s} {steps:6d} {trials:6d} {secs * 1e3:9.2f} {cond_g:9.3g}")
+        descent_rows.append({"start": label, "n": mu.dim, "steps": steps, "trials": trials,
+                             "ms": round(secs * 1e3, 3), "cond_g": float(f"{cond_g:.6g}")})
+    if argv:
+        doc = {
+            "source": "python3 scripts/scale_probe.py --json PATH",
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "layers": layer_rows,
+            "descents": descent_rows,
+        }
+        Path(argv[1]).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

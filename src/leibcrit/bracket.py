@@ -9,6 +9,10 @@ inner product on C^n induces the inner product on the space of products
 
 which is what :func:`inner_product` computes; it is invariant under the
 unitary subgroup of the GL(n) action implemented by :func:`gl_act`.
+
+A product whose coefficients are all real is stored as a float64 tensor,
+any other as complex128, and every kernel computes in the dtype of its
+inputs: real products take numpy's real BLAS and LAPACK routines.
 """
 
 from __future__ import annotations
@@ -40,7 +44,11 @@ MAX_CONDITION = 1e12
 
 @dataclass(frozen=True)
 class Bracket:
-    """Immutable bilinear product on C^n given by its coefficient tensor."""
+    """Immutable bilinear product on C^n given by its coefficient tensor.
+
+    ``coeffs`` is a read-only copy of the given tensor: float64 when every
+    imaginary part is 0, complex128 otherwise.
+    """
 
     dim: int
     coeffs: np.ndarray
@@ -48,7 +56,7 @@ class Bracket:
     def __post_init__(self) -> None:
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        arr = np.array(self.coeffs, dtype=complex, copy=True)
+        arr = _real_if_real(self.coeffs)
         if arr.shape != (self.dim,) * 3:
             raise ValueError(
                 f"coefficient tensor must have shape {(self.dim,) * 3}, got {arr.shape}"
@@ -60,7 +68,7 @@ class Bracket:
 
     @classmethod
     def zero(cls, dim: int) -> "Bracket":
-        return cls(dim, np.zeros((dim, dim, dim), dtype=complex))
+        return cls(dim, np.zeros((dim, dim, dim)))
 
     @classmethod
     def from_entries(
@@ -120,6 +128,14 @@ class Bracket:
         return f"Bracket(dim={self.dim}, nonzero={nnz}, norm_sq={self.norm_sq:.6g})"
 
 
+def _real_if_real(x) -> np.ndarray:
+    """A copy of x as float64 when every imaginary part is 0, else as complex128."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and x.imag.any():
+        return np.array(x, dtype=complex)
+    return np.array(x.real, dtype=float)
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Residuals of the defining identities, measured on the unit-norm bracket.
@@ -174,7 +190,7 @@ def gl_act(g: np.ndarray, mu: Bracket) -> Bracket:
     The new product sends (x, y) to ``g mu(g^-1 x, g^-1 y)``, so the orbit
     of mu under all invertible g is its isomorphism class.
     """
-    g = np.asarray(g, dtype=complex)
+    g = np.asarray(g)
     n = mu.dim
     if g.shape != (n, n):
         raise ValueError(f"g must be {n}x{n}, got shape {g.shape}")
@@ -203,15 +219,21 @@ def inf_act(a: np.ndarray, mu: Bracket) -> Bracket:
     Sends (x, y) to ``a mu(x, y) - mu(a x, y) - mu(x, a y)``; the result is
     zero exactly when a is a derivation of mu.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     n = mu.dim
     if a.shape != (n, n):
         raise ValueError(f"matrix must be {n}x{n}, got shape {a.shape}")
-    c = mu.coeffs
+    return Bracket(n, _inf_act(a, mu.coeffs))
+
+
+def _inf_act(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Coefficients of :func:`inf_act` by the (n, n) matrix a on the
+    coefficient tensor c, in the dtype of the two."""
+    n = c.shape[0]
     out = (c.reshape(n * n, n) @ a.T).reshape(n, n, n)
     out -= (a.T @ c.reshape(n, n * n)).reshape(n, n, n)
     out -= a.T @ c
-    return Bracket(n, out)
+    return out
 
 
 def inner_product(mu: Bracket, lam: Bracket) -> complex:
@@ -228,10 +250,13 @@ def _check_tol(tol: float) -> None:
 
 
 def _max_defect_norm(t: np.ndarray) -> float:
-    """Max over leading indices of the vector norm along the last axis."""
+    """Max over leading indices of the vector norm along the last axis: the
+    square root of the largest row sum of squares of the float view, where a
+    complex entry is its real and imaginary part side by side."""
     if t.size == 0:
         return 0.0
-    return float(np.sqrt((np.abs(t) ** 2).sum(axis=-1)).max())
+    v = np.ascontiguousarray(t).reshape(-1, t.shape[-1]).view(float)
+    return math.sqrt(float(np.einsum("ij,ij->i", v, v).max()))
 
 
 def check_identities(mu: Bracket, tol: float = DEFAULT_IDENTITY_TOL) -> IdentityReport:
@@ -249,14 +274,21 @@ def check_identities(mu: Bracket, tol: float = DEFAULT_IDENTITY_TOL) -> Identity
     # c[a, b, m] c[c, m, k], and xy_z = (xy)z.  The other four terms are axis
     # permutations of these: x(yz) is t read as [b, c, a, k], y(zx) is t read
     # as [c, a, b, k], y(xz) is x(yz) with a <-> b, (xz)y is (xy)z with b <-> c.
+    # Each defect is written into the one buffer d before its norm is taken.
     flat = c.reshape(n * n, n)
     t = (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
     xy_z = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
     x_yz = t.transpose(2, 0, 1, 3)
-    left = _max_defect_norm(x_yz - xy_z - x_yz.transpose(1, 0, 2, 3))
-    right = _max_defect_norm(xy_z - xy_z.transpose(0, 2, 1, 3) - x_yz)
+    d = np.subtract(x_yz, xy_z)
+    d -= x_yz.transpose(1, 0, 2, 3)
+    left = _max_defect_norm(d)
+    np.subtract(xy_z, xy_z.transpose(0, 2, 1, 3), out=d)
+    d -= x_yz
+    right = _max_defect_norm(d)
+    np.add(x_yz, t.transpose(1, 2, 0, 3), out=d)
+    d += t
+    jac = _max_defect_norm(d)
     anti = _max_defect_norm(c + c.transpose(1, 0, 2))
-    jac = _max_defect_norm(x_yz + t.transpose(1, 2, 0, 3) + t)
     return IdentityReport(left, right, anti, jac, tol)
 
 

@@ -16,7 +16,8 @@ move s of mu and the change y of the tangential gradient, clamped to
 [0.01, 10] / |M|; it is accepted only if it decreases F (backtracking
 line search).  When the orbit has no critical point, F tends to its
 infimum only as G leaves every compact set; the condition number of the
-final G tells the two cases apart.
+final G tells the two cases apart.  A real start has real derivations and
+a real moment matrix, so it descends in GL(n, R), in real arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linalg import derivation_space
 from .moment import (
     DEFAULT_CRITICAL_TOL,
     MomentReport,
+    _moment_matrix,
     _tangent,
     criticality_decompose,
     moment_matrix,
@@ -80,8 +82,10 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     mu = mu0.normalized()
     n, c0 = mu.dim, mu.coeffs
     ders = np.array(derivation_space(mu)).reshape(-1, n, n)
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n)
     g = ginv = eye
+    # the iterate G.mu0 / |G.mu0| as a bare coefficient tensor, and its moment matrix
+    c, m = c0, moment_matrix(mu)
     f_hist: list[float] = []
     r_hist: list[float] = []
     message = ""
@@ -89,11 +93,11 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     prev = None  # (coefficients, tangential gradient) of the last iterate
     it = 0
     while it <= _MAX_ITER:
-        m = moment_matrix(mu)
         norm_m = float(np.linalg.norm(m))
         f = float(np.vdot(m, m).real)  # |mu| = 1
-        v_perp = _tangent(m, mu)
-        res = float(np.linalg.norm(v_perp)) / (norm_m * mu.norm)  # as in the final report
+        v_perp = _tangent(m, c)
+        # as in the final report, whose |mu| is this one
+        res = float(np.linalg.norm(v_perp)) / (norm_m * math.sqrt(float(np.vdot(c, c).real)))
         f_hist.append(f)
         r_hist.append(res)
         if res < tol:
@@ -105,7 +109,7 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
 
         h = _STEP0 / norm_m
         if prev is not None:
-            s, y = mu.coeffs - prev[0], v_perp - prev[1]
+            s, y = c - prev[0], v_perp - prev[1]
             sy = float(np.vdot(s, y).real)
             if sy > 0:
                 h = min(max(float(np.vdot(s, s).real) / sy, _STEP_MIN / norm_m), _STEP_MAX / norm_m)
@@ -116,26 +120,25 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
         # the slack keeps progress possible once per-step decreases of F
         # fall below its floating-point resolution near the minimum
         slack = 1e-14 * max(1.0, f)
-        accepted = None
         for _ in range(_MAX_BACKTRACKS):
             half = 0.5 * h * a
             g_cand = np.linalg.solve(eye + half, (eye - half) @ g)
             ginv_cand = np.linalg.inv(g_cand)
             cand = _base_change(g_cand, ginv_cand, c0)
-            cand_b = Bracket(n, cand / np.linalg.norm(cand))
-            mc = moment_matrix(cand_b)
+            cand /= np.linalg.norm(cand)
+            mc = _moment_matrix(cand)
             f_cand = float(np.vdot(mc, mc).real)
             if f_cand <= f - _ARMIJO_C * h * slope + slack:
-                accepted = cand_b
                 break
             h *= _SHRINK
-        if accepted is None:
+        else:
             message = "line search underflow"
             break
-        prev = (mu.coeffs, v_perp)
-        mu, g, ginv = accepted, g_cand, ginv_cand
+        prev = (c, v_perp)
+        c, m, g, ginv = cand, mc, g_cand, ginv_cand
         it += 1
 
+    mu = Bracket(n, c)
     cond_g = float(np.linalg.cond(g))
     if converged and cond_g > _ORBIT_COND:
         message = (f"limit may lie outside the starting orbit (closure limit):"

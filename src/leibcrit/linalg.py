@@ -1,8 +1,11 @@
 """Operator-level utilities: multiplication operators, derivation spaces,
 Hermitian eigendecomposition and orthonormal subspaces.
 
-Linear maps are plain complex ndarrays of shape (n, n); the pairing used
-throughout is the trace form ``(A, B) = tr(A B*)``.
+Linear maps are plain ndarrays of shape (n, n), real or complex; the
+pairing used throughout is the trace form ``(A, B) = tr(A B*)``.  Each
+function computes in the dtype of its inputs, so a real product (see
+:class:`~leibcrit.bracket.Bracket`) gets real derivations, eigenvectors and
+subspace bases.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, _base_change, _check_tol
+from .bracket import Bracket, _base_change, _check_tol, _real_if_real
 
 __all__ = [
     "Subspace",
@@ -65,7 +68,7 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ValueError when h is not (certifiably) Hermitian.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
     if not is_hermitian(h):
@@ -83,7 +86,7 @@ def _nullspace(m: np.ndarray, abs_tol: float) -> np.ndarray:
     """
     rows, cols = m.shape
     if m.size == 0:
-        return np.eye(cols, dtype=complex)
+        return np.eye(cols, dtype=m.dtype)
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     small = np.ones(cols, dtype=bool)
     small[: s.size] = s <= abs_tol
@@ -99,7 +102,7 @@ def _action_matrix(mu: Bracket) -> np.ndarray:
     n = mu.dim
     c = mu.coeffs
     r = np.arange(n)
-    op = np.zeros((n,) * 5, dtype=complex)  # [i, j, k, p, q]
+    op = np.zeros((n,) * 5, dtype=c.dtype)  # [i, j, k, p, q]
     op[:, :, r, r, :] = c[:, :, None, :]  # k = p: c[i, j, q]
     op[r, :, :, :, r] -= c.transpose(1, 2, 0)  # q = i: c[p, j, k]
     op[:, r, :, :, r] -= c.transpose(0, 2, 1)  # q = j: c[i, p, k]
@@ -127,12 +130,13 @@ def derivation_space(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of C^n stored as orthonormal columns."""
+    """Linear subspace of C^n stored as orthonormal columns, real when
+    every imaginary part is 0."""
 
     basis: np.ndarray
 
     def __post_init__(self) -> None:
-        b = np.array(self.basis, dtype=complex, copy=True)
+        b = _real_if_real(self.basis)
         if b.ndim != 2:
             raise ValueError("basis must be a 2-d array of column vectors")
         gram = b.conj().T @ b
@@ -151,11 +155,11 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n, dtype=complex))
+        return cls(np.eye(n))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(np.zeros((n, 0), dtype=complex))
+        return cls(np.zeros((n, 0)))
 
     @classmethod
     def from_span(cls, n: int, vectors: np.ndarray) -> "Subspace":
@@ -164,7 +168,7 @@ class Subspace:
         Rank is the number of singular values above ``RANK_RTOL`` times the
         largest one (or above ``RANK_RTOL`` itself when all are tiny).
         """
-        m = np.asarray(vectors, dtype=complex).reshape(n, -1)
+        m = np.asarray(vectors).reshape(n, -1)
         if m.shape[1] == 0:
             return cls.zero(n)
         u, s, _ = np.linalg.svd(m, full_matrices=False)

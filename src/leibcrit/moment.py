@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bracket import Bracket, _check_tol, inf_act
+from .bracket import Bracket, _check_tol, _inf_act, inf_act
 from .linalg import cluster_values, hermitian_eigen
 
 __all__ = [
@@ -138,7 +138,12 @@ class MomentReport:
 
 def moment_matrix(mu: Bracket) -> np.ndarray:
     """Hermitian moment matrix of mu (zero bracket gives the zero matrix)."""
-    n, c = mu.dim, mu.coeffs
+    return _moment_matrix(mu.coeffs)
+
+
+def _moment_matrix(c: np.ndarray) -> np.ndarray:
+    """:func:`moment_matrix` of the coefficient tensor c."""
+    n = c.shape[0]
     # Gram matrices of the slices c[:, :, u], c[:, u, :] and c[u, :, :] as rows
     s1, s2 = c.reshape(n * n, n).T, c.transpose(1, 0, 2).reshape(n, n * n)
     s3 = c.reshape(n, n * n)
@@ -160,14 +165,16 @@ _CGLS_RTOL = 1e-13
 _NORM_SQ_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3))
 
 
-def _tangent(a: np.ndarray, mu: Bracket) -> np.ndarray:
-    """T(a): the part of a.mu orthogonal to mu, as a coefficient tensor.
+def _tangent(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """T(a): the part of a.mu orthogonal to mu, for mu with the nonzero
+    coefficient tensor c, as a coefficient tensor.
 
     For Hermitian a, <a.mu, mu> = tr(a M) / 2 is real and I.mu = -mu, so
     T(a) = 0 exactly when a lies in span_R{I} + Hermitian derivations.
     """
-    v = inf_act(a, mu).coeffs
-    return v - complex(np.vdot(mu.coeffs, v)) / mu.norm_sq * mu.coeffs
+    v = _inf_act(a, c)
+    # .item() is a Python float or complex, as c is real or complex
+    return v - np.vdot(c, v).item() / float(np.vdot(c, c).real) * c
 
 
 def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
@@ -196,8 +203,8 @@ def _row_space_projection(r: np.ndarray, unit: Bracket) -> tuple[np.ndarray, int
     """
     cap = 2 * unit.dim**2 + 10
     c_conj = unit.coeffs.conj()
-    y = np.zeros((unit.dim,) * 2, dtype=complex)
     s = _inf_act_adjoint(r, c_conj)
+    y = np.zeros_like(s)
     gamma = float(np.vdot(s, s).real)
     p = s
     it = 0
@@ -208,7 +215,7 @@ def _row_space_projection(r: np.ndarray, unit: Bracket) -> tuple[np.ndarray, int
                 f" (|T* r| = {math.sqrt(gamma):.3g})"
             )
         it += 1
-        q = _tangent(p, unit)
+        q = _tangent(p, unit.coeffs)
         alpha = gamma / float(np.vdot(q, q).real)
         y = y + alpha * p
         r = r - alpha * q
@@ -242,7 +249,7 @@ def criticality_decompose(
     c = tr_m2 / tr_m
     d = m - c * np.eye(mu.dim)
     d_defect = inf_act(d, mu).norm / mu.norm
-    t = _tangent(m, mu)
+    t = _tangent(m, mu.coeffs)
     residual_tangent = float(np.linalg.norm(t)) / (norm_m * mu.norm)
     # independent residual: the distance from M to ker T = span_R{I} + HermDer,
     # on mu/|mu| and M/|M|, whose tangent is T(M)/(|M||mu|)

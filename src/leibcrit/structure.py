@@ -93,19 +93,14 @@ class StructureVerdict:
         )
 
 
-def _series_dims(mu: Bracket, step) -> tuple[tuple[int, ...], bool]:
-    """Ranks of a descending series until it hits zero or stabilizes."""
-    current = Subspace.full(mu.dim)
-    dims = [current.rank]
-    for _ in range(mu.dim + 1):
-        nxt = step(current)
-        dims.append(nxt.rank)
-        if nxt.rank == 0:
-            return tuple(dims), True
-        if nxt.rank == current.rank:
-            return tuple(dims), False
-        current = nxt
-    return tuple(dims), False
+def _series_dims(first: Subspace, step) -> tuple[tuple[int, ...], bool]:
+    """Ranks of the descending series C^n, first, step(first), ... until it
+    hits zero or stabilizes, and whether it hit zero."""
+    dims, current = [first.dim_ambient, first.rank], first
+    while 0 < dims[-1] < dims[-2]:
+        current = step(current)
+        dims.append(current.rank)
+    return tuple(dims), dims[-1] == 0
 
 
 def center_subspace(mu: Bracket) -> Subspace:
@@ -124,11 +119,13 @@ def center_subspace(mu: Bracket) -> Subspace:
 
 def structure_profile(mu: Bracket) -> StructureProfile:
     """Derived/lower-central series dimensions, center and the two flags of
-    mu/|mu|, so that no rank, each cut at ``RANK_RTOL``, depends on the scale."""
+    mu/|mu|, so that no rank, each cut at ``RANK_RTOL``, depends on the scale.
+    Both series start from the one [mu, mu]."""
     mu = mu if mu.is_zero else mu.normalized()
     full = Subspace.full(mu.dim)
-    derived, solvable = _series_dims(mu, lambda s: subspace_product(mu, s, s))
-    lower, nilpotent = _series_dims(mu, lambda s: subspace_product(mu, full, s))
+    derived_algebra = subspace_product(mu, full, full)
+    derived, solvable = _series_dims(derived_algebra, lambda s: subspace_product(mu, s, s))
+    lower, nilpotent = _series_dims(derived_algebra, lambda s: subspace_product(mu, full, s))
     center = center_subspace(mu)
     return StructureProfile(
         derived_dims=derived,
@@ -265,7 +262,9 @@ def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float
     restrp = Bracket(rp, c[pos, pos, pos])
     if restrp.norm <= tol:
         return ideal_res < tol, ideal_res, True, True, None, True
-    is_nilp = _series_dims(restrp, lambda s: subspace_product(restrp, Subspace.full(rp), s))[1]
+    full = Subspace.full(rp)
+    derived_algebra = subspace_product(restrp, full, full)
+    is_nilp = _series_dims(derived_algebra, lambda s: subspace_product(restrp, full, s))[1]
     restr_type = criticality_decompose(restrp, tol).type
     matches = restr_type == (_strip_zero(parent_type) or parent_type)
     return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import filiform
 from leibcrit.bracket import Bracket, check_identities
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import _expm, descend, perturb_in_orbit
@@ -202,11 +203,6 @@ def test_expm_with_overflowing_norm_is_nonfinite():
         assert not np.isfinite(_expm(a)).all()
 
 
-def filiform(n: int) -> Bracket:
-    """m0(n): the filiform Lie algebra [e1, ei] = e(i+1)."""
-    return Bracket.from_entries(n, {(1, i, i + 1): 1 for i in range(2, n)}, antisymmetrize=True)
-
-
 M0_TYPES = {
     5: "(2<9<11<13<15;1,1,1,1,1)",
     6: "(1<9<10<11<12<13;1,1,1,1,1,1)",
@@ -255,6 +251,29 @@ def test_history_ends_at_the_final_certificate(start):
     tr = descend(start())
     assert tr.residual_history[-1] == tr.final_report.residual_tangent
     assert tr.converged == tr.final_report.is_critical
+
+
+@pytest.mark.parametrize("start", [pytest.param(s, id=label) for label, s, _, _ in PINNED_DESCENTS])
+def test_one_moment_matrix_per_trial(start, monkeypatch):
+    # the start's moment matrix, then one per line-search trial: each iterate
+    # reuses the matrix of the trial that was accepted
+    import leibcrit.flow as flow
+
+    mu = start()
+    firsts, trial_fs = [], []
+    real_first, real_trial = flow.moment_matrix, flow._moment_matrix
+
+    def trial(c):
+        m = real_trial(c)
+        trial_fs.append(float(np.vdot(m, m).real))
+        return m
+
+    monkeypatch.setattr(flow, "moment_matrix", lambda b: firsts.append(b) or real_first(b))
+    monkeypatch.setattr(flow, "_moment_matrix", trial)
+    tr = descend(mu)
+    assert len(firsts) == 1
+    later = iter(trial_fs)
+    assert all(f in later for f in tr.F_history[1:])  # in order, among the trials
 
 
 def identity_flags(mu: Bracket) -> tuple[bool, bool, bool]:

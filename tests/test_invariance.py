@@ -6,7 +6,9 @@ well-conditioned GL base change leaves the identity flags and the structure
 profile unchanged.  The inputs are every ``standard_rows()`` entry and the
 mu families at n = 3, 5 and 8.  A fixed set of products keeps the same
 verdicts and structure checks from 1e-50 to 1e50 times its scale, and
-beyond 1e60 either way the certificate asks for a rescale.
+beyond 1e60 either way the certificate asks for a rescale.  A real product,
+stored and processed as float64, gets the verdicts of its phase multiple
+e^{i pi/4} mu, stored and processed as complex128.
 """
 
 from functools import lru_cache
@@ -16,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_bracket, random_invertible, random_unitary
+from helpers import filiform, random_bracket, random_invertible, random_unitary
 from leibcrit.bracket import Bracket, check_identities, gl_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.cli import run
 from leibcrit.fileio import save_algebra
-from leibcrit.moment import criticality_decompose
-from leibcrit.structure import structure_profile, verify_structure_theorem
+from leibcrit.flow import descend
+from leibcrit.linalg import derivation_space
+from leibcrit.moment import criticality_decompose, moment_matrix
+from leibcrit.structure import grading_decomposition, structure_profile, verify_structure_theorem
 
 ALGEBRAS = [e.bracket for e in standard_rows()] + [
     get(name, n=n).bracket for name in ("mu_hy", "mu_he", "mu_sy") for n in (3, 5, 8)
@@ -112,3 +116,70 @@ def test_certificate_asks_for_a_rescale(tmp_path, name, scale):
     path = tmp_path / "scaled.json"
     save_algebra(path, mu)
     assert run(["analyze", str(path)]) == 2
+
+
+REAL_PRODUCTS = [
+    pytest.param(e.bracket, id=e.label) for e in standard_rows()
+    if e.critical_in_given_basis and e.bracket.coeffs.dtype == np.float64
+] + [
+    pytest.param(get(name, n=n).bracket, id=f"{name}({n})")
+    for name in ("mu_hy", "mu_he", "mu_sy") for n in range(4, 9)
+] + [pytest.param(filiform(n), id=f"m0({n})") for n in range(5, 9)]
+
+PHASE = np.exp(0.25j * np.pi)
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _all_facts(mu: Bracket) -> tuple[tuple, tuple]:
+    """(verdicts, residuals) of the analyze pipeline on mu."""
+    idr = check_identities(mu)
+    rep = criticality_decompose(mu)
+    verdicts = [_flags(mu), rep.is_critical, rep.type, structure_profile(mu)]
+    residuals = [idr.left_residual, idr.right_residual, idr.anticommutativity_residual,
+                 idr.jacobi_residual, rep.F, rep.c, rep.residual_tangent, rep.residual_decomp,
+                 rep.derivation_defect]
+    if rep.type is not None and idr.is_symmetric_leibniz:
+        v = verify_structure_theorem(mu, rep)
+        verdicts += [v.adjoint_closed, v.l0_reductive, v.center_normal, v.nilradical_ok,
+                     v.is_nilpotent_radical, v.degenerate_abelian_nilradical,
+                     v.restricted_type, v.type_matches]
+        residuals += [v.adjoint_residual, v.l0_residual, v.center_residual, v.nilradical_residual]
+    return tuple(verdicts), tuple(residuals)
+
+
+@pytest.mark.parametrize("mu", REAL_PRODUCTS)
+def test_real_and_complex_arithmetic_agree(mu):
+    z = Bracket(mu.dim, PHASE * mu.coeffs)
+    assert mu.coeffs.dtype == np.float64 and z.coeffs.dtype == np.complex128
+    # the same orbit: the phase multiple is the base change by e^{-i pi/4} I
+    np.testing.assert_allclose(gl_act(np.eye(mu.dim) / PHASE, mu).coeffs, z.coeffs, atol=1e-15)
+    verdicts, residuals = _all_facts(mu)
+    z_verdicts, z_residuals = _all_facts(z)
+    assert z_verdicts == verdicts
+    assert all(_close(a, b) for a, b in zip(z_residuals, residuals)), (z_residuals, residuals)
+
+
+@pytest.mark.parametrize("imag, dtype", [
+    (0.0, np.float64), (-0.0, np.float64), (1e-300, np.complex128), (1.0, np.complex128),
+])
+def test_stored_real_exactly_when_every_imaginary_part_is_zero(imag, dtype):
+    c = np.ones((2, 2, 2), dtype=complex)
+    c[1, 0, 1] = complex(2.0, imag)
+    mu = Bracket(2, c)
+    assert mu.coeffs.dtype == dtype
+    np.testing.assert_array_equal(mu.coeffs, c)
+    assert Bracket(2, c.real.astype(int)).coeffs.dtype == np.float64
+
+
+def test_real_start_stays_real():
+    mu = get("mu_he", n=5).bracket
+    rep = criticality_decompose(mu)
+    assert moment_matrix(mu).dtype == np.float64 and rep.D.dtype == np.float64
+    assert all(d.dtype == np.float64 for d in derivation_space(mu))
+    grading = grading_decomposition(rep)
+    assert all(s.basis.dtype == np.float64 for s in grading.eigenspaces)
+    tr = descend(filiform(6))
+    assert tr.iterations > 0 and tr.final_bracket.coeffs.dtype == np.float64

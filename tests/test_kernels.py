@@ -1,14 +1,14 @@
 """The tensor kernels against their einsum references.
 
-``check_identities``, ``inf_act``, ``gl_act``, ``restrict``,
-``moment_matrix``, the adjoint of ``inf_act`` used by the criticality
-cross-check and ``subspace_product`` are matrix products of reshaped
-coefficient tensors; the structure checks' ``_outside`` reads index blocks
-of one.  The ``reference_*`` helpers
+``check_identities``, ``inf_act`` and its array kernel ``_inf_act``,
+``gl_act``, ``restrict``, ``moment_matrix``, the adjoint of ``inf_act`` used
+by the criticality cross-check and ``subspace_product`` are matrix products
+of reshaped coefficient tensors; the structure checks' ``_outside`` reads
+index blocks of one.  The ``reference_*`` helpers
 below keep their former einsum forms; each kernel must agree with its
 reference to 1e-13 * max(1, |ref|) on the catalog, the three families at
-n = 3..12 in the catalog basis and under a seeded unitary, random
-non-Leibniz products, the zero bracket and n = 0.
+n = 3..12 in the catalog basis (stored real) and under a seeded unitary
+(stored complex), random non-Leibniz products, the zero bracket and n = 0.
 
 The derivation solve builds the matrix of a -> a.mu by index assignment
 and takes the SVD of its triangular factor; it must reproduce the einsum
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import random_bracket, random_hermitian, random_invertible, random_unitary
-from leibcrit.bracket import Bracket, _max_defect_norm, check_identities, gl_act, inf_act
+from leibcrit.bracket import Bracket, _inf_act, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.linalg import (
     RANK_RTOL,
@@ -37,6 +37,12 @@ from leibcrit.structure import _outside
 RTOL = 1e-13
 
 
+def reference_max_defect_norm(t: np.ndarray) -> float:
+    if t.size == 0:
+        return 0.0
+    return float(np.sqrt((np.abs(t) ** 2).sum(axis=-1)).max())
+
+
 def reference_check_identities(mu: Bracket) -> tuple[float, ...]:
     """(left, right, anticommutativity, Jacobi) residuals by six einsums."""
     if mu.is_zero:
@@ -47,10 +53,10 @@ def reference_check_identities(mu: Bracket) -> tuple[float, ...]:
     y_xz = np.einsum("acm,bmk->abck", c, c)
     xz_y = np.einsum("acm,mbk->abck", c, c)
     return (
-        _max_defect_norm(x_yz - xy_z - y_xz),
-        _max_defect_norm(xy_z - xz_y - x_yz),
-        _max_defect_norm(c + c.transpose(1, 0, 2)),
-        _max_defect_norm(
+        reference_max_defect_norm(x_yz - xy_z - y_xz),
+        reference_max_defect_norm(xy_z - xz_y - x_yz),
+        reference_max_defect_norm(c + c.transpose(1, 0, 2)),
+        reference_max_defect_norm(
             x_yz + np.einsum("cam,bmk->abck", c, c) + np.einsum("abm,cmk->abck", c, c)
         ),
     )
@@ -161,19 +167,26 @@ def random_subspace(n: int, rank: int, rng: np.random.Generator) -> Subspace:
     return Subspace(np.linalg.qr(z)[0])
 
 
+def phase_multiple(mu: Bracket) -> Bracket:
+    """e^{i pi/4} mu, stored complex whenever mu is nonzero."""
+    return Bracket(mu.dim, np.exp(0.25j * np.pi) * mu.coeffs)
+
+
 @pytest.mark.parametrize("mu", CASES)
 def test_check_identities_matches_reference(mu):
-    got = check_identities(mu)
-    ref = reference_check_identities(mu)
-    residuals = (got.left_residual, got.right_residual,
-                 got.anticommutativity_residual, got.jacobi_residual)
-    for value, want in zip(residuals, ref):
-        assert abs(value - want) <= RTOL * max(1.0, want)
-    tol = got.tol
-    assert got.is_left_leibniz == (ref[0] <= tol)
-    assert got.is_right_leibniz == (ref[1] <= tol)
-    assert got.is_symmetric_leibniz == (ref[0] <= tol and ref[1] <= tol)
-    assert got.is_lie == (ref[2] <= tol and ref[3] <= tol)
+    # both storages: a catalog-basis case is real, its phase multiple complex
+    for case in (mu, phase_multiple(mu)):
+        got = check_identities(case)
+        ref = reference_check_identities(case)
+        residuals = (got.left_residual, got.right_residual,
+                     got.anticommutativity_residual, got.jacobi_residual)
+        for value, want in zip(residuals, ref):
+            assert abs(value - want) <= RTOL * max(1.0, want)
+        tol = got.tol
+        assert got.is_left_leibniz == (ref[0] <= tol)
+        assert got.is_right_leibniz == (ref[1] <= tol)
+        assert got.is_symmetric_leibniz == (ref[0] <= tol and ref[1] <= tol)
+        assert got.is_lie == (ref[2] <= tol and ref[3] <= tol)
 
 
 @pytest.mark.parametrize("mu", CASES)
@@ -183,6 +196,18 @@ def test_inf_act_matches_reference(mu):
     for a in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
               random_hermitian(n, rng), np.eye(n)):
         assert_close(inf_act(a, mu).coeffs, reference_inf_act(a.astype(complex), mu))
+
+
+@pytest.mark.parametrize("mu", CASES)
+def test_inf_act_kernel_matches_reference(mu):
+    # the kernel computes in the dtype of a and the coefficients: real for real inputs
+    rng = case_rng(mu)
+    n, c = mu.dim, mu.coeffs
+    real = rng.standard_normal((n, n))
+    for a in (real, real + 1j * rng.standard_normal((n, n)), random_hermitian(n, rng)):
+        got = _inf_act(a, c)
+        assert got.dtype == np.result_type(a, c)
+        assert_close(got, reference_inf_act(a.astype(complex), mu))
 
 
 @pytest.mark.parametrize("mu", [case for case in CASES if case.values[0].dim])

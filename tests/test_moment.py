@@ -170,7 +170,8 @@ def reference_report(mu: Bracket, tol: float = 1e-8) -> MomentReport:
     c = tr_m2 / float(np.trace(m).real)
     d = m - c * np.eye(mu.dim)
     v = inf_act(m, mu)
-    v_perp = v.coeffs - inner_product(v, mu) / nsq * mu.coeffs
+    # <v, mu> as a Python scalar of mu's dtype: a real product stays real
+    v_perp = v.coeffs - np.vdot(mu.coeffs, v.coeffs).item() / nsq * mu.coeffs
     residual_tangent = float(np.linalg.norm(v_perp)) / (norm_m * mu.norm)
     return MomentReport(
         M=m, norm_sq=nsq, F=tr_m2 / nsq**2, c=c, D=d,

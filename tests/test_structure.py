@@ -62,6 +62,17 @@ class TestStructureProfile:
             assert p.is_nilpotent
             assert p.center_dim > 0
 
+    @pytest.mark.parametrize("entry", standard_rows(), ids=lambda e: e.label)
+    def test_computes_the_derived_algebra_once(self, monkeypatch, entry):
+        import leibcrit.structure as structure
+
+        calls = []
+        real = structure.subspace_product
+        monkeypatch.setattr(structure, "subspace_product", lambda *a: calls.append(a) or real(*a))
+        p = structure_profile(entry.bracket)
+        # one product per entry after the first of each series, less the shared [mu, mu]
+        assert len(calls) == len(p.derived_dims) + len(p.lower_central_dims) - 3
+
     def test_center_of_heisenberg(self):
         heis = get("L1").bracket
         z = center_subspace(heis)

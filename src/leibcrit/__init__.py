@@ -16,19 +16,14 @@ from .bracket import (
     Bracket,
     IdentityReport,
     check_identities,
-    direct_sum,
-    evaluate,
     gl_act,
     inf_act,
-    inner_product,
 )
 from .linalg import (
     Subspace,
     derivation_space,
     hermitian_eigen,
-    left_op,
     restrict,
-    right_op,
     subspace_product,
 )
 from .moment import (
@@ -67,10 +62,9 @@ from .fileio import AlgebraFileError, load_algebra, save_algebra
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bracket", "IdentityReport", "check_identities", "direct_sum", "evaluate",
-    "gl_act", "inf_act", "inner_product",
-    "Subspace", "derivation_space", "hermitian_eigen", "left_op", "restrict",
-    "right_op", "subspace_product",
+    "Bracket", "IdentityReport", "check_identities", "gl_act", "inf_act",
+    "Subspace", "derivation_space", "hermitian_eigen", "restrict",
+    "subspace_product",
     "CriticalType", "IrrationalTypeError", "MomentReport", "critical_type",
     "critical_value_formula", "criticality_decompose", "functional_value",
     "moment_matrix",

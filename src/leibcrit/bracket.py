@@ -7,8 +7,8 @@ inner product on C^n induces the inner product on the space of products
 
     <mu, lam> = sum_{i,j,k} c_mu[i,j,k] * conj(c_lam[i,j,k]),
 
-which is what :func:`inner_product` computes; it is invariant under the
-unitary subgroup of the GL(n) action implemented by :func:`gl_act`.
+which is invariant under the unitary subgroup of the GL(n) action
+implemented by :func:`gl_act`.
 
 A product whose coefficients are all real is stored as a float64 tensor,
 any other as complex128, and every kernel computes in the dtype of its
@@ -27,12 +27,9 @@ import numpy as np
 __all__ = [
     "Bracket",
     "IdentityReport",
-    "evaluate",
     "gl_act",
     "inf_act",
-    "inner_product",
     "check_identities",
-    "direct_sum",
     "DEFAULT_IDENTITY_TOL",
 ]
 
@@ -170,20 +167,6 @@ class IdentityReport:
         )
 
 
-def _check_vector(x: np.ndarray, dim: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (dim,):
-        raise ValueError(f"{name} must be a vector of length {dim}, got shape {x.shape}")
-    return x
-
-
-def evaluate(mu: Bracket, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product of the vectors x and y under mu."""
-    x = _check_vector(x, mu.dim, "x")
-    y = _check_vector(y, mu.dim, "y")
-    return np.einsum("i,j,ijk->k", x, y, mu.coeffs)
-
-
 def gl_act(g: np.ndarray, mu: Bracket) -> Bracket:
     """Base change of mu by an invertible matrix g.
 
@@ -236,13 +219,6 @@ def _inf_act(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def inner_product(mu: Bracket, lam: Bracket) -> complex:
-    """Hermitian inner product <mu, lam> on the space of products."""
-    if mu.dim != lam.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {lam.dim}")
-    return complex(np.vdot(lam.coeffs, mu.coeffs))
-
-
 def _check_tol(tol: float) -> None:
     """Reject a tolerance that is not a finite positive number."""
     if not (math.isfinite(tol) and tol > 0):
@@ -290,12 +266,3 @@ def check_identities(mu: Bracket, tol: float = DEFAULT_IDENTITY_TOL) -> Identity
     jac = _max_defect_norm(d)
     anti = _max_defect_norm(c + c.transpose(1, 0, 2))
     return IdentityReport(left, right, anti, jac, tol)
-
-
-def direct_sum(mu1: Bracket, mu2: Bracket) -> Bracket:
-    """Block-diagonal product on C^(n1+n2) with no cross terms."""
-    n1, n2 = mu1.dim, mu2.dim
-    c = np.zeros((n1 + n2,) * 3, dtype=complex)
-    c[:n1, :n1, :n1] = mu1.coeffs
-    c[n1:, n1:, n1:] = mu2.coeffs
-    return Bracket(n1 + n2, c)

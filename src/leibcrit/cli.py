@@ -341,7 +341,8 @@ def run(argv: list[str] | None = None) -> int:
     except ExtensionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except LinAlgError as exc:  # a ValueError, but never the input's fault
+    # LinAlgError is a ValueError, but neither it nor MemoryError is the input's fault
+    except (LinAlgError, MemoryError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (AlgebraFileError, FileNotFoundError, IsADirectoryError, KeyError,

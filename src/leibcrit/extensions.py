@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, _check_tol, check_identities, gl_act, inf_act
+from .bracket import Bracket, _check_tol, _real_if_real, check_identities, gl_act, inf_act
 from .moment import DEFAULT_CRITICAL_TOL, CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
@@ -113,8 +113,8 @@ class ExtensionSpec:
     core_c: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left_maps", tuple(np.asarray(a, dtype=complex) for a in self.left_maps))
-        object.__setattr__(self, "right_maps", tuple(np.asarray(a, dtype=complex) for a in self.right_maps))
+        object.__setattr__(self, "left_maps", tuple(_real_if_real(a) for a in self.left_maps))
+        object.__setattr__(self, "right_maps", tuple(_real_if_real(a) for a in self.right_maps))
         if len(self.left_maps) != len(self.right_maps) or not self.left_maps:
             raise ValueError("need one (left, right) map pair per generator, at least one")
         m = self.core.dim
@@ -141,7 +141,7 @@ def _core_data(spec: ExtensionSpec, tol: float) -> tuple[np.ndarray, float, Crit
             raise ValueError("degenerate mode requires the zero core")
         if not spec.core_c < 0:
             raise ValueError("degenerate mode needs core_c < 0")
-        return np.eye(m, dtype=complex), spec.core_c, CriticalType((1,), (m,))
+        return np.eye(m), spec.core_c, CriticalType((1,), (m,))
     rep = spec.core_report
     if rep is None:
         rep = criticality_decompose(spec.core, tol)
@@ -234,7 +234,7 @@ def _assemble(
 ) -> Bracket:
     d1, m = len(lmaps), core.dim
     n = d1 + m
-    c = np.zeros((n, n, n), dtype=complex)
+    c = np.zeros((n, n, n), dtype=np.result_type(core.coeffs, f_coeffs, *lmaps, *rmaps))
     c[d1:, d1:, d1:] = core.coeffs
     for a in range(d1):
         c[a, d1:, d1:] = lmaps[a].T  # mu(A_a, e_j) = L_a e_j
@@ -254,7 +254,7 @@ def _identity_gate(
     if idr.is_left_leibniz:
         worst = 0.0
         for r in rmaps:
-            full = np.zeros((out.dim, out.dim), dtype=complex)
+            full = np.zeros((out.dim, out.dim), dtype=r.dtype)
             full[d1:, d1:] = r
             worst = max(worst, inf_act(full, out).norm / out.norm)
         if worst <= tol:

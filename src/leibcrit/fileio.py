@@ -246,7 +246,7 @@ def load_extension_spec(path):
 
 
 def _matrix_to_json(a: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(a, dtype=complex)]
+    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
 
 def report_dict(obj: Any) -> dict:

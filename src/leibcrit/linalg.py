@@ -1,5 +1,5 @@
-"""Operator-level utilities: multiplication operators, derivation spaces,
-Hermitian eigendecomposition and orthonormal subspaces.
+"""Operator-level utilities: derivation spaces, Hermitian eigendecomposition
+and orthonormal subspaces.
 
 Linear maps are plain ndarrays of shape (n, n), real or complex; the
 pairing used throughout is the trace form ``(A, B) = tr(A B*)``.  Each
@@ -18,9 +18,6 @@ from .bracket import Bracket, _base_change, _check_tol, _real_if_real
 
 __all__ = [
     "Subspace",
-    "left_op",
-    "right_op",
-    "trace_pairing",
     "is_hermitian",
     "hermitian_eigen",
     "derivation_space",
@@ -35,27 +32,6 @@ RANK_RTOL = 1e-9
 
 #: Relative defect |a - a*| / max(|a|, 1) up to which a map counts as Hermitian.
 HERMITIAN_CERT_TOL = 1e-12
-
-
-def left_op(mu: Bracket, x: np.ndarray) -> np.ndarray:
-    """Matrix of y -> mu(x, y)."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (mu.dim,):
-        raise ValueError(f"x must have length {mu.dim}")
-    return np.einsum("i,ijk->kj", x, mu.coeffs)
-
-
-def right_op(mu: Bracket, x: np.ndarray) -> np.ndarray:
-    """Matrix of y -> mu(y, x)."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (mu.dim,):
-        raise ValueError(f"x must have length {mu.dim}")
-    return np.einsum("j,ijk->ki", x, mu.coeffs)
-
-
-def trace_pairing(a: np.ndarray, b: np.ndarray) -> complex:
-    """tr(a b*)."""
-    return complex(np.vdot(b, a))
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -179,16 +155,6 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.conj().T @ v)
-
-    def contains(self, other: "Subspace") -> bool:
-        """Whether other lies in self, to 1e-10 relative to |other.basis|."""
-        if other.rank == 0:
-            return True
-        d = other.basis - self.project(other.basis)
-        return float(np.linalg.norm(d)) <= 1e-10 * max(1.0, float(np.linalg.norm(other.basis)))
 
 
 def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:

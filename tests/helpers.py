@@ -5,6 +5,20 @@ import numpy as np
 from leibcrit.bracket import Bracket
 
 
+def evaluate(mu: Bracket, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Reference product of the vectors x and y under mu."""
+    return np.einsum("i,j,ijk->k", x, y, mu.coeffs)
+
+
+def direct_sum(mu1: Bracket, mu2: Bracket) -> Bracket:
+    """Block-diagonal product on C^(n1+n2) with no cross terms."""
+    n1, n2 = mu1.dim, mu2.dim
+    c = np.zeros((n1 + n2,) * 3, dtype=complex)
+    c[:n1, :n1, :n1] = mu1.coeffs
+    c[n1:, n1:, n1:] = mu2.coeffs
+    return Bracket(n1 + n2, c)
+
+
 def random_bracket(n: int, rng: np.random.Generator, scale: float = 1.0) -> Bracket:
     c = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     return Bracket(n, scale * c)

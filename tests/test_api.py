@@ -1,4 +1,5 @@
-"""Shape of the public API: which functions take a tolerance, and its default.
+"""Shape of the public API: the exported names, which functions take a
+tolerance, and its default.
 
 Fixed cuts read a module constant and take no argument; every settable
 tolerance the global ``--tol`` reaches defaults to ``DEFAULT_CRITICAL_TOL``.
@@ -8,7 +9,8 @@ import inspect
 
 import pytest
 
-from leibcrit import bracket, catalog, cli, extensions, flow, linalg, moment, structure
+import leibcrit
+from leibcrit import bracket, catalog, cli, extensions, fileio, flow, linalg, moment, structure
 from leibcrit.bracket import DEFAULT_IDENTITY_TOL, Bracket
 from leibcrit.linalg import RANK_RTOL, Subspace
 from leibcrit.moment import DEFAULT_CRITICAL_TOL
@@ -30,7 +32,6 @@ TOL_DEFAULTS = {
 FIXED_CUTS = {
     linalg.is_hermitian: ["a"],
     Subspace.from_span: ["n", "vectors"],
-    Subspace.contains: ["self", "other"],
     linalg.subspace_product: ["mu", "u", "w"],
     structure.center_subspace: ["mu"],
     structure.structure_profile: ["mu"],
@@ -39,6 +40,48 @@ FIXED_CUTS = {
     moment.critical_type: ["d"],
     Bracket.from_entries: ["dim", "entries", "antisymmetrize"],
 }
+
+
+#: Everything ``from leibcrit import *`` exports.
+PACKAGE_ALL = [
+    "Bracket", "IdentityReport", "check_identities", "gl_act", "inf_act",
+    "Subspace", "derivation_space", "hermitian_eigen", "restrict",
+    "subspace_product",
+    "CriticalType", "IrrationalTypeError", "MomentReport", "critical_type",
+    "critical_value_formula", "criticality_decompose", "functional_value",
+    "moment_matrix",
+    "GradingDecomposition", "StructureProfile", "StructureVerdict",
+    "grading_decomposition", "structure_profile", "verify_structure_theorem",
+    "FlowTrace", "descend", "perturb_in_orbit",
+    "CatalogEntry", "VerifyRow", "get", "names", "verify_catalog",
+    "CertificationFailed", "ExtensionError", "ExtensionSpec", "GramNotPositive",
+    "HypothesisViolation", "NotLie", "NotSymmetricLeibniz",
+    "build_general_extension", "build_solvable_extension",
+    "AlgebraFileError", "load_algebra", "save_algebra",
+    "__version__",
+]
+
+#: Helpers that only tests called, deleted from the library.
+REMOVED = {
+    leibcrit: ["evaluate", "inner_product", "direct_sum", "left_op", "right_op"],
+    bracket: ["evaluate", "_check_vector", "inner_product", "direct_sum"],
+    linalg: ["left_op", "right_op", "trace_pairing"],
+    Subspace: ["contains", "project"],
+}
+
+
+def test_package_all():
+    assert leibcrit.__all__ == PACKAGE_ALL
+
+
+@pytest.mark.parametrize("mod", (leibcrit, *MODULES, fileio), ids=lambda m: m.__name__)
+def test_all_names_resolve(mod):
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("owner", REMOVED, ids=lambda o: o.__name__)
+def test_removed_names_stay_removed(owner):
+    assert [name for name in REMOVED[owner] if hasattr(owner, name)] == []
 
 
 def _public_functions():

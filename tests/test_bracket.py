@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_bracket, random_invertible, random_unitary
-from leibcrit.bracket import (
-    Bracket,
-    check_identities,
-    direct_sum,
-    evaluate,
-    gl_act,
-    inf_act,
-    inner_product,
-)
+from helpers import direct_sum, evaluate, random_bracket, random_invertible, random_unitary
+from leibcrit.bracket import Bracket, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import derivation_space
@@ -85,10 +77,6 @@ class TestEvaluate:
         rhs = a * evaluate(mu, x, y) + evaluate(mu, z, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            evaluate(LIE2, np.zeros(3), np.zeros(2))
-
 
 class TestGlAct:
     def test_identity_acts_trivially(self, rng):
@@ -151,24 +139,6 @@ class TestInfAct:
         lhs = inf_act(2.0 * a + b, mu).coeffs
         rhs = 2.0 * inf_act(a, mu).coeffs + inf_act(b, mu).coeffs
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-class TestInnerProduct:
-    def test_golden_norms(self):
-        assert inner_product(LIE2, LIE2) == pytest.approx(2.0)
-        assert inner_product(NONLIE2, NONLIE2) == pytest.approx(1.0)
-
-    def test_disjoint_supports_orthogonal(self):
-        assert inner_product(NONLIE2, NS2) == 0
-
-    def test_hermitian_symmetry(self, rng):
-        mu = random_bracket(3, rng)
-        lam = random_bracket(3, rng)
-        assert inner_product(mu, lam) == pytest.approx(np.conj(inner_product(lam, mu)))
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner_product(LIE2, S1)
 
 
 class TestIdentities:

@@ -213,6 +213,18 @@ class TestAnalyzeCommand:
         assert code == 3 and out == ""
         assert err == "internal error: SVD did not converge\n"
 
+    def test_memory_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        # an allocation failure is not a failed verification (exit 1)
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 119. GiB for an array")
+
+        monkeypatch.setattr("leibcrit.cli.criticality_decompose", fail)
+        path = tmp_path / "s1.json"
+        save_algebra(path, get("S1").bracket)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 3 and out == ""
+        assert err == "internal error: Unable to allocate 119. GiB for an array\n"
+
 
 class TestToleranceFlag:
     @pytest.mark.parametrize("tol, name, argv", [

@@ -15,7 +15,7 @@ from leibcrit.extensions import (
     build_general_extension,
     build_solvable_extension,
 )
-from leibcrit.moment import critical_type, critical_value_formula, criticality_decompose
+from leibcrit.moment import CriticalType, critical_type, critical_value_formula, criticality_decompose
 
 Z2 = np.zeros((2, 2), dtype=complex)
 Z3 = np.zeros((3, 3), dtype=complex)
@@ -279,6 +279,32 @@ class TestGeneralExtension:
         )
         with pytest.raises(GramNotPositive):
             build_general_extension(spec)
+
+
+class TestDtype:
+    """Real maps build in real arithmetic, complex ones in complex."""
+
+    @staticmethod
+    def spec(phase: complex) -> ExtensionSpec:
+        # mu_he(4) extended by L = phase diag(1, 0, 1, 0), R = -L; the real maps
+        # come as complex128 with zero imaginary part
+        lmap = phase * np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+        return ExtensionSpec(core=get("mu_he", n=4).bracket, core_report=None,
+                             left_maps=(lmap,), right_maps=(-lmap,))
+
+    def test_real_spec_builds_real(self):
+        real, cplx = self.spec(1.0), self.spec(1j)
+        assert [a.dtype for a in (*real.left_maps, *real.right_maps)] == [np.float64] * 2
+        assert [a.dtype for a in (*cplx.left_maps, *cplx.right_maps)] == [np.complex128] * 2
+        out, rep = build_solvable_extension(real)
+        out_c, rep_c = build_solvable_extension(cplx)
+        assert out.coeffs.dtype == np.float64 and out_c.coeffs.dtype == np.complex128
+        # the complex spec is the real one with the generator A replaced by iA
+        np.testing.assert_allclose(np.abs(out_c.coeffs), np.abs(out.coeffs), atol=1e-12)
+        t = get("mu_he", n=4).expected_type
+        assert rep.type == rep_c.type == CriticalType((0,) + t.ks, (1,) + t.ds)
+        assert rep.F == pytest.approx(rep_c.F, rel=1e-12)
+        assert rep.F == pytest.approx(critical_value_formula(rep.type, 5), rel=1e-10)
 
 
 class TestSpecValidation:

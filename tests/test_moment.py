@@ -8,11 +8,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import irrational_type_s2, random_bracket, random_hermitian, random_unitary
-from leibcrit.bracket import Bracket, _check_tol, evaluate, gl_act, inf_act, inner_product
+from helpers import evaluate, irrational_type_s2, random_bracket, random_hermitian, random_unitary
+from leibcrit.bracket import Bracket, _check_tol, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
-from leibcrit.linalg import RANK_RTOL, _action_matrix, _nullspace, derivation_space, trace_pairing
+from leibcrit.linalg import RANK_RTOL, _action_matrix, _nullspace, derivation_space
 from leibcrit.moment import (
     CriticalType,
     MomentReport,
@@ -265,7 +265,7 @@ class TestMomentMatrix:
             mu = random_bracket(n, rng)
             a = random_hermitian(n, rng)
             lhs = np.trace(moment_matrix(mu) @ a).real
-            rhs = 2.0 * inner_product(inf_act(a, mu), mu).real
+            rhs = 2.0 * np.vdot(mu.coeffs, inf_act(a, mu).coeffs).real
             assert abs(lhs - rhs) < 1e-8 * mu.norm_sq * np.linalg.norm(a)
 
     def test_finite_difference_derivative(self):
@@ -426,7 +426,7 @@ class TestHermitianDerivations:
     def test_nonlie2_contains_weight_map(self):
         herms = hermitian_derivations(NONLIE2)
         target = np.diag([1.0 + 0j, 2.0])
-        proj = sum(h * np.real(trace_pairing(target, h)) for h in herms)
+        proj = sum(h * np.real(np.vdot(h, target)) for h in herms)
         assert np.linalg.norm(proj - target) < 1e-9
 
     def test_all_hermitian_and_derivations(self, rng):

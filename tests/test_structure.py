@@ -149,7 +149,7 @@ class TestGradingDecomposition:
                     hits = np.where(np.abs(values - (a + b)) < 1e-6)[0]
                     if hits.size:
                         target = g.eigenspaces[hits[0]]
-                        img = img - target.project(img)
+                        img = img - target.projector() @ img
                     assert np.linalg.norm(img) < 1e-8, entry.label
 
 

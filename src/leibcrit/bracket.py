@@ -79,10 +79,13 @@ class Bracket:
 
         With ``antisymmetrize=True`` every entry ``(i, j, k) -> v`` also
         contributes ``(j, i, k) -> -v``, which turns a Lie multiplication
-        table (one product per unordered pair) into the full tensor.
+        table (one product per unordered pair) into the full tensor.  The
+        tensor is allocated in the table's dtype: float64 when every value
+        is real, complex128 otherwise.
         """
-        c = np.zeros((dim, dim, dim), dtype=complex)
-        for (i, j, k), v in entries.items():
+        values = _real_if_real(list(entries.values()))
+        c = np.zeros((dim, dim, dim), dtype=values.dtype)
+        for (i, j, k), v in zip(entries, values):
             ii, jj, kk = i - 1, j - 1, k - 1
             for idx in (ii, jj, kk):
                 if not 0 <= idx < dim:

@@ -15,8 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-
-from .bracket import Bracket, check_identities
+from .bracket import Bracket
 from .flow import descend
 from .moment import DEFAULT_CRITICAL_TOL, CriticalType, criticality_decompose
 
@@ -32,13 +31,16 @@ class CatalogEntry:
 
     name: str
     params: dict
-    dim: int
     bracket: Bracket
     algebra_class: str  # "lie" | "symmetric" | "left" | "right"
     expected_type: CriticalType | None
     expected_value: float | None
     critical_in_given_basis: bool
     notes: str = ""
+
+    @property
+    def dim(self) -> int:
+        return self.bracket.dim
 
     @property
     def label(self) -> str:
@@ -82,17 +84,13 @@ def _dim_param(name: str, n, least: int) -> int:
 
 
 def _entry_L1() -> CatalogEntry:
-    return CatalogEntry(
-        "L1", {}, 3, _lie(3, {(1, 2, 3): 1}), "lie", _t((1, 2), (2, 1)), 12.0, True,
-        "Heisenberg algebra",
-    )
+    return CatalogEntry("L1", {}, _lie(3, {(1, 2, 3): 1}), "lie", _t((1, 2), (2, 1)), 12.0, True,
+                        "Heisenberg algebra")
 
 
 def _entry_L2() -> CatalogEntry:
-    return CatalogEntry(
-        "L2", {}, 3, _lie(3, {(1, 2, 2): 1}), "lie", _t((0, 1), (1, 2)), 4.0, True,
-        "2-d solvable plus a trivial summand",
-    )
+    return CatalogEntry("L2", {}, _lie(3, {(1, 2, 2): 1}), "lie", _t((0, 1), (1, 2)), 4.0, True,
+                        "2-d solvable plus a trivial summand")
 
 
 def _entry_L3(alpha=1.0) -> CatalogEntry:
@@ -100,50 +98,44 @@ def _entry_L3(alpha=1.0) -> CatalogEntry:
     if alpha == 0:
         raise ValueError("L3 requires alpha != 0")
     b = _lie(3, {(3, 1, 1): 1, (3, 2, 2): alpha})
-    return CatalogEntry("L3", {"alpha": alpha}, 3, b, "lie", _t((0, 1), (1, 2)), 4.0, True)
+    return CatalogEntry("L3", {"alpha": alpha}, b, "lie", _t((0, 1), (1, 2)), 4.0, True)
 
 
 def _entry_L4() -> CatalogEntry:
     b = _lie(3, {(3, 1, 1): 1, (3, 1, 2): 1, (3, 2, 2): 1})
-    return CatalogEntry("L4", {}, 3, b, "lie", None, None, False,
+    return CatalogEntry("L4", {}, b, "lie", None, None, False,
                         "no critical point in its orbit")
 
 
 def _entry_L5() -> CatalogEntry:
     b = _lie(3, {(3, 1, 1): 2, (3, 2, 2): -2, (1, 2, 3): 1})
-    return CatalogEntry("L5", {}, 3, b, "lie", _t((0,), (3,)), 4.0 / 3.0, False,
+    return CatalogEntry("L5", {}, b, "lie", _t((0,), (3,)), 4.0 / 3.0, False,
                         "sl(2) in a weight basis; the critical basis is so3")
 
 
 def _entry_S1() -> CatalogEntry:
-    return CatalogEntry(
-        "S1", {}, 3, _alg(3, {(3, 3, 1): 1}), "symmetric",
-        _t((3, 5, 6), (1, 1, 1)), 20.0, True,
-    )
+    return CatalogEntry("S1", {}, _alg(3, {(3, 3, 1): 1}), "symmetric",
+                        _t((3, 5, 6), (1, 1, 1)), 20.0, True)
 
 
 def _entry_S2() -> CatalogEntry:
-    return CatalogEntry(
-        "S2", {}, 3, _alg(3, {(2, 2, 1): 1, (3, 3, 1): 1}), "symmetric",
-        _t((1, 2), (2, 1)), 12.0, True,
-    )
+    return CatalogEntry("S2", {}, _alg(3, {(2, 2, 1): 1, (3, 3, 1): 1}), "symmetric",
+                        _t((1, 2), (2, 1)), 12.0, True)
 
 
 def _entry_S3(beta=1.0) -> CatalogEntry:
     beta = complex(beta)
     b = _alg(3, {(2, 2, 1): beta, (3, 2, 1): 1, (3, 3, 1): 1})
     if beta == 0.25:
-        return CatalogEntry("S3", {"beta": beta}, 3, b, "symmetric", None, None, False,
+        return CatalogEntry("S3", {"beta": beta}, b, "symmetric", None, None, False,
                             "no critical point in its orbit")
-    return CatalogEntry("S3", {"beta": beta}, 3, b, "symmetric",
+    return CatalogEntry("S3", {"beta": beta}, b, "symmetric",
                         _t((1, 2), (2, 1)), 12.0, False)
 
 
 def _entry_S4() -> CatalogEntry:
-    return CatalogEntry(
-        "S4", {}, 3, _alg(3, {(1, 3, 1): 1}), "right", _t((0, 1), (1, 2)), 4.0, True,
-        "right Leibniz only: the left identity fails on (e1, e3, e3)",
-    )
+    return CatalogEntry("S4", {}, _alg(3, {(1, 3, 1): 1}), "right", _t((0, 1), (1, 2)), 4.0, True,
+                        "right Leibniz only: the left identity fails on (e1, e3, e3)")
 
 
 def _entry_S5(alpha=1.0) -> CatalogEntry:
@@ -151,14 +143,14 @@ def _entry_S5(alpha=1.0) -> CatalogEntry:
     if alpha == 0:
         raise ValueError("S5 requires alpha != 0")
     b = _alg(3, {(1, 3, 1): alpha, (2, 3, 2): 1, (3, 2, 2): -1})
-    return CatalogEntry("S5", {"alpha": alpha}, 3, b, "right",
+    return CatalogEntry("S5", {"alpha": alpha}, b, "right",
                         _t((0, 1), (1, 2)), 4.0, True,
                         "right Leibniz only in this orientation")
 
 
 def _entry_S6() -> CatalogEntry:
     b = _alg(3, {(2, 3, 2): 1, (3, 2, 2): -1, (3, 3, 1): 1})
-    return CatalogEntry("S6", {}, 3, b, "symmetric", None, None, False,
+    return CatalogEntry("S6", {}, b, "symmetric", None, None, False,
                         "no critical point in its orbit")
 
 
@@ -167,42 +159,36 @@ def _entry_S7(alpha=1.0) -> CatalogEntry:
     if alpha == 0:
         raise ValueError("S7 requires alpha != 0")
     b = _alg(3, {(1, 3, 1): alpha, (2, 3, 2): 1})
-    return CatalogEntry("S7", {"alpha": alpha}, 3, b, "right",
+    return CatalogEntry("S7", {"alpha": alpha}, b, "right",
                         _t((0, 1), (1, 2)), 4.0, True,
                         "right Leibniz only in this orientation")
 
 
 def _entry_S8() -> CatalogEntry:
     b = _alg(3, {(1, 3, 1): 1, (1, 3, 2): 1, (3, 3, 1): 1})
-    return CatalogEntry("S8", {}, 3, b, "right", None, None, False,
+    return CatalogEntry("S8", {}, b, "right", None, None, False,
                         "no critical point in its orbit; right Leibniz only")
 
 
 def _entry_lie2() -> CatalogEntry:
-    return CatalogEntry(
-        "lie2", {}, 2, _lie(2, {(1, 2, 2): 1}), "lie", _t((0, 1), (1, 1)), 4.0, True,
-        "the non-abelian 2-d Lie algebra",
-    )
+    return CatalogEntry("lie2", {}, _lie(2, {(1, 2, 2): 1}), "lie", _t((0, 1), (1, 1)), 4.0, True,
+                        "the non-abelian 2-d Lie algebra")
 
 
 def _entry_nonlie2() -> CatalogEntry:
-    return CatalogEntry(
-        "nonlie2", {}, 2, _alg(2, {(1, 1, 2): 1}), "symmetric",
-        _t((1, 2), (1, 1)), 20.0, True,
-        "the non-Lie symmetric 2-d algebra; global maximum of F",
-    )
+    return CatalogEntry("nonlie2", {}, _alg(2, {(1, 1, 2): 1}), "symmetric",
+                        _t((1, 2), (1, 1)), 20.0, True,
+                        "the non-Lie symmetric 2-d algebra; global maximum of F")
 
 
 def _entry_ns2() -> CatalogEntry:
-    return CatalogEntry(
-        "ns2", {}, 2, _alg(2, {(1, 2, 2): 1}), "left", _t((0, 1), (1, 1)), 4.0, True,
-        "left Leibniz but not right: a non-symmetric critical point",
-    )
+    return CatalogEntry("ns2", {}, _alg(2, {(1, 2, 2): 1}), "left", _t((0, 1), (1, 1)), 4.0, True,
+                        "left Leibniz but not right: a non-symmetric critical point")
 
 
 def _entry_so3() -> CatalogEntry:
     b = _lie(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1})
-    return CatalogEntry("so3", {}, 3, b, "lie", _t((0,), (3,)), 4.0 / 3.0, True,
+    return CatalogEntry("so3", {}, b, "lie", _t((0,), (3,)), 4.0 / 3.0, True,
                         "cyclic basis of sl(2); the moment matrix is scalar")
 
 
@@ -210,7 +196,7 @@ def _entry_mu_hy(n=4) -> CatalogEntry:
     n = _dim_param("mu_hy", n, 2)
     b = _lie(n, {(1, i, i): 1 for i in range(2, n + 1)})
     t = _t((0, 1), (1, n - 1))
-    return CatalogEntry("mu_hy", {"n": n}, n, b, "lie", t, 4.0, True,
+    return CatalogEntry("mu_hy", {"n": n}, b, "lie", t, 4.0, True,
                         "scaling algebra: one generator acting as the identity")
 
 
@@ -218,7 +204,7 @@ def _entry_mu_he(n=4) -> CatalogEntry:
     n = _dim_param("mu_he", n, 3)
     b = _lie(n, {(1, 2, 3): 1})
     t = _t((1, 2), (2, 1)) if n == 3 else _t((2, 3, 4), (2, n - 3, 1))
-    return CatalogEntry("mu_he", {"n": n}, n, b, "lie", t, 12.0, True,
+    return CatalogEntry("mu_he", {"n": n}, b, "lie", t, 12.0, True,
                         "Heisenberg algebra plus a trivial summand")
 
 
@@ -226,7 +212,7 @@ def _entry_mu_sy(n=4) -> CatalogEntry:
     n = _dim_param("mu_sy", n, 2)
     b = _alg(n, {(1, 1, 2): 1})
     t = _t((1, 2), (1, 1)) if n == 2 else _t((3, 5, 6), (1, n - 2, 1))
-    return CatalogEntry("mu_sy", {"n": n}, n, b, "symmetric", t, 20.0, True,
+    return CatalogEntry("mu_sy", {"n": n}, b, "symmetric", t, 20.0, True,
                         "non-Lie 2-d algebra plus a trivial summand")
 
 
@@ -275,21 +261,7 @@ def get(name: str, params: dict | None = None, n: int | None = None) -> CatalogE
     if unknown:
         raise ValueError(f"catalog entry {name} has no parameter {', '.join(unknown)};"
                          f" it takes: {', '.join(known) or 'none'}")
-    entry = builder(**kwargs)
-    _check_entry_class(entry)
-    return entry
-
-
-def _check_entry_class(entry: CatalogEntry) -> None:
-    idr = check_identities(entry.bracket, tol=1e-12)
-    ok = {
-        "lie": idr.is_lie,
-        "symmetric": idr.is_symmetric_leibniz and not idr.is_lie,
-        "left": idr.is_left_leibniz and not idr.is_right_leibniz,
-        "right": idr.is_right_leibniz and not idr.is_left_leibniz,
-    }[entry.algebra_class]
-    if not ok:
-        raise AssertionError(f"catalog entry {entry.label} fails its identity class")
+    return builder(**kwargs)
 
 
 @dataclass(frozen=True)

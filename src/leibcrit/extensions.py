@@ -54,6 +54,12 @@ __all__ = [
 ]
 
 
+#: The Gram form is positive definite when min/max of its eigenvalues exceeds this.
+GRAM_MIN_EIG_RATIO = 1e-10
+#: Largest relative change of the constant c from the core to the assembled product.
+CONSTANT_RTOL = 1e-8
+
+
 class ExtensionError(Exception):
     """Base class for extension-builder failures."""
 
@@ -214,7 +220,7 @@ def _orthonormalize(gram: np.ndarray) -> np.ndarray:
     """Transition matrix s with s* gram s = I; raises when gram is not PD."""
     gram = 0.5 * (gram + gram.conj().T)
     w = np.linalg.eigvalsh(gram)
-    if w[0] <= 1e-10 * max(w[-1], 0.0):
+    if w[0] <= GRAM_MIN_EIG_RATIO * max(w[-1], 0.0):
         raise GramNotPositive(
             f"Gram matrix is not positive definite (eigenvalues {w[0]:.3g}..{w[-1]:.3g})"
         )
@@ -276,7 +282,7 @@ def _certify(
         raise CertificationFailed(
             f"assembled product is not critical (tangent residual {rep.residual_tangent:.3g})"
         )
-    if abs(rep.c - core_c) > 1e-8 * abs(core_c):
+    if abs(rep.c - core_c) > CONSTANT_RTOL * abs(core_c):
         raise CertificationFailed(
             f"constant changed: core {core_c:.12g} vs assembled {rep.c:.12g}"
         )

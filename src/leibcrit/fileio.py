@@ -80,8 +80,7 @@ def bracket_from_dict(doc: Any) -> tuple[Bracket, dict]:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise AlgebraFileError("'entries' must be a list")
-    c = np.zeros((dim, dim, dim), dtype=complex)
-    seen: set[tuple[int, int, int]] = set()
+    table: dict[tuple[int, int, int], complex] = {}
     for pos, e in enumerate(entries):
         where = f"entry #{pos + 1}"
         if not isinstance(e, dict):
@@ -98,13 +97,12 @@ def bracket_from_dict(doc: Any) -> tuple[Bracket, dict]:
                 raise AlgebraFileError(
                     f"{where}: index {label}={idx!r} not an integer in [1, {dim}]"
                 )
-        if (i, j, k) in seen:
+        if (i, j, k) in table:
             raise AlgebraFileError(f"{where}: duplicate index triple ({i},{j},{k})")
-        seen.add((i, j, k))
         re, im = (_finite(e.get(label, 0.0), f"{where}: {label}") for label in ("re", "im"))
-        c[i - 1, j - 1, k - 1] = complex(re, im)
+        table[i, j, k] = complex(re, im)
     meta = {key: doc[key] for key in ("name", "params") if key in doc}
-    return Bracket(dim, c), meta
+    return Bracket.from_entries(dim, table), meta
 
 
 def _read_json(path) -> Any:
@@ -113,6 +111,8 @@ def _read_json(path) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise AlgebraFileError(f"{path}: JSON nested too deeply") from None
 
 
 def load_algebra(path) -> tuple[Bracket, dict]:
@@ -142,7 +142,7 @@ def _string(val: Any, what: str) -> str:
 def _matrix_from_json(obj: Any, m: int, what: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != m:
         raise AlgebraFileError(f"{what} must be a list of {m} rows")
-    out = np.zeros((m, m), dtype=complex)
+    out = [[0j] * m for _ in range(m)]
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != m:
             raise AlgebraFileError(f"{what} row {r + 1} must have {m} entries")
@@ -151,8 +151,8 @@ def _matrix_from_json(obj: Any, m: int, what: str) -> np.ndarray:
             parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell, 0.0]
             if not all(_is_number(x) for x in parts):
                 raise AlgebraFileError(f"{where} must be a number or [re, im] pair")
-            out[r, cidx] = complex(*(_finite(x, where) for x in parts))
-    return out
+            out[r][cidx] = complex(*(_finite(x, where) for x in parts))
+    return np.array(out)
 
 
 def load_extension_spec(path):

@@ -30,13 +30,12 @@ __all__ = [
 #: Relative singular-value threshold for numerical rank decisions.
 RANK_RTOL = 1e-9
 
-#: Relative defect |a - a*| / max(|a|, 1) up to which a map counts as Hermitian.
+#: Relative defect |a - a*| / |a| up to which a map counts as Hermitian.
 HERMITIAN_CERT_TOL = 1e-12
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    nrm = np.linalg.norm(a)
-    return float(np.linalg.norm(a - a.conj().T)) <= HERMITIAN_CERT_TOL * max(nrm, 1.0)
+    return float(np.linalg.norm(a - a.conj().T)) <= HERMITIAN_CERT_TOL * float(np.linalg.norm(a))
 
 
 def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,14 +164,19 @@ def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
-    """Orthonormal span of all products mu(x, y) with x in u, y in w,
-    with rank cut at ``RANK_RTOL`` (see :meth:`Subspace.from_span`)."""
+    """Orthonormal span of all products mu(x, y) with x in u, y in w, with
+    rank cut at ``RANK_RTOL`` (see :meth:`Subspace.from_span`) on mu/|mu|."""
     n = mu.dim
     if u.dim_ambient != n or w.dim_ambient != n:
         raise ValueError("ambient dimensions must match the bracket")
+    return _subspace_product(mu if mu.is_zero else mu.normalized(), u, w)
+
+
+def _subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
+    """:func:`subspace_product` on mu as given: a block of a unit product."""
     if u.rank == 0 or w.rank == 0:
-        return Subspace.zero(n)
-    return Subspace.from_span(n, _products(mu, u.basis, w.basis))
+        return Subspace.zero(mu.dim)
+    return Subspace.from_span(mu.dim, _products(mu, u.basis, w.basis))
 
 
 def restrict(mu: Bracket, sub: Subspace) -> Bracket:

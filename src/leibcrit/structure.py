@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracket import Bracket, _base_change, _max_defect_norm, check_identities, inf_act
-from .linalg import RANK_RTOL, Subspace, hermitian_eigen, restrict, subspace_product, _nullspace
+from .linalg import (RANK_RTOL, Subspace, _nullspace, _subspace_product, hermitian_eigen, restrict,
+                     subspace_product)
 from .moment import CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
@@ -104,24 +105,26 @@ def _series_dims(first: Subspace, step) -> tuple[tuple[int, ...], bool]:
 
 
 def center_subspace(mu: Bracket) -> Subspace:
-    """{x : mu(x, .) = mu(., x) = 0} via the joint nullspace of both actions,
-    with singular values up to ``RANK_RTOL`` times the largest coefficient."""
+    """{x : mu(x, .) = mu(., x) = 0} via the joint nullspace of both actions
+    of mu/|mu|, with singular values up to ``RANK_RTOL``."""
+    return _center_subspace(mu if mu.is_zero else mu.normalized())
+
+
+def _center_subspace(mu: Bracket) -> Subspace:
+    """:func:`center_subspace` on mu as given: a block of a unit product."""
     n = mu.dim
     c = mu.coeffs
     # rows (j, k): coefficients of mu(x, e_j) and mu(e_j, x) in e_k
     left_rows = c.transpose(1, 2, 0).reshape(n * n, n)
     right_rows = c.transpose(0, 2, 1).reshape(n * n, n)
-    stacked = np.vstack([left_rows, right_rows])
-    scale = max(float(np.abs(stacked).max()), 1.0) if stacked.size else 1.0
-    null = _nullspace(stacked, abs_tol=RANK_RTOL * scale)
-    return Subspace(null)
+    return Subspace(_nullspace(np.vstack([left_rows, right_rows]), abs_tol=RANK_RTOL))
 
 
 def structure_profile(mu: Bracket) -> StructureProfile:
     """Derived/lower-central series dimensions, center and the two flags of
-    mu/|mu|, so that no rank, each cut at ``RANK_RTOL``, depends on the scale.
-    Both series start from the one [mu, mu]."""
-    mu = mu if mu.is_zero else mu.normalized()
+    mu.  Every rank is cut at ``RANK_RTOL`` on mu/|mu| (see
+    :func:`~leibcrit.linalg.subspace_product` and :func:`center_subspace`),
+    so none depends on the scale.  Both series start from the one [mu, mu]."""
     full = Subspace.full(mu.dim)
     derived_algebra = subspace_product(mu, full, full)
     derived, solvable = _series_dims(derived_algebra, lambda s: subspace_product(mu, s, s))
@@ -207,7 +210,8 @@ def _nonnormality(ops: np.ndarray) -> np.ndarray:
 # Each clause reads the unit product c in an orthonormal eigenbasis of D, where
 # l_-, l_0 and l_+ are the index blocks neg, zero and pos, and returns (passed,
 # residual, ...) in the order of its StructureVerdict fields; (ii) appends the
-# center of l_0, in l_0's basis, for (iii).
+# center of l_0, in l_0's basis, for (iii).  Ranks of blocks are cut on the unit
+# product, never on a block's own norm, which may be round-off.
 
 
 def _adjoint_closure(unit: Bracket, zero: slice, tol: float) -> tuple[bool, float]:
@@ -230,9 +234,9 @@ def _l0_reductive(c: np.ndarray, zero: slice, tol: float) -> tuple:
     lie_res = 0.0 if restr0.is_zero else max(
         idr0.anticommutativity_residual, idr0.jacobi_residual
     ) * restr0.norm  # identity residuals are unit-normalized; undo for comparison
-    z = center_subspace(restr0)
+    z = _center_subspace(restr0)
     full = Subspace.full(r0)
-    h = subspace_product(restr0, full, full)
+    h = _subspace_product(restr0, full, full)
     decomp_res = 1.0
     if z.rank + h.rank == r0:
         decomp_res = float(np.linalg.norm(z.projector() + h.projector() - np.eye(r0)))
@@ -263,8 +267,8 @@ def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float
     if restrp.norm <= tol:
         return ideal_res < tol, ideal_res, True, True, None, True
     full = Subspace.full(rp)
-    derived_algebra = subspace_product(restrp, full, full)
-    is_nilp = _series_dims(derived_algebra, lambda s: subspace_product(restrp, full, s))[1]
+    derived_algebra = _subspace_product(restrp, full, full)
+    is_nilp = _series_dims(derived_algebra, lambda s: _subspace_product(restrp, full, s))[1]
     restr_type = criticality_decompose(restrp, tol).type
     matches = restr_type == (_strip_zero(parent_type) or parent_type)
     return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches

@@ -5,7 +5,9 @@ Fixed cuts read a module constant and take no argument; every settable
 tolerance the global ``--tol`` reaches defaults to ``DEFAULT_CRITICAL_TOL``.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +108,16 @@ def test_fixed_cuts_take_no_tolerance(fn, params):
 
 def test_cli_tol_default():
     assert cli.build_parser().parse_args(["check", "x.json"]).tol == DEFAULT_CRITICAL_TOL
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_readme_names_every_fixed_cut(mod):
+    """Every public int or float constant of a module has its one home named in README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    short = mod.__name__.rsplit(".", 1)[-1]
+    defined = [t.id for node in ast.parse(inspect.getsource(mod)).body
+               if isinstance(node, ast.Assign) for t in node.targets
+               if isinstance(t, ast.Name) and not t.id.startswith("_")]
+    cuts = [name for name in defined
+            if type(getattr(mod, name)) in (int, float) and f"{short}.{name}" not in readme]
+    assert cuts == []

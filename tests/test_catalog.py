@@ -1,7 +1,10 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from leibcrit.bracket import check_identities
-from leibcrit.catalog import get, names, standard_rows, verify_catalog
+from leibcrit.catalog import CatalogEntry, get, names, standard_rows, verify_catalog
 from leibcrit.moment import criticality_decompose
 
 
@@ -16,6 +19,10 @@ class TestGet:
         assert str(e.expected_type) == "(3<5<6;1,1,1)"
         assert e.expected_value == 20.0
         assert e.bracket.coeffs[2, 2, 0] == 1.0
+
+    def test_dim_is_the_brackets(self):
+        assert isinstance(CatalogEntry.dim, property)
+        assert all(e.dim == e.bracket.dim for e in standard_rows())
 
     def test_l4_has_no_expected_type(self):
         e = get("L4")
@@ -79,6 +86,36 @@ class TestIdentityClasses:
                 assert idr.is_left_leibniz and not idr.is_right_leibniz, e.label
             else:
                 assert idr.is_right_leibniz and not idr.is_left_leibniz, e.label
+
+    @pytest.mark.parametrize(
+        "name,params,n",
+        [("mu_hy", None, n) for n in range(2, 11)]
+        + [("mu_sy", None, n) for n in range(2, 11)]
+        + [("mu_he", None, n) for n in range(3, 11)]
+        + [(name, {"alpha": a}, None) for name in ("L3", "S5", "S7") for a in (-3, 0.5, 10, 2 - 1j)]
+        + [("S3", {"beta": b}, None) for b in (0, -3, 0.5)],
+    )
+    def test_family_class_holds_tightly(self, name, params, n):
+        # |alpha| stays >= 1e-3: S5's left defect is alpha^2, below the 1e-12 cut for smaller alpha
+        e = get(name, params, n)
+        idr = check_identities(e.bracket, tol=1e-12)
+        assert {
+            "lie": idr.is_lie,
+            "symmetric": idr.is_symmetric_leibniz and not idr.is_lie,
+            "right": idr.is_right_leibniz and not idr.is_left_leibniz,
+        }[e.algebra_class], e.label
+
+    def test_get_does_not_check_identities(self):
+        # the class is the builder's: a lookup runs no O(n^4) identity check
+        tracemalloc.start()
+        try:
+            e = get("mu_he", n=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.dim == e.bracket.dim == 60
+        assert e.bracket.coeffs.dtype == np.float64
+        assert peak < 16e6
 
     def test_all_names_construct(self):
         for name in names():

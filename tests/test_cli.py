@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ class TestAlgebraFiles:
             bracket_from_dict(doc)
 
 
+    def test_real_file_loads_without_complex_staging(self, tmp_path):
+        path = tmp_path / "mu_he80.json"
+        save_algebra(path, get("mu_he", n=80).bracket)
+        tracemalloc.start()
+        try:
+            mu, _ = load_algebra(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mu.coeffs.dtype == np.float64
+        assert peak < 10e6  # the float64 tensor is 4.1 MB, a complex128 one 8.2 MB
+
+
 class TestCheckCommand:
     def test_nonlie2_symmetric(self, tmp_path, capsys):
         path = tmp_path / "a.json"
@@ -73,6 +87,13 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2
         assert "entry #1" in err
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10_000 + "]" * 10_000)
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent/alg.json")
@@ -362,6 +383,13 @@ class TestCatalogCommand:
         code, out, _ = run_cli(capsys, "catalog", "show", "S3", "--param", "beta=0.25")
         assert code == 0
         assert "no critical point" in out
+
+    def test_show_small_alpha(self, capsys):
+        # S5 is right Leibniz only for every alpha != 0, although its left defect
+        # alpha^2 falls below a 1e-12 residual cut here
+        code, out, _ = run_cli(capsys, "catalog", "show", "S5", "--param", "alpha=1e-6")
+        assert code == 0
+        assert out.splitlines()[0] == "S5(alpha=1e-06): right, dim 3"
 
     def test_show_family_with_n(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "show", "mu_sy", "--n", "5")

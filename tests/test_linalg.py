@@ -9,6 +9,7 @@ from leibcrit.linalg import (
     _nullspace,
     derivation_space,
     hermitian_eigen,
+    is_hermitian,
     restrict,
     subspace_product,
 )
@@ -139,6 +140,12 @@ class TestHermitianEigen:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_verdict_does_not_depend_on_scale(self):
+        nilpotent, symmetric = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 2.0], [2.0, 3.0]])
+        scales = [10.0**k for k in range(-40, 41)]
+        assert [s for s in scales if is_hermitian(s * nilpotent)] == []
+        assert [s for s in scales if not is_hermitian(s * symmetric)] == []
+
 
 class TestSubspace:
     def test_rejects_non_orthonormal(self):
@@ -169,6 +176,12 @@ class TestSubspaceProduct:
         img = subspace_product(S1, Subspace.full(3), Subspace.full(3))
         assert img.rank == 1
         np.testing.assert_allclose(np.abs(img.basis[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
+
+    def test_rank_does_not_depend_on_scale(self):
+        full = Subspace.full(3)
+        ranks = {k: subspace_product(Bracket(3, 10.0**k * S1.coeffs), full, full).rank
+                 for k in range(-40, 41)}
+        assert {k: r for k, r in ranks.items() if r != 1} == {}
 
     def test_monotone(self, rng):
         mu = random_bracket(4, rng)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import irrational_type_s2, random_bracket
-from leibcrit.bracket import Bracket
+from helpers import irrational_type_s2, random_bracket, random_unitary
+from leibcrit.bracket import Bracket, gl_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.moment import criticality_decompose
@@ -72,6 +72,11 @@ class TestStructureProfile:
         p = structure_profile(entry.bracket)
         # one product per entry after the first of each series, less the shared [mu, mu]
         assert len(calls) == len(p.derived_dims) + len(p.lower_central_dims) - 3
+
+    def test_center_rank_does_not_depend_on_scale(self):
+        s1 = get("S1").bracket
+        ranks = {k: center_subspace(Bracket(3, 10.0**k * s1.coeffs)).rank for k in range(-40, 41)}
+        assert {k: r for k, r in ranks.items() if r != 2} == {}
 
     def test_center_of_heisenberg(self):
         heis = get("L1").bracket
@@ -189,6 +194,14 @@ class TestVerifyStructure:
         assert v.killing_min_sv is not None and v.killing_min_sv > 1e-6
         assert v.restricted_type is None  # no positive part at all
 
+    def test_rotated_lie2_round_off_l0_is_not_structure(self):
+        # l_0 of lie2 is 1-d with zero product; rotated, that product is round-off,
+        # which the unit product's cut must read as zero: no Killing form to test
+        mu = gl_act(random_unitary(2, np.random.default_rng(5)), LIE2)
+        v = verify_structure_theorem(mu, criticality_decompose(mu))
+        assert v.all_passed
+        assert v.killing_min_sv is None
+
     def test_rejects_report_of_another_bracket(self):
         s1, s2, l2 = (get(name).bracket for name in ("S1", "S2", "L2"))
         with pytest.raises(ValueError, match="does not certify this bracket"):
@@ -229,13 +242,13 @@ class TestVerifyStructure:
         import leibcrit.structure as structure
 
         calls = []
-        real = structure.center_subspace
+        real = structure._center_subspace  # clause (ii) keeps the unit product's cut
 
         def counting(mu, *args):
             calls.append(mu.dim)
             return real(mu, *args)
 
-        monkeypatch.setattr(structure, "center_subspace", counting)
+        monkeypatch.setattr(structure, "_center_subspace", counting)
         verify_structure_theorem(SO3, criticality_decompose(SO3))
         assert calls == [3]  # l_0 is all of so3 and l_+ = 0
 

@@ -19,23 +19,29 @@ layer -- ``moment_matrix``, ``inf_act`` (of the moment matrix),
 D/|mu|^2), ``subspace_product(full, full)``, ``structure_profile`` and
 ``verify_structure_theorem`` (given the certificate) -- on mu_he(n) at
 n = 3, 4, 8, 12 and 16, in the catalog basis, where it is stored real, and
-rotated by a seeded random unitary, where it is stored complex.  The
-third table runs ``descend`` from the thirteen descent starts of the
-benchmark and from L4, whose orbit has no critical point: steps,
-line-search trials (moment matrices of candidates), wall time of one run
-and the condition number of the final group element.  With ``--json
+rotated by a seeded random unitary, where it is stored complex, with
+the minor page faults (the growth of ``getrusage``'s ``ru_minflt``) of
+one call in the third of three rounds in which the layer runs on all ten
+products in turn: the pages a layer maps afresh on every call when calls
+at other sizes come between, as they do in the benchmark's workloads.
+The third table runs ``descend`` from the thirteen descent
+starts of the benchmark and from L4, whose orbit has no critical point:
+steps, line-search trials (moment matrices of candidates), wall time of
+one run and the condition number of the final group element.  With ``--json
 PATH`` the second and third tables are also written to PATH, with the
-numpy version, machine and CPU count they were measured on.  Too slow for
-the test suite; ``tests/test_moment.py`` and ``tests/test_bracket.py``
-guard the traced peaks at n = 20 alone, and ``tests/test_flow.py`` pins
-the step counts.
+numpy version, machine, CPU count and OpenBLAS thread count they were
+measured on.  Too slow for the test suite; ``tests/test_moment.py``,
+``tests/test_bracket.py`` and ``tests/test_kernels.py`` guard the traced
+peaks at n = 20 alone, and ``tests/test_flow.py`` pins the step counts.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import platform
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -69,6 +75,23 @@ def _unitary(n: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy bundles, or None when
+    none is found."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*")):
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(str(lib)), sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def timed(call) -> tuple[float, float]:
     """(best-of-3 seconds, traced peak in MB of a fourth call) of call()."""
     best = float("inf")
@@ -83,6 +106,20 @@ def timed(call) -> tuple[float, float]:
     finally:
         tracemalloc.stop()
     return best, peak / 1e6
+
+
+def mixed_faults(calls: list) -> list[int]:
+    """Minor page faults of each call in the third of three rounds over all
+    of them in turn."""
+    for _ in range(2):
+        for call in calls:
+            call()
+    faults = []
+    for call in calls:
+        before = minor_faults()
+        call()
+        faults.append(minor_faults() - before)
+    return faults
 
 
 def probe(mu) -> tuple[float, float, int]:
@@ -170,18 +207,24 @@ def main(argv: list[str]) -> int:
         secs, peak, iters = probe(mu)
         print(f"{name:16s} {mu.dim:3d} {basis:9s} {secs * 1e3:9.2f} {peak:8.2f} {iters:5d}")
     print()
-    print(f"{'layer (mu_he)':24s} {'n':>3s} {'basis':8s} {'dtype':10s} {'best ms':>9s} {'peak MB':>8s}")
-    layer_rows = []
+    print(f"{'layer (mu_he)':24s} {'n':>3s} {'basis':8s} {'dtype':10s} {'best ms':>9s} {'peak MB':>8s}"
+          f" {'faults':>7s}")
+    products = []
     for n in LAYER_SIZES:
         mu = get("mu_he", n=n).bracket
-        for basis, b in (("catalog", mu), ("rotated", gl_act(_unitary(n, n), mu))):
-            for name, call in layers(b).items():
-                secs, peak = timed(call)
-                dtype = str(b.coeffs.dtype)
-                print(f"{name:24s} {n:3d} {basis:8s} {dtype:10s} {secs * 1e3:9.3f} {peak:8.2f}")
-                layer_rows.append({"layer": name, "algebra": "mu_he", "n": n, "basis": basis,
-                                   "dtype": dtype, "best_ms": round(secs * 1e3, 4),
-                                   "peak_mb": round(peak, 4)})
+        products += [(n, "catalog", mu), (n, "rotated", gl_act(_unitary(n, n), mu))]
+    calls = [layers(mu) for _, _, mu in products]
+    faults = {name: mixed_faults([c[name] for c in calls]) for name in calls[0]}
+    layer_rows = []
+    for i, ((n, basis, mu), row) in enumerate(zip(products, calls)):
+        dtype = str(mu.coeffs.dtype)
+        for name, call in row.items():
+            secs, peak = timed(call)
+            flt = faults[name][i]
+            print(f"{name:24s} {n:3d} {basis:8s} {dtype:10s} {secs * 1e3:9.3f} {peak:8.2f} {flt:7d}")
+            layer_rows.append({"layer": name, "algebra": "mu_he", "n": n, "basis": basis,
+                               "dtype": dtype, "best_ms": round(secs * 1e3, 4),
+                               "peak_mb": round(peak, 4), "minor_faults": flt})
     print()
     print(f"{'descent':22s} {'steps':>6s} {'trials':>6s} {'ms':>9s} {'cond(G)':>9s}")
     descent_rows = []
@@ -197,6 +240,7 @@ def main(argv: list[str]) -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            "blas_threads": blas_threads(),
             "layers": layer_rows,
             "descents": descent_rows,
         }

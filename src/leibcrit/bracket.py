@@ -238,6 +238,43 @@ def _max_defect_norm(t: np.ndarray) -> float:
     return math.sqrt(float(np.einsum("ij,ij->i", v, v).max()))
 
 
+def _identity_terms(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z(xy), (xy)z and a defect buffer for the unit coefficients c, as
+    (n, n, n, n) views of one (3, n^2, n^2) workspace indexed [a, b, c, k]
+    for the triple (x, y, z) = (e_a, e_b, e_c).
+
+    t = z(xy), t[a, b, c, k] = sum_m c[a, b, m] c[c, m, k], and xy_z = (xy)z
+    are two (n^2, n) @ (n, n^2) products written into the workspace.  The
+    three share one block so that the allocator hands it back from call to
+    call; as three separate n^4 arrays they are mapped, faulted in and
+    unmapped again on most calls when products of other sizes run between.
+    """
+    n = c.shape[0]
+    flat = c.reshape(n * n, n)
+    w = np.empty((3, n * n, n * n), dtype=c.dtype)
+    np.matmul(flat, c.transpose(1, 0, 2).reshape(n, n * n), out=w[0])
+    np.matmul(flat, c.reshape(n, n * n), out=w[1])
+    t, xy_z, d = w.reshape(3, n, n, n, n)
+    return t, xy_z, d
+
+
+def _leibniz_residuals(t: np.ndarray, xy_z: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """Left and right Leibniz residuals from the terms of :func:`_identity_terms`.
+
+    t = z(xy) and xy_z = (xy)z; the other terms are axis permutations of
+    them: x(yz) is t read as [b, c, a, k], y(xz) is x(yz) with a <-> b and
+    (xz)y is (xy)z with b <-> c.  Each defect is written into d before its
+    norm is taken.
+    """
+    x_yz = t.transpose(2, 0, 1, 3)
+    np.subtract(x_yz, xy_z, out=d)
+    d -= x_yz.transpose(1, 0, 2, 3)
+    left = _max_defect_norm(d)
+    np.subtract(xy_z, xy_z.transpose(0, 2, 1, 3), out=d)
+    d -= x_yz
+    return left, _max_defect_norm(d)
+
+
 def check_identities(mu: Bracket, tol: float = DEFAULT_IDENTITY_TOL) -> IdentityReport:
     """Residuals of the left/right Leibniz identities plus the Lie pair.
 
@@ -247,25 +284,20 @@ def check_identities(mu: Bracket, tol: float = DEFAULT_IDENTITY_TOL) -> Identity
     _check_tol(tol)
     if mu.is_zero:
         return IdentityReport(0.0, 0.0, 0.0, 0.0, tol)
-    n, c = mu.dim, mu.coeffs / mu.norm
-    # Two (n^2, n) @ (n, n^2) products, indexed [a, b, c, k] for the triple
-    # (x, y, z) = (e_a, e_b, e_c): t = z(xy), t[a, b, c, k] = sum_m
-    # c[a, b, m] c[c, m, k], and xy_z = (xy)z.  The other four terms are axis
-    # permutations of these: x(yz) is t read as [b, c, a, k], y(zx) is t read
-    # as [c, a, b, k], y(xz) is x(yz) with a <-> b, (xz)y is (xy)z with b <-> c.
-    # Each defect is written into the one buffer d before its norm is taken.
-    flat = c.reshape(n * n, n)
-    t = (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
-    xy_z = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
-    x_yz = t.transpose(2, 0, 1, 3)
-    d = np.subtract(x_yz, xy_z)
-    d -= x_yz.transpose(1, 0, 2, 3)
-    left = _max_defect_norm(d)
-    np.subtract(xy_z, xy_z.transpose(0, 2, 1, 3), out=d)
-    d -= x_yz
-    right = _max_defect_norm(d)
-    np.add(x_yz, t.transpose(1, 2, 0, 3), out=d)
+    c = mu.coeffs / mu.norm
+    t, xy_z, d = _identity_terms(c)
+    left, right = _leibniz_residuals(t, xy_z, d)
+    # Jacobi: x(yz) + y(zx) + z(xy), the first two t read as [b, c, a, k] and [c, a, b, k]
+    np.add(t.transpose(2, 0, 1, 3), t.transpose(1, 2, 0, 3), out=d)
     d += t
     jac = _max_defect_norm(d)
     anti = _max_defect_norm(c + c.transpose(1, 0, 2))
     return IdentityReport(left, right, anti, jac, tol)
+
+
+def _is_symmetric_leibniz(mu: Bracket) -> bool:
+    """``check_identities(mu).is_symmetric_leibniz`` without the Lie pair."""
+    if mu.is_zero:
+        return True
+    left, right = _leibniz_residuals(*_identity_terms(mu.coeffs / mu.norm))
+    return left <= DEFAULT_IDENTITY_TOL and right <= DEFAULT_IDENTITY_TOL

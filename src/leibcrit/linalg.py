@@ -141,19 +141,25 @@ class Subspace:
         """Orthonormal span of the given column vectors.
 
         Rank is the number of singular values above ``RANK_RTOL`` times the
-        largest one (or above ``RANK_RTOL`` itself when all are tiny).
+        largest one, so it does not depend on the scale of the vectors; an
+        all-zero input spans the zero subspace.
         """
-        m = np.asarray(vectors).reshape(n, -1)
-        if m.shape[1] == 0:
-            return cls.zero(n)
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        if s.size == 0 or s[0] <= RANK_RTOL:
-            return cls.zero(n)
-        keep = s > RANK_RTOL * s[0]
-        return cls(u[:, keep])
+        return _span(np.asarray(vectors).reshape(n, -1), floor=0.0)
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
+
+
+def _span(m: np.ndarray, floor: float) -> Subspace:
+    """:meth:`Subspace.from_span` of the columns of m, and the zero subspace
+    also when no singular value exceeds ``floor``."""
+    n = m.shape[0]
+    if m.shape[1] == 0:
+        return Subspace.zero(n)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if s.size == 0 or s[0] <= floor:
+        return Subspace.zero(n)
+    return Subspace(u[:, s > RANK_RTOL * s[0]])
 
 
 def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -173,10 +179,11 @@ def subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
 
 
 def _subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
-    """:func:`subspace_product` on mu as given: a block of a unit product."""
+    """:func:`subspace_product` on mu as given: a block of a unit product,
+    whose products count as zero when none exceeds ``RANK_RTOL``."""
     if u.rank == 0 or w.rank == 0:
         return Subspace.zero(mu.dim)
-    return Subspace.from_span(mu.dim, _products(mu, u.basis, w.basis))
+    return _span(_products(mu, u.basis, w.basis), floor=RANK_RTOL)
 
 
 def restrict(mu: Bracket, sub: Subspace) -> Bracket:

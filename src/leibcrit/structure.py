@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, _base_change, _max_defect_norm, check_identities, inf_act
+from .bracket import (Bracket, _base_change, _is_symmetric_leibniz, _max_defect_norm, check_identities,
+                      inf_act)
 from .linalg import (RANK_RTOL, Subspace, _nullspace, _subspace_product, hermitian_eigen, restrict,
                      subspace_product)
 from .moment import CriticalType, MomentReport, criticality_decompose
@@ -300,7 +301,7 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
     abelian case which is only reported.
     """
     grading = grading_decomposition(report)
-    if not check_identities(mu).is_symmetric_leibniz:
+    if not _is_symmetric_leibniz(mu):
         raise ValueError("bracket is not symmetric Leibniz")
     defect = inf_act(report.D, mu).norm
     bound = report.tol * float(np.linalg.norm(report.M)) * mu.norm

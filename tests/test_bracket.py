@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import direct_sum, evaluate, random_bracket, random_invertible, random_unitary
-from leibcrit.bracket import Bracket, check_identities, gl_act, inf_act
+from leibcrit.bracket import Bracket, _is_symmetric_leibniz, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import derivation_space
@@ -196,6 +196,33 @@ class TestIdentities:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+def leibniz_precondition_cases() -> list:
+    cases = [pytest.param(e.bracket, id=f"row-{i}-{e.label}") for i, e in enumerate(standard_rows())]
+    cases += [pytest.param(Bracket(e.bracket.dim, np.exp(0.25j * np.pi) * e.bracket.coeffs),
+                           id=f"row-{i}-{e.label}-phase") for i, e in enumerate(standard_rows())]
+    for n in range(2, 9):
+        for seed in range(2):
+            mu = random_bracket(n, np.random.default_rng([n, seed, 5]))
+            cases.append(pytest.param(mu, id=f"random({n})/seed{seed}"))
+    # S5(alpha) is right Leibniz only; its left residual is alpha^2/2 on the unit product
+    for alpha_sq in (1e-10, 1.9e-9, 2.1e-9, 1e-8):
+        mu = get("S5", {"alpha": np.sqrt(alpha_sq)}).bracket
+        cases.append(pytest.param(mu, id=f"S5(alpha^2={alpha_sq:g})"))
+    return cases + [pytest.param(Bracket.zero(3), id="zero(3)")]
+
+
+@pytest.mark.parametrize("mu", leibniz_precondition_cases())
+def test_leibniz_precondition_matches_check_identities(mu):
+    # the structure checks' precondition computes only the two Leibniz residuals
+    assert _is_symmetric_leibniz(mu) == check_identities(mu).is_symmetric_leibniz
+
+
+def test_leibniz_precondition_cases_straddle_the_cut():
+    verdicts = {_is_symmetric_leibniz(p.values[0]) for p in leibniz_precondition_cases()
+                if p.id.startswith("S5")}
+    assert verdicts == {True, False}
 
 
 #: Every public function that takes a tolerance and checks it.

@@ -9,17 +9,22 @@ below keep their former einsum forms; each kernel must agree with its
 reference to 1e-13 * max(1, |ref|) on the catalog, the three families at
 n = 3..12 in the catalog basis (stored real) and under a seeded unitary
 (stored complex), random non-Leibniz products, the zero bracket and n = 0.
+``check_identities`` writes its two (n^2, n) @ (n, n^2) products and its
+defects into one workspace; its residuals must equal exactly those of the
+same products and defects computed as fresh arrays.
 
 The derivation solve builds the matrix of a -> a.mu by index assignment
 and takes the SVD of its triangular factor; it must reproduce the einsum
 matrix exactly and the dense SVD's null space to 1e-10.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import random_bracket, random_hermitian, random_invertible, random_unitary
-from leibcrit.bracket import Bracket, _inf_act, check_identities, gl_act, inf_act
+from leibcrit.bracket import Bracket, _inf_act, _max_defect_norm, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.linalg import (
     RANK_RTOL,
@@ -59,6 +64,25 @@ def reference_check_identities(mu: Bracket) -> tuple[float, ...]:
         reference_max_defect_norm(
             x_yz + np.einsum("cam,bmk->abck", c, c) + np.einsum("abm,cmk->abck", c, c)
         ),
+    )
+
+
+def two_product_check_identities(mu: Bracket) -> tuple[float, ...]:
+    """(left, right, anticommutativity, Jacobi) residuals from z(xy) and (xy)z,
+    indexed [a, b, c, k], and their axis permutations, each product and
+    each defect in a fresh array."""
+    if mu.is_zero:
+        return 0.0, 0.0, 0.0, 0.0
+    n, c = mu.dim, mu.coeffs / mu.norm
+    flat = c.reshape(n * n, n)
+    t = (flat @ c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    xy_z = (flat @ c.reshape(n, n * n)).reshape(n, n, n, n)
+    x_yz = t.transpose(2, 0, 1, 3)
+    return (
+        _max_defect_norm(x_yz - xy_z - x_yz.transpose(1, 0, 2, 3)),
+        _max_defect_norm(xy_z - xy_z.transpose(0, 2, 1, 3) - x_yz),
+        _max_defect_norm(c + c.transpose(1, 0, 2)),
+        _max_defect_norm(x_yz + t.transpose(1, 2, 0, 3) + t),
     )
 
 
@@ -187,6 +211,34 @@ def test_check_identities_matches_reference(mu):
         assert got.is_right_leibniz == (ref[1] <= tol)
         assert got.is_symmetric_leibniz == (ref[0] <= tol and ref[1] <= tol)
         assert got.is_lie == (ref[2] <= tol and ref[3] <= tol)
+
+
+@pytest.mark.parametrize("mu", CASES)
+def test_workspace_residuals_equal_fresh_arrays(mu):
+    # the same products and the same defect arithmetic, so the residuals are bit-identical
+    for case in (mu, phase_multiple(mu)):
+        got = check_identities(case)
+        residuals = (got.left_residual, got.right_residual,
+                     got.anticommutativity_residual, got.jacobi_residual)
+        assert residuals == two_product_check_identities(case)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_check_identities_peak_is_one_workspace(dtype):
+    # the (3, n^2, n^2) workspace of z(xy), (xy)z and the defect buffer, plus
+    # the unit coefficients and the n^3-sized temporaries (measured: 3.04 n^3)
+    n = 20
+    mu = get("mu_he", n=n).bracket
+    mu = Bracket(n, mu.coeffs if dtype is float else phase_multiple(mu).coeffs)
+    assert mu.coeffs.dtype == dtype
+    itemsize = mu.coeffs.itemsize
+    tracemalloc.start()
+    try:
+        check_identities(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * n**4 * itemsize <= peak <= (3 * n**4 + 4 * n**3) * itemsize
 
 
 @pytest.mark.parametrize("mu", CASES)

@@ -161,6 +161,13 @@ class TestSubspace:
     def test_zero_span(self):
         assert Subspace.from_span(3, np.zeros((3, 5))).rank == 0
 
+    def test_from_span_rank_is_scale_free(self):
+        # rank is judged relative to the largest singular value alone
+        ranks = {k: Subspace.from_span(3, 10.0**k * np.eye(3)).rank for k in range(-40, 41)}
+        assert ranks == {k: 3 for k in range(-40, 41)}
+        for k in (-40, 0, 40):
+            assert Subspace.from_span(3, 10.0**k * np.diag([1.0, 1e-12, 0.0])).rank == 1
+
 
 class TestSubspaceProduct:
     def test_lie2_image(self):

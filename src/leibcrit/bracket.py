@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -44,7 +45,8 @@ class Bracket:
     """Immutable bilinear product on C^n given by its coefficient tensor.
 
     ``coeffs`` is a read-only copy of the given tensor: float64 when every
-    imaginary part is 0, complex128 otherwise.
+    imaginary part is 0, complex128 otherwise.  Its identity residuals (see
+    :func:`check_identities`) are computed on the first read and kept.
     """
 
     dim: int
@@ -116,6 +118,29 @@ class Bracket:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs.any()
+
+    @cached_property
+    def _identity_residuals(self) -> tuple[float, float, float, float]:
+        """Left Leibniz, right Leibniz, anticommutativity and Jacobi residuals
+        of the unit product, in the field order of :class:`IdentityReport`."""
+        if self.is_zero:
+            return 0.0, 0.0, 0.0, 0.0
+        c = self.coeffs / self.norm
+        t, xy_z, d = _identity_terms(c)
+        # x(yz) is t read as [b, c, a, k], y(xz) is x(yz) with a <-> b and
+        # (xz)y is (xy)z with b <-> c; each defect is written into d
+        x_yz = t.transpose(2, 0, 1, 3)
+        np.subtract(x_yz, xy_z, out=d)
+        d -= x_yz.transpose(1, 0, 2, 3)
+        left = _max_defect_norm(d)
+        np.subtract(xy_z, xy_z.transpose(0, 2, 1, 3), out=d)
+        d -= x_yz
+        right = _max_defect_norm(d)
+        # Jacobi: x(yz) + y(zx) + z(xy), the first two t read as [b, c, a, k] and [c, a, b, k]
+        np.add(x_yz, t.transpose(1, 2, 0, 3), out=d)
+        d += t
+        jac = _max_defect_norm(d)
+        return left, right, _max_defect_norm(c + c.transpose(1, 0, 2)), jac
 
     def normalized(self) -> "Bracket":
         n = self.norm
@@ -258,46 +283,13 @@ def _identity_terms(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, xy_z, d
 
 
-def _leibniz_residuals(t: np.ndarray, xy_z: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """Left and right Leibniz residuals from the terms of :func:`_identity_terms`.
-
-    t = z(xy) and xy_z = (xy)z; the other terms are axis permutations of
-    them: x(yz) is t read as [b, c, a, k], y(xz) is x(yz) with a <-> b and
-    (xz)y is (xy)z with b <-> c.  Each defect is written into d before its
-    norm is taken.
-    """
-    x_yz = t.transpose(2, 0, 1, 3)
-    np.subtract(x_yz, xy_z, out=d)
-    d -= x_yz.transpose(1, 0, 2, 3)
-    left = _max_defect_norm(d)
-    np.subtract(xy_z, xy_z.transpose(0, 2, 1, 3), out=d)
-    d -= x_yz
-    return left, _max_defect_norm(d)
-
-
 def check_identities(mu: Bracket, tol: float = DEFAULT_IDENTITY_TOL) -> IdentityReport:
     """Residuals of the left/right Leibniz identities plus the Lie pair.
 
     The bracket is normalized to unit norm first so the residuals, and the
-    flags derived from them, do not depend on the overall scale.
+    flags derived from them, do not depend on the overall scale.  The
+    residuals are computed once per bracket, on the first call; later calls
+    with any ``tol`` read them back.
     """
     _check_tol(tol)
-    if mu.is_zero:
-        return IdentityReport(0.0, 0.0, 0.0, 0.0, tol)
-    c = mu.coeffs / mu.norm
-    t, xy_z, d = _identity_terms(c)
-    left, right = _leibniz_residuals(t, xy_z, d)
-    # Jacobi: x(yz) + y(zx) + z(xy), the first two t read as [b, c, a, k] and [c, a, b, k]
-    np.add(t.transpose(2, 0, 1, 3), t.transpose(1, 2, 0, 3), out=d)
-    d += t
-    jac = _max_defect_norm(d)
-    anti = _max_defect_norm(c + c.transpose(1, 0, 2))
-    return IdentityReport(left, right, anti, jac, tol)
-
-
-def _is_symmetric_leibniz(mu: Bracket) -> bool:
-    """``check_identities(mu).is_symmetric_leibniz`` without the Lie pair."""
-    if mu.is_zero:
-        return True
-    left, right = _leibniz_residuals(*_identity_terms(mu.coeffs / mu.norm))
-    return left <= DEFAULT_IDENTITY_TOL and right <= DEFAULT_IDENTITY_TOL
+    return IdentityReport(*mu._identity_residuals, tol)

@@ -144,22 +144,22 @@ class Subspace:
         largest one, so it does not depend on the scale of the vectors; an
         all-zero input spans the zero subspace.
         """
-        return _span(np.asarray(vectors).reshape(n, -1), floor=0.0)
+        return _span(np.asarray(vectors).reshape(n, -1), abs_tol=0.0)
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
 
-def _span(m: np.ndarray, floor: float) -> Subspace:
-    """:meth:`Subspace.from_span` of the columns of m, and the zero subspace
-    also when no singular value exceeds ``floor``."""
+def _span(m: np.ndarray, abs_tol: float) -> Subspace:
+    """Orthonormal span of the columns of m, keeping the singular values
+    above ``abs_tol`` when it is positive, else (:meth:`Subspace.from_span`)
+    those above ``RANK_RTOL`` times the largest one."""
     n = m.shape[0]
     if m.shape[1] == 0:
         return Subspace.zero(n)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= floor:
-        return Subspace.zero(n)
-    return Subspace(u[:, s > RANK_RTOL * s[0]])
+    cut = abs_tol if abs_tol > 0 else RANK_RTOL * s.max(initial=0.0)
+    return Subspace(u[:, s > cut])
 
 
 def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -171,7 +171,7 @@ def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
     """Orthonormal span of all products mu(x, y) with x in u, y in w, with
-    rank cut at ``RANK_RTOL`` (see :meth:`Subspace.from_span`) on mu/|mu|."""
+    rank cut at the singular value ``RANK_RTOL`` on mu/|mu|."""
     n = mu.dim
     if u.dim_ambient != n or w.dim_ambient != n:
         raise ValueError("ambient dimensions must match the bracket")
@@ -180,10 +180,11 @@ def subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
 
 def _subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
     """:func:`subspace_product` on mu as given: a block of a unit product,
-    whose products count as zero when none exceeds ``RANK_RTOL``."""
+    so the cut at ``RANK_RTOL`` is absolute, never relative to the largest
+    product, which may be round-off."""
     if u.rank == 0 or w.rank == 0:
         return Subspace.zero(mu.dim)
-    return _span(_products(mu, u.basis, w.basis), floor=RANK_RTOL)
+    return _span(_products(mu, u.basis, w.basis), abs_tol=RANK_RTOL)
 
 
 def restrict(mu: Bracket, sub: Subspace) -> Bracket:

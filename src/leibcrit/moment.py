@@ -106,10 +106,12 @@ class MomentReport:
     Hermitian maps, so the distance is |P(M)| / |M| for the projection P
     onto the row space of T, from one CGLS solve started at 0.  ``c`` and
     ``D`` always hold the candidate decomposition M = c I + D with
-    c = tr(M^2)/tr(M); its defect as a derivation is
-    ``derivation_defect = |D.mu| / |mu|``.
+    c = tr(M^2)/tr(M); its defect as a derivation,
+    ``derivation_defect = |D.mu| / |mu|``, is computed on each read from
+    ``mu``, the product the report certifies as it was passed.
     """
 
+    mu: Bracket
     M: np.ndarray
     norm_sq: float
     F: float
@@ -117,9 +119,12 @@ class MomentReport:
     D: np.ndarray
     residual_decomp: float
     residual_tangent: float
-    derivation_defect: float
     is_critical: bool
     tol: float
+
+    @property
+    def derivation_defect(self) -> float:
+        return inf_act(self.D, self.mu).norm / self.mu.norm
 
     @cached_property
     def type(self) -> CriticalType | None:
@@ -248,7 +253,6 @@ def criticality_decompose(
     f = tr_m2 / nsq**2
     c = tr_m2 / tr_m
     d = m - c * np.eye(mu.dim)
-    d_defect = inf_act(d, mu).norm / mu.norm
     t = _tangent(m, mu.coeffs)
     residual_tangent = float(np.linalg.norm(t)) / (norm_m * mu.norm)
     # independent residual: the distance from M to ker T = span_R{I} + HermDer,
@@ -257,6 +261,7 @@ def criticality_decompose(
     residual_decomp = float(np.linalg.norm(u))
 
     return MomentReport(
+        mu=mu,
         M=m,
         norm_sq=nsq,
         F=f,
@@ -264,7 +269,6 @@ def criticality_decompose(
         D=d,
         residual_decomp=residual_decomp,
         residual_tangent=residual_tangent,
-        derivation_defect=d_defect,
         is_critical=residual_tangent < tol,
         tol=tol,
     )

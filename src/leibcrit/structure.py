@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import (Bracket, _base_change, _is_symmetric_leibniz, _max_defect_norm, check_identities,
-                      inf_act)
+from .bracket import Bracket, _base_change, _max_defect_norm, check_identities, inf_act
 from .linalg import (RANK_RTOL, Subspace, _nullspace, _subspace_product, hermitian_eigen, restrict,
                      subspace_product)
 from .moment import CriticalType, MomentReport, criticality_decompose
@@ -291,9 +290,10 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
     """Check the four structural properties of a symmetric critical point.
 
     Requires ``report.is_critical``, a rational ``report.type``, a
-    symmetric Leibniz input and a report of this product: |D.mu| at most
-    ``report.tol * |M| * |mu|``, which for mu's own report is its tangent
-    residual.  Every property is checked at ``report.tol`` on the unit
+    symmetric Leibniz input (by :func:`check_identities`, which reads the
+    residuals mu keeps once checked) and a report of this product: |D.mu|
+    at most ``report.tol * |M| * |mu|``, which for mu's own report is its
+    tangent residual.  Every property is checked at ``report.tol`` on the unit
     product mu/|mu| written once in the eigenbasis of D that
     :func:`grading_decomposition` gives.  The restriction of mu to the
     positive eigenspace of D is re-certified and its type compared against
@@ -301,7 +301,7 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
     abelian case which is only reported.
     """
     grading = grading_decomposition(report)
-    if not _is_symmetric_leibniz(mu):
+    if not check_identities(mu).is_symmetric_leibniz:
         raise ValueError("bracket is not symmetric Leibniz")
     defect = inf_act(report.D, mu).norm
     bound = report.tol * float(np.linalg.norm(report.M)) * mu.norm

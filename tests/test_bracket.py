@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import direct_sum, evaluate, random_bracket, random_invertible, random_unitary
-from leibcrit.bracket import Bracket, _is_symmetric_leibniz, check_identities, gl_act, inf_act
+from leibcrit.bracket import Bracket, _identity_terms, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import derivation_space
 from leibcrit.moment import criticality_decompose
+from leibcrit.structure import verify_structure_theorem
 
 E2 = np.eye(2)
 E3 = np.eye(3)
@@ -215,14 +216,36 @@ def leibniz_precondition_cases() -> list:
 
 @pytest.mark.parametrize("mu", leibniz_precondition_cases())
 def test_leibniz_precondition_matches_check_identities(mu):
-    # the structure checks' precondition computes only the two Leibniz residuals
-    assert _is_symmetric_leibniz(mu) == check_identities(mu).is_symmetric_leibniz
+    # the structure checks' precondition reads the residuals mu keeps from its
+    # first check; a fresh copy of mu computes them again, bit for bit
+    kept = check_identities(mu)
+    fresh = Bracket(mu.dim, mu.coeffs)
+    assert mu._identity_residuals == fresh._identity_residuals
+    assert check_identities(fresh) == kept
 
 
 def test_leibniz_precondition_cases_straddle_the_cut():
-    verdicts = {_is_symmetric_leibniz(p.values[0]) for p in leibniz_precondition_cases()
-                if p.id.startswith("S5")}
+    verdicts = {check_identities(p.values[0]).is_symmetric_leibniz
+                for p in leibniz_precondition_cases() if p.id.startswith("S5")}
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("mu", [
+    pytest.param(S1, id="S1"),
+    pytest.param(gl_act(random_unitary(6, np.random.default_rng(0)), get("mu_sy", n=6).bracket),
+                 id="mu_sy(6)@U"),
+])
+def test_identity_terms_run_once_per_product(mu, monkeypatch):
+    # the analyze pipeline: both identity checks and the structure checks'
+    # precondition read one computation (l_0 = 0 here, so no block is checked)
+    mu = Bracket(mu.dim, mu.coeffs)
+    calls = []
+    monkeypatch.setattr("leibcrit.bracket._identity_terms",
+                        lambda c: calls.append(c.shape) or _identity_terms(c))
+    check_identities(mu)
+    check_identities(mu, 1e-6)
+    assert verify_structure_theorem(mu, criticality_decompose(mu)).all_passed
+    assert calls == [(mu.dim,) * 3]
 
 
 #: Every public function that takes a tolerance and checks it.

@@ -177,7 +177,7 @@ def reference_report(mu: Bracket, tol: float = 1e-8) -> MomentReport:
         M=m, norm_sq=nsq, F=tr_m2 / nsq**2, c=c, D=d,
         residual_decomp=reference_residual_decomp(mu, tol),
         residual_tangent=residual_tangent,
-        derivation_defect=inf_act(d, mu).norm / mu.norm,
+        mu=mu,
         is_critical=residual_tangent < tol, tol=tol,
     )
 
@@ -556,6 +556,31 @@ class TestReportType:
         rep = criticality_decompose(get("L1").bracket)
         moved = dataclasses.replace(rep, D=np.diag([1.0, 2.0, 3.0]).astype(complex))
         assert str(rep.type) == "(1<2;2,1)" and str(moved.type) == "(1<2<3;1,1,1)"
+
+
+def report_product_cases() -> list:
+    """The standard rows and a unitary rotation of each."""
+    cases = []
+    for i, e in enumerate(standard_rows()):
+        u = random_unitary(e.bracket.dim, np.random.default_rng([i, 7]))
+        cases += [pytest.param(e.bracket, id=e.label),
+                  pytest.param(gl_act(u, e.bracket), id=f"{e.label}@U")]
+    return cases
+
+
+class TestReportProduct:
+    def test_certificate_calls_no_inf_act(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("leibcrit.moment.inf_act", lambda *a: calls.append(a))
+        for e in standard_rows():
+            criticality_decompose(e.bracket)
+        assert calls == []
+
+    @pytest.mark.parametrize("mu", report_product_cases())
+    def test_holds_its_product(self, mu):
+        rep = criticality_decompose(mu)
+        assert rep.mu is mu
+        assert rep.derivation_defect == inf_act(rep.D, mu).norm / mu.norm
 
 
 class TestCriticalValueFormula:

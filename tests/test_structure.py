@@ -73,6 +73,18 @@ class TestStructureProfile:
         # one product per entry after the first of each series, less the shared [mu, mu]
         assert len(calls) == len(p.derived_dims) + len(p.lower_central_dims) - 3
 
+    @pytest.mark.parametrize("delta", [2e-9, 5e-9, 3e-8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_series_do_not_grow_under_rotation(self, delta, seed):
+        # [L, [L, L]] is about delta e2 on the unit product: a small largest
+        # singular value beside round-off, which a relative cut counted as rank
+        mu = Bracket.from_entries(3, {(1, 1, 2): 1, (1, 2, 2): delta})
+        p = structure_profile(gl_act(random_unitary(3, np.random.default_rng(seed)), mu))
+        for dims in (p.derived_dims, p.lower_central_dims):
+            assert all(a >= b for a, b in zip(dims, dims[1:])), dims
+        ref = structure_profile(mu)
+        assert (p.derived_dims, p.lower_central_dims) == (ref.derived_dims, ref.lower_central_dims)
+
     def test_center_rank_does_not_depend_on_scale(self):
         s1 = get("S1").bracket
         ranks = {k: center_subspace(Bracket(3, 10.0**k * s1.coeffs)).rank for k in range(-40, 41)}

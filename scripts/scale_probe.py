@@ -130,7 +130,7 @@ def probe(mu) -> tuple[float, float, int]:
     secs, peak = timed(lambda: criticality_decompose(mu))
     m = moment_matrix(mu)
     b = _tangent(m, mu.coeffs) / (np.linalg.norm(m) * mu.norm)  # the certificate's CGLS start
-    _, iters = _row_space_projection(b, mu.normalized())
+    _, iters = _row_space_projection(b, mu.coeffs / mu.norm)
     return secs, peak, iters
 
 

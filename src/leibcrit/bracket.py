@@ -67,7 +67,7 @@ class Bracket:
 
     @classmethod
     def zero(cls, dim: int) -> "Bracket":
-        return cls(dim, np.zeros((dim, dim, dim)))
+        return cls.from_entries(dim, {})
 
     @classmethod
     def from_entries(
@@ -83,10 +83,16 @@ class Bracket:
         contributes ``(j, i, k) -> -v``, which turns a Lie multiplication
         table (one product per unordered pair) into the full tensor.  The
         tensor is allocated in the table's dtype: float64 when every value
-        is real, complex128 otherwise.
+        is real, complex128 otherwise.  Raises ValueError when it does not
+        fit in memory.
         """
         values = _real_if_real(list(entries.values()))
-        c = np.zeros((dim, dim, dim), dtype=values.dtype)
+        try:
+            c = np.zeros((dim, dim, dim), dtype=values.dtype)
+        except MemoryError:
+            size = dim**3 * values.itemsize / 2**30
+            raise ValueError(f"a product of dimension {dim} needs {size:.3g} GiB"
+                             " of coefficients, which does not fit in memory") from None
         for (i, j, k), v in zip(entries, values):
             ii, jj, kk = i - 1, j - 1, k - 1
             for idx in (ii, jj, kk):

@@ -5,7 +5,9 @@ Linear maps are plain ndarrays of shape (n, n), real or complex; the
 pairing used throughout is the trace form ``(A, B) = tr(A B*)``.  Each
 function computes in the dtype of its inputs, so a real product (see
 :class:`~leibcrit.bracket.Bracket`) gets real derivations, eigenvectors and
-subspace bases.
+subspace bases.  The private kernels take and return arrays (coefficient
+tensors and orthonormal basis columns); only a public function that
+returns a :class:`Subspace` builds one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, _base_change, _check_tol, _real_if_real
+from .bracket import Bracket, _base_change, _real_if_real
 
 __all__ = [
     "Subspace",
@@ -23,7 +25,6 @@ __all__ = [
     "derivation_space",
     "subspace_product",
     "restrict",
-    "cluster_values",
     "RANK_RTOL",
 ]
 
@@ -84,22 +85,21 @@ def _action_matrix(mu: Bracket) -> np.ndarray:
     return op.reshape(n**3, n * n)
 
 
-def derivation_space(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarray]:
+def derivation_space(mu: Bracket) -> list[np.ndarray]:
     """Orthonormal basis of the complex space of derivations of mu.
 
     The right singular vectors of the (n^3, n^2) matrix A of a -> a.mu whose
-    singular values are at most ``tol * |mu|``; every returned map a thus
-    satisfies ``|a.mu| <= tol * |mu|``.  They are taken from the SVD of the
-    (n^2, n^2) factor R of A = QR, which has the same singular values and
-    right singular vectors as A.  For the zero bracket all n^2 elementary
-    maps are derivations.
+    singular values are at most ``RANK_RTOL * |mu|``; every returned map a
+    thus satisfies ``|a.mu| <= RANK_RTOL * |mu|``.  They are taken from the
+    SVD of the (n^2, n^2) factor R of A = QR, which has the same singular
+    values and right singular vectors as A.  For the zero bracket all n^2
+    elementary maps are derivations.
     """
-    _check_tol(tol)
     n = mu.dim
     if n == 0:
         return []
     r = np.linalg.qr(_action_matrix(mu), mode="r")
-    null = _nullspace(r, abs_tol=tol * mu.norm)
+    null = _nullspace(r, abs_tol=RANK_RTOL * mu.norm)
     return [null[:, j].reshape(n, n) for j in range(null.shape[1])]
 
 
@@ -144,28 +144,32 @@ class Subspace:
         largest one, so it does not depend on the scale of the vectors; an
         all-zero input spans the zero subspace.
         """
-        return _span(np.asarray(vectors).reshape(n, -1), abs_tol=0.0)
+        return cls(_span(np.asarray(vectors).reshape(n, -1), abs_tol=0.0))
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
 
-def _span(m: np.ndarray, abs_tol: float) -> Subspace:
-    """Orthonormal span of the columns of m, keeping the singular values
-    above ``abs_tol`` when it is positive, else (:meth:`Subspace.from_span`)
-    those above ``RANK_RTOL`` times the largest one."""
-    n = m.shape[0]
-    if m.shape[1] == 0:
-        return Subspace.zero(n)
+def _span(m: np.ndarray, abs_tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the columns of m, keeping the singular
+    values above ``abs_tol`` when it is positive, else (:meth:`Subspace.from_span`)
+    those above ``RANK_RTOL`` times the largest one.  An m with no columns
+    gives no columns."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     cut = abs_tol if abs_tol > 0 else RANK_RTOL * s.max(initial=0.0)
-    return Subspace(u[:, s > cut])
+    return u[:, s > cut]
 
 
-def _products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(n, ru * rw) matrix whose column a * rw + b is mu(u[:, a], w[:, b])."""
-    n, ru, rw = mu.dim, u.shape[1], w.shape[1]
-    left = (u.T @ mu.coeffs.reshape(n, n * n)).reshape(ru, n, n)
+def _unit_coeffs(mu: Bracket) -> np.ndarray:
+    """Coefficients of mu/|mu|, or of mu itself when it is zero."""
+    return (mu if mu.is_zero else mu.normalized()).coeffs
+
+
+def _products(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(n, ru * rw) matrix whose column a * rw + b is the product with
+    coefficients c of u[:, a] and w[:, b]."""
+    n, ru, rw = c.shape[0], u.shape[1], w.shape[1]
+    left = (u.T @ c.reshape(n, n * n)).reshape(ru, n, n)
     return (w.T @ left).reshape(ru * rw, n).T
 
 
@@ -175,16 +179,14 @@ def subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
     n = mu.dim
     if u.dim_ambient != n or w.dim_ambient != n:
         raise ValueError("ambient dimensions must match the bracket")
-    return _subspace_product(mu if mu.is_zero else mu.normalized(), u, w)
+    return Subspace(_subspace_product(_unit_coeffs(mu), u.basis, w.basis))
 
 
-def _subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
-    """:func:`subspace_product` on mu as given: a block of a unit product,
-    so the cut at ``RANK_RTOL`` is absolute, never relative to the largest
-    product, which may be round-off."""
-    if u.rank == 0 or w.rank == 0:
-        return Subspace.zero(mu.dim)
-    return _span(_products(mu, u.basis, w.basis), abs_tol=RANK_RTOL)
+def _subspace_product(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`subspace_product` of the bases u and w on the coefficients c
+    as given: a block of a unit product, so the cut at ``RANK_RTOL`` is
+    absolute, never relative to the largest product, which may be round-off."""
+    return _span(_products(c, u, w), abs_tol=RANK_RTOL)
 
 
 def restrict(mu: Bracket, sub: Subspace) -> Bracket:
@@ -195,18 +197,3 @@ def restrict(mu: Bracket, sub: Subspace) -> Bracket:
     """
     b = sub.basis
     return Bracket(sub.rank, _base_change(b.conj().T, b, mu.coeffs))
-
-
-def cluster_values(values: np.ndarray, gap: float) -> list[tuple[float, int, int]]:
-    """Group ascending real values into clusters separated by more than gap.
-
-    Returns (mean, start, stop) per cluster with stop exclusive.
-    """
-    out: list[tuple[float, int, int]] = []
-    k = len(values)
-    start = 0
-    for i in range(1, k + 1):
-        if i == k or values[i] - values[i - 1] > gap:
-            out.append((float(np.mean(values[start:i])), start, i))
-            start = i
-    return out

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .bracket import Bracket, _check_tol, _inf_act, inf_act
-from .linalg import cluster_values, hermitian_eigen
+from .linalg import hermitian_eigen
 
 __all__ = [
     "MomentReport",
@@ -193,10 +193,10 @@ def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def _row_space_projection(r: np.ndarray, unit: Bracket) -> tuple[np.ndarray, int]:
+def _row_space_projection(r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     """Projection of a unit Hermitian map x onto the row space of T =
-    :func:`_tangent` at the unit product ``unit``, given r = T x, with the
-    number of CGLS iterations it took.
+    :func:`_tangent` at the unit coefficient tensor c, given r = T x, with
+    the number of CGLS iterations it took.
 
     CGLS on ``T y = r`` started at 0 stays in the row space of T and
     converges to its min-norm solution, which is that projection; x minus
@@ -206,8 +206,8 @@ def _row_space_projection(r: np.ndarray, unit: Bracket) -> tuple[np.ndarray, int
     after 2 n^2 + 10 iterations: twice the n^2 steps it takes in exact
     arithmetic, plus a margin.
     """
-    cap = 2 * unit.dim**2 + 10
-    c_conj = unit.coeffs.conj()
+    cap = 2 * c.shape[0]**2 + 10
+    c_conj = c.conj()
     s = _inf_act_adjoint(r, c_conj)
     y = np.zeros_like(s)
     gamma = float(np.vdot(s, s).real)
@@ -220,7 +220,7 @@ def _row_space_projection(r: np.ndarray, unit: Bracket) -> tuple[np.ndarray, int
                 f" (|T* r| = {math.sqrt(gamma):.3g})"
             )
         it += 1
-        q = _tangent(p, unit.coeffs)
+        q = _tangent(p, c)
         alpha = gamma / float(np.vdot(q, q).real)
         y = y + alpha * p
         r = r - alpha * q
@@ -257,7 +257,7 @@ def criticality_decompose(
     residual_tangent = float(np.linalg.norm(t)) / (norm_m * mu.norm)
     # independent residual: the distance from M to ker T = span_R{I} + HermDer,
     # on mu/|mu| and M/|M|, whose tangent is T(M)/(|M||mu|)
-    u, _ = _row_space_projection(t / (norm_m * mu.norm), mu.normalized())
+    u, _ = _row_space_projection(t / (norm_m * mu.norm), mu.coeffs / mu.norm)
     residual_decomp = float(np.linalg.norm(u))
 
     return MomentReport(
@@ -289,9 +289,10 @@ def critical_type(d: np.ndarray) -> CriticalType:
     if n == 0:
         raise ValueError("empty matrix has no type")
     gap = DEFAULT_TYPE_TOL * max(1.0, float(np.abs(w).max()))
-    clusters = cluster_values(w, gap)
-    reps = np.array([cl[0] for cl in clusters])
-    mults = [cl[2] - cl[1] for cl in clusters]
+    # clusters are the runs of ascending eigenvalues with no step above gap
+    cuts = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), n]
+    reps = np.array([float(np.mean(w[a:b])) for a, b in zip(cuts, cuts[1:])])
+    mults = [b - a for a, b in zip(cuts, cuts[1:])]
     if np.abs(reps).max() <= gap:
         return CriticalType.zero(n)
 

@@ -11,13 +11,13 @@ critical point of the type with the zero entry removed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, _base_change, _max_defect_norm, check_identities, inf_act
-from .linalg import (RANK_RTOL, Subspace, _nullspace, _subspace_product, hermitian_eigen, restrict,
-                     subspace_product)
+from .bracket import Bracket, _base_change, _inf_act, _max_defect_norm, check_identities, inf_act
+from .linalg import RANK_RTOL, Subspace, _nullspace, _subspace_product, _unit_coeffs, hermitian_eigen
 from .moment import CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
@@ -94,30 +94,30 @@ class StructureVerdict:
         )
 
 
-def _series_dims(first: Subspace, step) -> tuple[tuple[int, ...], bool]:
-    """Ranks of the descending series C^n, first, step(first), ... until it
-    hits zero or stabilizes, and whether it hit zero."""
-    dims, current = [first.dim_ambient, first.rank], first
+def _series_dims(first: np.ndarray, step) -> tuple[tuple[int, ...], bool]:
+    """Ranks of the descending series C^n, first, step(first), ... of basis
+    arrays until it hits zero or stabilizes, and whether it hit zero."""
+    dims, current = list(first.shape), first
     while 0 < dims[-1] < dims[-2]:
         current = step(current)
-        dims.append(current.rank)
+        dims.append(current.shape[1])
     return tuple(dims), dims[-1] == 0
 
 
 def center_subspace(mu: Bracket) -> Subspace:
     """{x : mu(x, .) = mu(., x) = 0} via the joint nullspace of both actions
     of mu/|mu|, with singular values up to ``RANK_RTOL``."""
-    return _center_subspace(mu if mu.is_zero else mu.normalized())
+    return Subspace(_center_subspace(_unit_coeffs(mu)))
 
 
-def _center_subspace(mu: Bracket) -> Subspace:
-    """:func:`center_subspace` on mu as given: a block of a unit product."""
-    n = mu.dim
-    c = mu.coeffs
+def _center_subspace(c: np.ndarray) -> np.ndarray:
+    """Basis of :func:`center_subspace` on the coefficients c as given: a
+    block of a unit product."""
+    n = c.shape[0]
     # rows (j, k): coefficients of mu(x, e_j) and mu(e_j, x) in e_k
     left_rows = c.transpose(1, 2, 0).reshape(n * n, n)
     right_rows = c.transpose(0, 2, 1).reshape(n * n, n)
-    return Subspace(_nullspace(np.vstack([left_rows, right_rows]), abs_tol=RANK_RTOL))
+    return _nullspace(np.vstack([left_rows, right_rows]), abs_tol=RANK_RTOL)
 
 
 def structure_profile(mu: Bracket) -> StructureProfile:
@@ -125,15 +125,14 @@ def structure_profile(mu: Bracket) -> StructureProfile:
     mu.  Every rank is cut at ``RANK_RTOL`` on mu/|mu| (see
     :func:`~leibcrit.linalg.subspace_product` and :func:`center_subspace`),
     so none depends on the scale.  Both series start from the one [mu, mu]."""
-    full = Subspace.full(mu.dim)
-    derived_algebra = subspace_product(mu, full, full)
-    derived, solvable = _series_dims(derived_algebra, lambda s: subspace_product(mu, s, s))
-    lower, nilpotent = _series_dims(derived_algebra, lambda s: subspace_product(mu, full, s))
-    center = center_subspace(mu)
+    c, full = _unit_coeffs(mu), np.eye(mu.dim)
+    derived_algebra = _subspace_product(c, full, full)
+    derived, solvable = _series_dims(derived_algebra, lambda s: _subspace_product(c, s, s))
+    lower, nilpotent = _series_dims(derived_algebra, lambda s: _subspace_product(c, full, s))
     return StructureProfile(
         derived_dims=derived,
         lower_central_dims=lower,
-        center_dim=center.rank,
+        center_dim=_center_subspace(c).shape[1],
         is_solvable=solvable,
         is_nilpotent=nilpotent,
     )
@@ -171,9 +170,10 @@ def grading_decomposition(report: MomentReport) -> GradingDecomposition:
     )
 
 
-def _killing_min_sv(h_bracket: Bracket) -> float:
-    """Smallest singular value of the Killing form, relative to the largest."""
-    r, c = h_bracket.dim, h_bracket.coeffs
+def _killing_min_sv(c: np.ndarray) -> float:
+    """Smallest singular value of the Killing form of the coefficients c,
+    relative to the largest."""
+    r = c.shape[0]
     # tr(ad_a ad_b) = sum_jk c[a, j, k] c[b, k, j]
     k = c.reshape(r, r * r) @ c.transpose(0, 2, 1).reshape(r, r * r).T
     s = np.linalg.svd(k, compute_uv=False)
@@ -214,10 +214,10 @@ def _nonnormality(ops: np.ndarray) -> np.ndarray:
 # product, never on a block's own norm, which may be round-off.
 
 
-def _adjoint_closure(unit: Bracket, zero: slice, tol: float) -> tuple[bool, float]:
+def _adjoint_closure(c: np.ndarray, zero: slice, tol: float) -> tuple[bool, float]:
     """(i) Adjoints of the multiplications by l_0 are again derivations."""
-    ops = _mult_ops(unit.coeffs, zero, np.eye(zero.stop - zero.start))
-    res = max((inf_act(op.conj(), unit).norm for op in ops), default=0.0)
+    defects = (_inf_act(op.conj(), c) for op in _mult_ops(c, zero, np.eye(zero.stop - zero.start)))
+    res = max((math.sqrt(float(np.vdot(d, d).real)) for d in defects), default=0.0)
     return res < tol, res
 
 
@@ -234,16 +234,16 @@ def _l0_reductive(c: np.ndarray, zero: slice, tol: float) -> tuple:
     lie_res = 0.0 if restr0.is_zero else max(
         idr0.anticommutativity_residual, idr0.jacobi_residual
     ) * restr0.norm  # identity residuals are unit-normalized; undo for comparison
-    z = _center_subspace(restr0)
-    full = Subspace.full(r0)
-    h = _subspace_product(restr0, full, full)
+    c0 = restr0.coeffs
+    z = _center_subspace(c0)
+    h = _subspace_product(c0, np.eye(r0), np.eye(r0))
     decomp_res = 1.0
-    if z.rank + h.rank == r0:
-        decomp_res = float(np.linalg.norm(z.projector() + h.projector() - np.eye(r0)))
-    killing_sv = _killing_min_sv(restrict(restr0, h)) if h.rank > 0 else None
+    if z.shape[1] + h.shape[1] == r0:
+        decomp_res = float(np.linalg.norm(z @ z.conj().T + h @ h.conj().T - np.eye(r0)))
+    killing_sv = _killing_min_sv(_base_change(h.conj().T, h, c0)) if h.shape[1] > 0 else None
     killing_ok = killing_sv is None or killing_sv > KILLING_MIN_SV
     res = max(closure, lie_res, decomp_res)
-    return res < tol and killing_ok, res, killing_sv, z.basis
+    return res < tol and killing_ok, res, killing_sv, z
 
 
 def _center_normal(c: np.ndarray, zero: slice, center: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -266,9 +266,9 @@ def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float
     restrp = Bracket(rp, c[pos, pos, pos])
     if restrp.norm <= tol:
         return ideal_res < tol, ideal_res, True, True, None, True
-    full = Subspace.full(rp)
-    derived_algebra = _subspace_product(restrp, full, full)
-    is_nilp = _series_dims(derived_algebra, lambda s: _subspace_product(restrp, full, s))[1]
+    cp, full = restrp.coeffs, np.eye(rp)
+    derived_algebra = _subspace_product(cp, full, full)
+    is_nilp = _series_dims(derived_algebra, lambda s: _subspace_product(cp, full, s))[1]
     restr_type = criticality_decompose(restrp, tol).type
     matches = restr_type == (_strip_zero(parent_type) or parent_type)
     return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches
@@ -315,7 +315,7 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
     neg, zero, pos = slice(0, rm), slice(rm, rm + r0), slice(rm + r0, mu.dim)
     *reductive, center = _l0_reductive(c, zero, tol)
     return StructureVerdict(
-        *_adjoint_closure(Bracket(mu.dim, c), zero, tol),
+        *_adjoint_closure(c, zero, tol),
         *reductive,
         *_center_normal(c, zero, center, tol),
         *_nilradical(c, pos, grading.type, tol),

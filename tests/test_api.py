@@ -14,7 +14,7 @@ import pytest
 import leibcrit
 from leibcrit import bracket, catalog, cli, extensions, fileio, flow, linalg, moment, structure
 from leibcrit.bracket import DEFAULT_IDENTITY_TOL, Bracket
-from leibcrit.linalg import RANK_RTOL, Subspace
+from leibcrit.linalg import Subspace
 from leibcrit.moment import DEFAULT_CRITICAL_TOL
 
 MODULES = (bracket, catalog, extensions, flow, linalg, moment, structure)
@@ -22,7 +22,6 @@ MODULES = (bracket, catalog, extensions, flow, linalg, moment, structure)
 #: The public functions with a ``tol`` parameter and its default.
 TOL_DEFAULTS = {
     "check_identities": DEFAULT_IDENTITY_TOL,
-    "derivation_space": RANK_RTOL,
     "criticality_decompose": DEFAULT_CRITICAL_TOL,
     "descend": DEFAULT_CRITICAL_TOL,
     "verify_catalog": DEFAULT_CRITICAL_TOL,
@@ -33,6 +32,7 @@ TOL_DEFAULTS = {
 #: Functions whose cut is a module constant, with their full parameter lists.
 FIXED_CUTS = {
     linalg.is_hermitian: ["a"],
+    linalg.derivation_space: ["mu"],
     Subspace.from_span: ["n", "vectors"],
     linalg.subspace_product: ["mu", "u", "w"],
     structure.center_subspace: ["mu"],
@@ -67,7 +67,7 @@ PACKAGE_ALL = [
 REMOVED = {
     leibcrit: ["evaluate", "inner_product", "direct_sum", "left_op", "right_op"],
     bracket: ["evaluate", "_check_vector", "inner_product", "direct_sum"],
-    linalg: ["left_op", "right_op", "trace_pairing"],
+    linalg: ["left_op", "right_op", "trace_pairing", "cluster_values"],
     Subspace: ["contains", "project"],
 }
 

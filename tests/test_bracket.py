@@ -10,7 +10,6 @@ from helpers import direct_sum, evaluate, random_bracket, random_invertible, ran
 from leibcrit.bracket import Bracket, _identity_terms, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
-from leibcrit.linalg import derivation_space
 from leibcrit.moment import criticality_decompose
 from leibcrit.structure import verify_structure_theorem
 
@@ -251,7 +250,6 @@ def test_identity_terms_run_once_per_product(mu, monkeypatch):
 #: Every public function that takes a tolerance and checks it.
 TOL_CHECKED = {
     "check_identities": check_identities,
-    "derivation_space": derivation_space,
     "criticality_decompose": criticality_decompose,
     "descend": descend,
 }

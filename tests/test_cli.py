@@ -247,6 +247,31 @@ class TestAnalyzeCommand:
         assert err == "internal error: Unable to allocate 119. GiB for an array\n"
 
 
+#: A dimension whose coefficient tensor (8e15 bytes) no allocator grants, so
+#: the request fails at once without touching memory.
+HUGE_DIM = 10**5
+
+
+@pytest.mark.parametrize("command", ["catalog", "analyze", "extend"])
+def test_product_too_large_to_allocate_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    if command == "catalog":
+        argv = ["catalog", "show", "mu_he", "--n", str(HUGE_DIM)]
+    elif command == "analyze":
+        path.write_text(json.dumps({"dim": HUGE_DIM, "entries": [
+            {"i": 1, "j": 1, "k": 2, "re": 1.0, "im": 0.0}]}))
+        argv = ["analyze", str(path)]
+    else:
+        path.write_text(json.dumps({"core": {"abelian": {"dim": HUGE_DIM, "c": -1}},
+                                    "left_maps": [[[1, 0], [0, 0]]],
+                                    "right_maps": [[[-1, 0], [0, 0]]]}))
+        argv = ["extend", "solvable", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: a product of dimension {HUGE_DIM} ")
+    assert err.endswith("does not fit in memory\n")
+
+
 class TestToleranceFlag:
     @pytest.mark.parametrize("tol, name, argv", [
         ("nan", "S1", ["analyze"]),

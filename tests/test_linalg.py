@@ -83,13 +83,13 @@ class TestDerivationSpace:
 
     def test_every_member_annihilates(self, rng):
         mu = random_bracket(3, rng)
-        for a in derivation_space(mu, tol=1e-9):
+        for a in derivation_space(mu):
             assert inf_act(a, mu).norm <= 1e-9 * mu.norm
 
     def test_leibniz_rule_on_basis_pairs(self):
         tol = 1e-9
         for mu in (NONLIE2, HEIS, S1):
-            for d in derivation_space(mu, tol):
+            for d in derivation_space(mu):
                 for i in range(mu.dim):
                     for j in range(mu.dim):
                         ei = np.eye(mu.dim)[:, i]

@@ -14,6 +14,7 @@ from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import RANK_RTOL, _action_matrix, _nullspace, derivation_space
 from leibcrit.moment import (
+    DEFAULT_TYPE_TOL,
     CriticalType,
     MomentReport,
     IrrationalTypeError,
@@ -91,10 +92,10 @@ def hermitian_derivations(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarra
     return [maps[:, j].reshape(n, n) for j in range(maps.shape[1])]
 
 
-def reference_hermitian_derivations(mu: Bracket, tol: float) -> list[np.ndarray]:
+def reference_hermitian_derivations(mu: Bracket) -> list[np.ndarray]:
     """Reference chain: the complex derivation space, then the Hermitian
     condition solved in its realification, then a real QR."""
-    ders = derivation_space(mu, tol)
+    ders = derivation_space(mu)
     if not ders:
         return []
     n = mu.dim
@@ -444,7 +445,7 @@ class TestHermitianDerivations:
     def test_matches_complex_then_realified_chain(self, mu):
         tol = 1e-9
         herms = hermitian_derivations(mu, tol)
-        ref = reference_hermitian_derivations(mu, tol)
+        ref = reference_hermitian_derivations(mu)
         assert len(herms) == len(ref)
         check_real_orthonormal_hermitian(herms)
         for h in herms:
@@ -465,7 +466,42 @@ class TestHermitianDerivations:
         assert peak < 32e6
 
 
+def report_product_cases() -> list:
+    """The standard rows and a unitary rotation of each."""
+    cases = []
+    for i, e in enumerate(standard_rows()):
+        u = random_unitary(e.bracket.dim, np.random.default_rng([i, 7]))
+        cases += [pytest.param(e.bracket, id=e.label),
+                  pytest.param(gl_act(u, e.bracket), id=f"{e.label}@U")]
+    return cases
+
+
+def reference_clusters(w: np.ndarray, gap: float) -> list[tuple[float, int]]:
+    """Loop reference for the clusters of ``critical_type``: (mean, size) of
+    each run of ascending values with no step above gap."""
+    out, start = [], 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > gap:
+            out.append((float(np.mean(w[start:i])), i - start))
+            start = i
+    return out
+
+
 class TestCriticalType:
+    @pytest.mark.parametrize("mu", report_product_cases())
+    def test_clusters_match_the_loop(self, mu):
+        rep = criticality_decompose(mu)
+        if rep.type is None:
+            pytest.skip("no rational type")
+        d = rep.D / rep.norm_sq
+        w = np.linalg.eigvalsh(d)
+        clusters = reference_clusters(w, DEFAULT_TYPE_TOL * max(1.0, float(np.abs(w).max())))
+        t = critical_type(d)
+        assert list(t.ds) == [size for _, size in clusters]
+        if t.ks != (0,):
+            means = np.array([mean for mean, _ in clusters])
+            assert np.abs(t.scale * means - np.array(t.ks)).max() < DEFAULT_TYPE_TOL
+
     def test_weighted_pair(self):
         t = critical_type(np.diag([6.0, 12.0]))
         assert (t.ks, t.ds) == ((1, 2), (1, 1))
@@ -558,16 +594,6 @@ class TestReportType:
         assert str(rep.type) == "(1<2;2,1)" and str(moved.type) == "(1<2<3;1,1,1)"
 
 
-def report_product_cases() -> list:
-    """The standard rows and a unitary rotation of each."""
-    cases = []
-    for i, e in enumerate(standard_rows()):
-        u = random_unitary(e.bracket.dim, np.random.default_rng([i, 7]))
-        cases += [pytest.param(e.bracket, id=e.label),
-                  pytest.param(gl_act(u, e.bracket), id=f"{e.label}@U")]
-    return cases
-
-
 class TestReportProduct:
     def test_certificate_calls_no_inf_act(self, monkeypatch):
         calls = []
@@ -575,6 +601,11 @@ class TestReportProduct:
         for e in standard_rows():
             criticality_decompose(e.bracket)
         assert calls == []
+
+    @pytest.mark.parametrize("mu", report_product_cases())
+    def test_certificate_builds_no_bracket(self, mu, constructions):
+        criticality_decompose(mu)
+        assert constructions["Bracket"] == 0
 
     @pytest.mark.parametrize("mu", report_product_cases())
     def test_holds_its_product(self, mu):

@@ -18,6 +18,12 @@ LIE2 = Bracket.from_entries(2, {(1, 2, 2): 1}, antisymmetrize=True)
 SO3 = Bracket.from_entries(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}, antisymmetrize=True)
 
 
+#: Symmetric Leibniz critical points whose checks reach every clause's kernels.
+KERNEL_CASES = [pytest.param(get(name, n=n).bracket, id=name if n is None else f"{name}({n})")
+                for name, n in (("S1", None), ("so3", None), ("mu_hy", 5), ("mu_he", 7),
+                                ("mu_sy", 6), ("S2", None))]
+
+
 def symmetric_critical_entries():
     out = []
     for e in standard_rows():
@@ -67,11 +73,17 @@ class TestStructureProfile:
         import leibcrit.structure as structure
 
         calls = []
-        real = structure.subspace_product
-        monkeypatch.setattr(structure, "subspace_product", lambda *a: calls.append(a) or real(*a))
+        real = structure._subspace_product
+        monkeypatch.setattr(structure, "_subspace_product", lambda *a: calls.append(a) or real(*a))
         p = structure_profile(entry.bracket)
         # one product per entry after the first of each series, less the shared [mu, mu]
         assert len(calls) == len(p.derived_dims) + len(p.lower_central_dims) - 3
+
+    @pytest.mark.parametrize("mu", KERNEL_CASES)
+    def test_kernels_take_arrays(self, mu, constructions):
+        # the series and the center run on one unit tensor, with no Subspace
+        structure_profile(mu)
+        assert (constructions["Subspace"], constructions["normalized"]) == (0, 1)
 
     @pytest.mark.parametrize("delta", [2e-9, 5e-9, 3e-8])
     @pytest.mark.parametrize("seed", range(4))
@@ -250,15 +262,24 @@ class TestVerifyStructure:
             assert seen.count(True) == 1, entry.label
             assert len(seen) <= 2, entry.label
 
+    @pytest.mark.parametrize("mu", KERNEL_CASES)
+    def test_builds_only_the_grading_subspaces(self, mu, constructions):
+        # l_-, l_0, l_+ and one eigenspace per entry of the type; every clause
+        # reads arrays
+        rep = criticality_decompose(mu)
+        constructions.clear()
+        verify_structure_theorem(mu, rep)
+        assert constructions["Subspace"] == 3 + len(rep.type.ks)
+
     def test_center_of_l0_computed_once(self, monkeypatch):
         import leibcrit.structure as structure
 
         calls = []
         real = structure._center_subspace  # clause (ii) keeps the unit product's cut
 
-        def counting(mu, *args):
-            calls.append(mu.dim)
-            return real(mu, *args)
+        def counting(c, *args):
+            calls.append(c.shape[0])
+            return real(c, *args)
 
         monkeypatch.setattr(structure, "_center_subspace", counting)
         verify_structure_theorem(SO3, criticality_decompose(SO3))

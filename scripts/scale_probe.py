@@ -18,7 +18,9 @@ layer -- ``moment_matrix``, ``inf_act`` (of the moment matrix),
 included, since a ``Bracket`` keeps its residuals from the first check),
 the derivation solve ``derivation_space``, ``criticality_decompose``,
 ``critical_type`` (of the certificate's D/|mu|^2),
-``subspace_product(full, full)``, ``structure_profile`` and
+``subspace_product`` (the private ``linalg._subspace_product(unit, I, I)``
+on mu/|mu| and the identity, the derived algebra ``structure_profile``
+computes first), ``structure_profile`` and
 ``verify_structure_theorem`` (given the certificate, on a product whose
 identities were already checked, as ``analyze`` runs it) -- on mu_he(n) at
 n = 3, 4, 8, 12 and 16, in the catalog basis, where it is stored real, and
@@ -57,7 +59,7 @@ import numpy as np  # noqa: E402
 from leibcrit import flow  # noqa: E402
 from leibcrit.bracket import Bracket, check_identities, gl_act, inf_act  # noqa: E402
 from leibcrit.catalog import get  # noqa: E402
-from leibcrit.linalg import Subspace, derivation_space, subspace_product  # noqa: E402
+from leibcrit.linalg import _subspace_product, _unit_coeffs, derivation_space  # noqa: E402
 from leibcrit.moment import (  # noqa: E402
     _row_space_projection,
     _tangent,
@@ -136,7 +138,8 @@ def probe(mu) -> tuple[float, float, int]:
 
 def layers(mu) -> dict:
     """The per-layer calls, by name, on the product mu."""
-    m, full, rep = moment_matrix(mu), Subspace.full(mu.dim), criticality_decompose(mu)
+    m, rep = moment_matrix(mu), criticality_decompose(mu)
+    unit, full = _unit_coeffs(mu), np.eye(mu.dim)
     d = rep.D / rep.norm_sq
     check_identities(mu)  # as analyze does before the structure checks
     return {
@@ -146,7 +149,7 @@ def layers(mu) -> dict:
         "derivation_space": lambda: derivation_space(mu),
         "criticality_decompose": lambda: criticality_decompose(mu),
         "critical_type": lambda: critical_type(d),
-        "subspace_product": lambda: subspace_product(mu, full, full),
+        "subspace_product": lambda: _subspace_product(unit, full, full),
         "structure_profile": lambda: structure_profile(mu),
         "verify_structure_theorem": lambda: verify_structure_theorem(mu, rep),
     }

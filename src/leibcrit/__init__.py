@@ -19,13 +19,7 @@ from .bracket import (
     gl_act,
     inf_act,
 )
-from .linalg import (
-    Subspace,
-    derivation_space,
-    hermitian_eigen,
-    restrict,
-    subspace_product,
-)
+from .linalg import derivation_space, hermitian_eigen
 from .moment import (
     CriticalType,
     IrrationalTypeError,
@@ -37,10 +31,8 @@ from .moment import (
     moment_matrix,
 )
 from .structure import (
-    GradingDecomposition,
     StructureProfile,
     StructureVerdict,
-    grading_decomposition,
     structure_profile,
     verify_structure_theorem,
 )
@@ -63,13 +55,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bracket", "IdentityReport", "check_identities", "gl_act", "inf_act",
-    "Subspace", "derivation_space", "hermitian_eigen", "restrict",
-    "subspace_product",
+    "derivation_space", "hermitian_eigen",
     "CriticalType", "IrrationalTypeError", "MomentReport", "critical_type",
     "critical_value_formula", "criticality_decompose", "functional_value",
     "moment_matrix",
-    "GradingDecomposition", "StructureProfile", "StructureVerdict",
-    "grading_decomposition", "structure_profile", "verify_structure_theorem",
+    "StructureProfile", "StructureVerdict", "structure_profile",
+    "verify_structure_theorem",
     "FlowTrace", "descend", "perturb_in_orbit",
     "CatalogEntry", "VerifyRow", "get", "names", "verify_catalog",
     "CertificationFailed", "ExtensionError", "ExtensionSpec", "GramNotPositive",

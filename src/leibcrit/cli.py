@@ -345,8 +345,7 @@ def run(argv: list[str] | None = None) -> int:
     except (LinAlgError, MemoryError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (AlgebraFileError, FileNotFoundError, IsADirectoryError, KeyError,
-            ValueError) as exc:
+    except (AlgebraFileError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

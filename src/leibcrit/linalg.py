@@ -1,30 +1,24 @@
 """Operator-level utilities: derivation spaces, Hermitian eigendecomposition
-and orthonormal subspaces.
+and the orthonormal spans of products behind the structure checks.
 
 Linear maps are plain ndarrays of shape (n, n), real or complex; the
 pairing used throughout is the trace form ``(A, B) = tr(A B*)``.  Each
 function computes in the dtype of its inputs, so a real product (see
 :class:`~leibcrit.bracket.Bracket`) gets real derivations, eigenvectors and
-subspace bases.  The private kernels take and return arrays (coefficient
-tensors and orthonormal basis columns); only a public function that
-returns a :class:`Subspace` builds one.
+subspace bases.  A subspace is an array of orthonormal basis columns; the
+private kernels take and return such arrays and coefficient tensors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bracket import Bracket, _base_change, _real_if_real
+from .bracket import Bracket
 
 __all__ = [
-    "Subspace",
     "is_hermitian",
     "hermitian_eigen",
     "derivation_space",
-    "subspace_product",
-    "restrict",
     "RANK_RTOL",
 ]
 
@@ -86,7 +80,8 @@ def _action_matrix(mu: Bracket) -> np.ndarray:
 
 
 def derivation_space(mu: Bracket) -> list[np.ndarray]:
-    """Orthonormal basis of the complex space of derivations of mu.
+    """Orthonormal basis of the derivations of mu, as arrays in mu's dtype:
+    real for a real product, whose real derivations span the complex ones.
 
     The right singular vectors of the (n^3, n^2) matrix A of a -> a.mu whose
     singular values are at most ``RANK_RTOL * |mu|``; every returned map a
@@ -103,61 +98,13 @@ def derivation_space(mu: Bracket) -> list[np.ndarray]:
     return [null[:, j].reshape(n, n) for j in range(null.shape[1])]
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Linear subspace of C^n stored as orthonormal columns, real when
-    every imaginary part is 0."""
-
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = _real_if_real(self.basis)
-        if b.ndim != 2:
-            raise ValueError("basis must be a 2-d array of column vectors")
-        gram = b.conj().T @ b
-        if gram.size and np.linalg.norm(gram - np.eye(b.shape[1])) > 1e-12 * max(1, b.shape[1]):
-            raise ValueError("basis columns are not orthonormal")
-        b.flags.writeable = False
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim_ambient(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(np.zeros((n, 0)))
-
-    @classmethod
-    def from_span(cls, n: int, vectors: np.ndarray) -> "Subspace":
-        """Orthonormal span of the given column vectors.
-
-        Rank is the number of singular values above ``RANK_RTOL`` times the
-        largest one, so it does not depend on the scale of the vectors; an
-        all-zero input spans the zero subspace.
-        """
-        return cls(_span(np.asarray(vectors).reshape(n, -1), abs_tol=0.0))
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-
-def _span(m: np.ndarray, abs_tol: float) -> np.ndarray:
+def _span(m: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the columns of m, keeping the singular
-    values above ``abs_tol`` when it is positive, else (:meth:`Subspace.from_span`)
-    those above ``RANK_RTOL`` times the largest one.  An m with no columns
-    gives no columns."""
+    values above ``RANK_RTOL``: m holds products on a unit product, so the cut
+    is absolute, never relative to the largest, which may be round-off.  An m
+    with no columns gives no columns."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cut = abs_tol if abs_tol > 0 else RANK_RTOL * s.max(initial=0.0)
-    return u[:, s > cut]
+    return u[:, s > RANK_RTOL]
 
 
 def _unit_coeffs(mu: Bracket) -> np.ndarray:
@@ -173,27 +120,8 @@ def _products(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w.T @ left).reshape(ru * rw, n).T
 
 
-def subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
-    """Orthonormal span of all products mu(x, y) with x in u, y in w, with
-    rank cut at the singular value ``RANK_RTOL`` on mu/|mu|."""
-    n = mu.dim
-    if u.dim_ambient != n or w.dim_ambient != n:
-        raise ValueError("ambient dimensions must match the bracket")
-    return Subspace(_subspace_product(_unit_coeffs(mu), u.basis, w.basis))
-
-
 def _subspace_product(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`subspace_product` of the bases u and w on the coefficients c
-    as given: a block of a unit product, so the cut at ``RANK_RTOL`` is
-    absolute, never relative to the largest product, which may be round-off."""
-    return _span(_products(c, u, w), abs_tol=RANK_RTOL)
+    """Orthonormal span of all products with coefficients c (a block of a
+    unit product) of x in the span of u and y in the span of w."""
+    return _span(_products(c, u, w))
 
-
-def restrict(mu: Bracket, sub: Subspace) -> Bracket:
-    """Compression of mu to a subspace, in its orthonormal basis.
-
-    This is the honest restriction when the subspace is closed under mu;
-    in general it is the orthogonal projection of the products.
-    """
-    b = sub.basis
-    return Bracket(sub.rank, _base_change(b.conj().T, b, mu.coeffs))

@@ -277,7 +277,8 @@ def criticality_decompose(
 def critical_type(d: np.ndarray) -> CriticalType:
     """Integer type of a Hermitian map with (projectively) rational spectrum.
 
-    Eigenvalues are clustered within ``DEFAULT_TYPE_TOL * max(1, |d|)``; the
+    Ascending eigenvalues w are clustered in runs with no step above
+    ``DEFAULT_TYPE_TOL * max(1, max |w|)``, the largest |eigenvalue|; the
     cluster representatives are scaled by the positive constant reconstructed
     from their ratios by continued fractions (denominators bounded by
     ``DEFAULT_MAX_DENOMINATOR``) so that they become coprime integers, to a

@@ -17,16 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracket import Bracket, _base_change, _inf_act, _max_defect_norm, check_identities, inf_act
-from .linalg import RANK_RTOL, Subspace, _nullspace, _subspace_product, _unit_coeffs, hermitian_eigen
+from .linalg import RANK_RTOL, _nullspace, _subspace_product, _unit_coeffs, hermitian_eigen
 from .moment import CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
     "StructureProfile",
-    "GradingDecomposition",
     "StructureVerdict",
     "structure_profile",
-    "center_subspace",
-    "grading_decomposition",
     "verify_structure_theorem",
 ]
 
@@ -42,19 +39,6 @@ class StructureProfile:
     center_dim: int
     is_solvable: bool
     is_nilpotent: bool
-
-
-@dataclass(frozen=True)
-class GradingDecomposition:
-    """Eigenspaces of a certified derivation D, one per entry of its critical
-    type, with their mean eigenvalues and their sums by sign of the type."""
-
-    negative_part: Subspace
-    zero_part: Subspace
-    positive_part: Subspace
-    eigenvalues: tuple[float, ...]
-    eigenspaces: tuple[Subspace, ...]
-    type: CriticalType
 
 
 @dataclass(frozen=True)
@@ -104,15 +88,10 @@ def _series_dims(first: np.ndarray, step) -> tuple[tuple[int, ...], bool]:
     return tuple(dims), dims[-1] == 0
 
 
-def center_subspace(mu: Bracket) -> Subspace:
-    """{x : mu(x, .) = mu(., x) = 0} via the joint nullspace of both actions
-    of mu/|mu|, with singular values up to ``RANK_RTOL``."""
-    return Subspace(_center_subspace(_unit_coeffs(mu)))
-
-
 def _center_subspace(c: np.ndarray) -> np.ndarray:
-    """Basis of :func:`center_subspace` on the coefficients c as given: a
-    block of a unit product."""
+    """Basis of the center {x : c(x, .) = c(., x) = 0} of the coefficients c
+    (a block of a unit product): the joint nullspace of both actions, with
+    singular values up to ``RANK_RTOL``."""
     n = c.shape[0]
     # rows (j, k): coefficients of mu(x, e_j) and mu(e_j, x) in e_k
     left_rows = c.transpose(1, 2, 0).reshape(n * n, n)
@@ -122,9 +101,8 @@ def _center_subspace(c: np.ndarray) -> np.ndarray:
 
 def structure_profile(mu: Bracket) -> StructureProfile:
     """Derived/lower-central series dimensions, center and the two flags of
-    mu.  Every rank is cut at ``RANK_RTOL`` on mu/|mu| (see
-    :func:`~leibcrit.linalg.subspace_product` and :func:`center_subspace`),
-    so none depends on the scale.  Both series start from the one [mu, mu]."""
+    mu.  Every rank is cut at ``RANK_RTOL`` on mu/|mu|, so none depends on
+    the scale.  Both series start from the one [mu, mu]."""
     c, full = _unit_coeffs(mu), np.eye(mu.dim)
     derived_algebra = _subspace_product(c, full, full)
     derived, solvable = _series_dims(derived_algebra, lambda s: _subspace_product(c, s, s))
@@ -135,38 +113,6 @@ def structure_profile(mu: Bracket) -> StructureProfile:
         center_dim=_center_subspace(c).shape[1],
         is_solvable=solvable,
         is_nilpotent=nilpotent,
-    )
-
-
-def grading_decomposition(report: MomentReport) -> GradingDecomposition:
-    """Eigenspaces of the certified derivation ``report.D``, graded by its
-    critical type.
-
-    The ascending eigenvalues of D are split in order by the multiplicities
-    of ``report.type`` (ascending, since its scale is positive); the sign of
-    each integer puts its block in l_-, l_0 or l_+.  Raises ValueError when
-    the report does not certify a critical point or has no rational type.
-    """
-    if not report.is_critical:
-        raise ValueError("report does not certify a critical point")
-    t = report.type
-    if t is None:
-        raise ValueError("report has no rational critical type")
-    w, u = hermitian_eigen(report.D)
-    bounds = np.cumsum((0,) + t.ds)
-    blocks = list(zip(t.ks, bounds, bounds[1:]))
-
-    def _part(sign: int) -> Subspace:
-        cols = [u[:, a:b] for k, a, b in blocks if np.sign(k) == sign]
-        return Subspace(np.hstack(cols)) if cols else Subspace.zero(len(w))
-
-    return GradingDecomposition(
-        negative_part=_part(-1),
-        zero_part=_part(0),
-        positive_part=_part(1),
-        eigenvalues=tuple(float(np.mean(w[a:b])) for _, a, b in blocks),
-        eigenspaces=tuple(Subspace(u[:, a:b]) for _, a, b in blocks),
-        type=t,
     )
 
 
@@ -294,13 +240,19 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
     residuals mu keeps once checked) and a report of this product: |D.mu|
     at most ``report.tol * |M| * |mu|``, which for mu's own report is its
     tangent residual.  Every property is checked at ``report.tol`` on the unit
-    product mu/|mu| written once in the eigenbasis of D that
-    :func:`grading_decomposition` gives.  The restriction of mu to the
-    positive eigenspace of D is re-certified and its type compared against
-    the parent type with the zero entry removed, except in the degenerate
-    abelian case which is only reported.
+    product mu/|mu| written once in the eigenbasis of D.  Its ascending
+    eigenvalues follow the ascending entries of the type, so l_-, l_0 and l_+
+    are its first rm, next r0 and last columns, rm and r0 the multiplicities
+    of the negative and zero entries.  The restriction of mu to l_+ is
+    re-certified and its type compared against the parent type with the zero
+    entry removed, except in the degenerate abelian case which is only
+    reported.
     """
-    grading = grading_decomposition(report)
+    if not report.is_critical:
+        raise ValueError("report does not certify a critical point")
+    t = report.type
+    if t is None:
+        raise ValueError("report has no rational critical type")
     if not check_identities(mu).is_symmetric_leibniz:
         raise ValueError("bracket is not symmetric Leibniz")
     defect = inf_act(report.D, mu).norm
@@ -309,15 +261,16 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
         raise ValueError(
             f"report does not certify this bracket (|D.mu| {defect:.3g} vs {bound:.3g})"
         )
-    u = np.hstack([s.basis for s in grading.eigenspaces])
+    u = hermitian_eigen(report.D)[1]
     c, tol = _base_change(u.conj().T, u, mu.coeffs / mu.norm), report.tol
-    rm, r0 = grading.negative_part.rank, grading.zero_part.rank
+    rm = sum(d for k, d in zip(t.ks, t.ds) if k < 0)
+    r0 = sum(d for k, d in zip(t.ks, t.ds) if k == 0)
     neg, zero, pos = slice(0, rm), slice(rm, rm + r0), slice(rm + r0, mu.dim)
     *reductive, center = _l0_reductive(c, zero, tol)
     return StructureVerdict(
         *_adjoint_closure(c, zero, tol),
         *reductive,
         *_center_normal(c, zero, center, tol),
-        *_nilradical(c, pos, grading.type, tol),
+        *_nilradical(c, pos, t, tol),
         _lminus_nonnormality(c, neg),
     )

@@ -14,7 +14,6 @@ import pytest
 import leibcrit
 from leibcrit import bracket, catalog, cli, extensions, fileio, flow, linalg, moment, structure
 from leibcrit.bracket import DEFAULT_IDENTITY_TOL, Bracket
-from leibcrit.linalg import Subspace
 from leibcrit.moment import DEFAULT_CRITICAL_TOL
 
 MODULES = (bracket, catalog, extensions, flow, linalg, moment, structure)
@@ -33,11 +32,7 @@ TOL_DEFAULTS = {
 FIXED_CUTS = {
     linalg.is_hermitian: ["a"],
     linalg.derivation_space: ["mu"],
-    Subspace.from_span: ["n", "vectors"],
-    linalg.subspace_product: ["mu", "u", "w"],
-    structure.center_subspace: ["mu"],
     structure.structure_profile: ["mu"],
-    structure.grading_decomposition: ["report"],
     structure.verify_structure_theorem: ["mu", "report"],
     moment.critical_type: ["d"],
     Bracket.from_entries: ["dim", "entries", "antisymmetrize"],
@@ -47,13 +42,12 @@ FIXED_CUTS = {
 #: Everything ``from leibcrit import *`` exports.
 PACKAGE_ALL = [
     "Bracket", "IdentityReport", "check_identities", "gl_act", "inf_act",
-    "Subspace", "derivation_space", "hermitian_eigen", "restrict",
-    "subspace_product",
+    "derivation_space", "hermitian_eigen",
     "CriticalType", "IrrationalTypeError", "MomentReport", "critical_type",
     "critical_value_formula", "criticality_decompose", "functional_value",
     "moment_matrix",
-    "GradingDecomposition", "StructureProfile", "StructureVerdict",
-    "grading_decomposition", "structure_profile", "verify_structure_theorem",
+    "StructureProfile", "StructureVerdict", "structure_profile",
+    "verify_structure_theorem",
     "FlowTrace", "descend", "perturb_in_orbit",
     "CatalogEntry", "VerifyRow", "get", "names", "verify_catalog",
     "CertificationFailed", "ExtensionError", "ExtensionSpec", "GramNotPositive",
@@ -65,10 +59,12 @@ PACKAGE_ALL = [
 
 #: Helpers that only tests called, deleted from the library.
 REMOVED = {
-    leibcrit: ["evaluate", "inner_product", "direct_sum", "left_op", "right_op"],
+    leibcrit: ["evaluate", "inner_product", "direct_sum", "left_op", "right_op", "Subspace",
+               "subspace_product", "restrict", "GradingDecomposition", "grading_decomposition"],
     bracket: ["evaluate", "_check_vector", "inner_product", "direct_sum"],
-    linalg: ["left_op", "right_op", "trace_pairing", "cluster_values"],
-    Subspace: ["contains", "project"],
+    linalg: ["left_op", "right_op", "trace_pairing", "cluster_values", "Subspace",
+             "subspace_product", "restrict"],
+    structure: ["center_subspace", "GradingDecomposition", "grading_decomposition"],
 }
 
 

@@ -272,6 +272,27 @@ def test_product_too_large_to_allocate_exit_2(tmp_path, capsys, command):
     assert err.endswith("does not fit in memory\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{s1}/x"],
+    ["extend", "solvable", "{s1}/spec.json"],
+    ["extend", "solvable", "{spec}", "-o", "{s1}/out.json"],
+    ["catalog", "export", "S1", "{s1}/x.json"],
+    ["check", "{tmp}/" + "a" * 300],
+    ["check", "{tmp}"],
+], ids=["analyze-under-a-file", "extend-under-a-file", "extend-output-under-a-file",
+        "export-under-a-file", "check-name-too-long", "check-a-directory"])
+def test_file_error_exit_2(tmp_path, capsys, argv):
+    # a path through a regular file (NotADirectoryError), a name longer than
+    # the file system allows (OSError) or a directory is the input's fault,
+    # not a failed check
+    s1 = tmp_path / "s1.json"
+    save_algebra(s1, get("S1").bracket, name="S1")
+    spec = TestExtendCommand.write_solvable_spec(tmp_path)
+    code, out, err = run_cli(capsys, *(a.format(s1=s1, spec=spec, tmp=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno ")
+
+
 class TestToleranceFlag:
     @pytest.mark.parametrize("tol, name, argv", [
         ("nan", "S1", ["analyze"]),
@@ -479,7 +500,8 @@ class TestCatalogCommand:
 
 
 class TestExtendCommand:
-    def write_solvable_spec(self, tmp_path):
+    @staticmethod
+    def write_solvable_spec(tmp_path):
         spec = {
             "core": {"catalog": "S1"},
             "left_maps": [[[0, 0, 0], [0, 1, 0], [0, 0, 0]]],

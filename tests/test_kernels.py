@@ -1,10 +1,11 @@
 """The tensor kernels against their einsum references.
 
 ``check_identities``, ``inf_act`` and its array kernel ``_inf_act``,
-``gl_act``, ``restrict``, ``moment_matrix``, the adjoint of ``inf_act`` used
-by the criticality cross-check and ``subspace_product`` are matrix products
-of reshaped coefficient tensors; the structure checks' ``_outside`` reads
-index blocks of one.  The ``reference_*`` helpers
+``gl_act`` and its kernel ``_base_change`` (which also compresses a product
+to orthonormal columns), ``moment_matrix``, the adjoint of ``inf_act`` used
+by the criticality cross-check and the structure layer's
+``_subspace_product`` are matrix products of reshaped coefficient tensors;
+the structure checks' ``_outside`` reads index blocks of one.  The ``reference_*`` helpers
 below keep their former einsum forms; each kernel must agree with its
 reference to 1e-13 * max(1, |ref|) on the catalog, the three families at
 n = 3..12 in the catalog basis (stored real) and under a seeded unitary
@@ -24,17 +25,24 @@ import numpy as np
 import pytest
 
 from helpers import random_bracket, random_hermitian, random_invertible, random_unitary
-from leibcrit.bracket import Bracket, _inf_act, _max_defect_norm, check_identities, gl_act, inf_act
+from leibcrit.bracket import (
+    Bracket,
+    _base_change,
+    _inf_act,
+    _max_defect_norm,
+    check_identities,
+    gl_act,
+    inf_act,
+)
 from leibcrit.catalog import get, standard_rows
 from leibcrit.linalg import (
     RANK_RTOL,
-    Subspace,
     _action_matrix,
     _nullspace,
     _products,
+    _subspace_product,
+    _unit_coeffs,
     derivation_space,
-    restrict,
-    subspace_product,
 )
 from leibcrit.moment import _inf_act_adjoint, moment_matrix
 from leibcrit.structure import _outside
@@ -132,27 +140,31 @@ def reference_moment_matrix(mu: Bracket) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def reference_products(mu: Bracket, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n = mu.dim
-    return np.einsum("ia,jb,ijk->kab", u, w, mu.coeffs).reshape(n, -1)
+def reference_products(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.einsum("ia,jb,ijk->kab", u, w, c).reshape(c.shape[0], -1)
 
 
-def reference_subspace_product(mu: Bracket, u: Subspace, w: Subspace) -> Subspace:
-    n = mu.dim
-    if u.rank == 0 or w.rank == 0:
-        return Subspace.zero(n)
-    return Subspace.from_span(n, reference_products(mu, u.basis, w.basis))
+def reference_subspace_product(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Span of the products on the unit product c, cut at ``RANK_RTOL``."""
+    n = c.shape[0]
+    if u.shape[1] == 0 or w.shape[1] == 0:
+        return np.zeros((n, 0))
+    left, s, _ = np.linalg.svd(reference_products(c, u, w), full_matrices=False)
+    return left[:, s > RANK_RTOL]
 
 
-def reference_restrict(mu: Bracket, sub: Subspace) -> np.ndarray:
-    b = sub.basis
-    return np.einsum("ia,jb,ijk,kc->abc", b, b, mu.coeffs, b.conj())
+def reference_restrict(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ia,jb,ijk,kc->abc", b, b, c, b.conj())
 
 
-def reference_outside(unit: Bracket, sub: Subspace, spec: str, *factors: np.ndarray) -> float:
+def projector(b: np.ndarray) -> np.ndarray:
+    return b @ b.conj().T
+
+
+def reference_outside(unit: Bracket, b: np.ndarray, spec: str, *factors: np.ndarray) -> float:
     n = unit.dim
     prods = np.einsum(spec, *factors, unit.coeffs).reshape(n, -1)
-    proj_out = np.eye(n, dtype=complex) - sub.projector()
+    proj_out = np.eye(n, dtype=complex) - projector(b)
     return float(np.linalg.norm(proj_out @ prods, axis=0).max(initial=0.0))
 
 
@@ -186,9 +198,9 @@ def case_rng(mu: Bracket) -> np.random.Generator:
     return np.random.default_rng([mu.dim, 7])
 
 
-def random_subspace(n: int, rank: int, rng: np.random.Generator) -> Subspace:
+def random_subspace(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    return Subspace(np.linalg.qr(z)[0])
+    return np.linalg.qr(z)[0]
 
 
 def phase_multiple(mu: Bracket) -> Bracket:
@@ -308,30 +320,30 @@ def test_moment_matrix_matches_reference(mu):
 
 @pytest.mark.parametrize("mu", CASES)
 def test_subspace_product_matches_reference(mu):
-    n = mu.dim
+    n, c = mu.dim, _unit_coeffs(mu)
     rng = case_rng(mu)
-    full = Subspace.full(n)
-    pairs = [(full, full), (Subspace.zero(n), full)]
+    full = np.eye(n)
+    pairs = [(full, full), (np.zeros((n, 0)), full)]
     if n:
         pairs.append((random_subspace(n, max(1, n // 2), rng), random_subspace(n, max(1, n // 3), rng)))
     for u, w in pairs:
         if n:  # the einsum reference cannot reshape an empty result with n = 0
-            assert_close(_products(mu.coeffs, u.basis, w.basis), reference_products(mu, u.basis, w.basis))
-        got, ref = subspace_product(mu, u, w), reference_subspace_product(mu, u, w)
-        assert got.rank == ref.rank
-        assert_close(got.projector(), ref.projector())
+            assert_close(_products(mu.coeffs, u, w), reference_products(mu.coeffs, u, w))
+        got, ref = _subspace_product(c, u, w), reference_subspace_product(c, u, w)
+        assert got.shape == ref.shape
+        assert_close(projector(got), projector(ref))
 
 
 @pytest.mark.parametrize("mu", CASES)
 def test_restrict_matches_reference(mu):
     n = mu.dim
-    subs = [Subspace.full(n), Subspace.zero(n)]
+    subs = [np.eye(n), np.zeros((n, 0))]
     if n:
         subs.append(random_subspace(n, max(1, n // 2), case_rng(mu)))
-    for sub in subs:
-        got = restrict(mu, sub)
-        assert got.dim == sub.rank
-        assert_close(got.coeffs, reference_restrict(mu, sub))
+    for b in subs:
+        got = _base_change(b.conj().T, b, mu.coeffs)
+        assert got.shape == (b.shape[1],) * 3
+        assert_close(got, reference_restrict(mu.coeffs, b))
 
 
 @pytest.mark.parametrize("mu", [case for case in CASES if case.values[0].dim])
@@ -341,13 +353,12 @@ def test_outside_matches_reference(mu):
     start = int(case_rng(mu).integers(n - r + 1))
     part, every = slice(start, start + r), slice(None)
     b = np.eye(n, dtype=complex)[:, part]
-    sub = Subspace(b)
     for (xs, ys), spec, factors in (
         ((part, part), "ia,jb,ijk->kab", (b, b)),
         ((part, every), "ia,ijk->kaj", (b,)),
         ((every, part), "ja,ijk->kai", (b,)),
     ):
-        got, ref = _outside(mu.coeffs, xs, ys, part), reference_outside(mu, sub, spec, *factors)
+        got, ref = _outside(mu.coeffs, xs, ys, part), reference_outside(mu, b, spec, *factors)
         assert abs(got - ref) <= RTOL * max(1.0, ref)
 
 

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import irrational_type_s2, random_bracket, random_unitary
-from leibcrit.bracket import Bracket, gl_act
+from leibcrit import structure
+from leibcrit.bracket import Bracket, _base_change, gl_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
+from leibcrit.linalg import _unit_coeffs
 from leibcrit.moment import criticality_decompose
-from leibcrit.structure import (
-    center_subspace,
-    grading_decomposition,
-    structure_profile,
-    verify_structure_theorem,
-)
+from leibcrit.structure import _center_subspace, structure_profile, verify_structure_theorem
 
 NONLIE2 = Bracket.from_entries(2, {(1, 1, 2): 1})
 LIE2 = Bracket.from_entries(2, {(1, 2, 2): 1}, antisymmetrize=True)
@@ -22,6 +19,38 @@ SO3 = Bracket.from_entries(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}, antisy
 KERNEL_CASES = [pytest.param(get(name, n=n).bracket, id=name if n is None else f"{name}({n})")
                 for name, n in (("S1", None), ("so3", None), ("mu_hy", 5), ("mu_he", 7),
                                 ("mu_sy", 6), ("S2", None))]
+
+
+def graded_basis(mu, rep) -> dict:
+    """What :func:`verify_structure_theorem` reads while it checks mu against
+    rep: the eigenvalues ``w`` and eigenbasis ``u`` of rep.D, and the column
+    blocks ``neg``, ``zero`` and ``pos`` of l_-, l_0 and l_+ its clauses get."""
+    seen = {}
+    spies = {"hermitian_eigen": lambda args, out: {"w": out[0], "u": out[1]},
+             "_lminus_nonnormality": lambda args, out: {"neg": args[1]},
+             "_adjoint_closure": lambda args, out: {"zero": args[1]},
+             "_nilradical": lambda args, out: {"pos": args[1]}}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, record in spies.items():
+            def spy(*args, real=getattr(structure, name), record=record):
+                out = real(*args)
+                seen.update(record(args, out))
+                return out
+
+            mp.setattr(structure, name, spy)
+        verify_structure_theorem(mu, rep)
+    return seen
+
+
+def rank(part: slice) -> int:
+    return part.stop - part.start
+
+
+def eigenspaces(g: dict, rep) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    """The columns of g["u"] in one block per entry of rep.type, and their mean eigenvalues."""
+    bounds = np.cumsum((0,) + rep.type.ds)
+    blocks = list(zip(bounds, bounds[1:]))
+    return [g["u"][:, a:b] for a, b in blocks], tuple(float(np.mean(g["w"][a:b])) for a, b in blocks)
 
 
 def symmetric_critical_entries():
@@ -70,8 +99,6 @@ class TestStructureProfile:
 
     @pytest.mark.parametrize("entry", standard_rows(), ids=lambda e: e.label)
     def test_computes_the_derived_algebra_once(self, monkeypatch, entry):
-        import leibcrit.structure as structure
-
         calls = []
         real = structure._subspace_product
         monkeypatch.setattr(structure, "_subspace_product", lambda *a: calls.append(a) or real(*a))
@@ -81,9 +108,9 @@ class TestStructureProfile:
 
     @pytest.mark.parametrize("mu", KERNEL_CASES)
     def test_kernels_take_arrays(self, mu, constructions):
-        # the series and the center run on one unit tensor, with no Subspace
+        # the series and the center run on one unit tensor: mu/|mu| is the one Bracket
         structure_profile(mu)
-        assert (constructions["Subspace"], constructions["normalized"]) == (0, 1)
+        assert (constructions["Bracket"], constructions["normalized"]) == (1, 1)
 
     @pytest.mark.parametrize("delta", [2e-9, 5e-9, 3e-8])
     @pytest.mark.parametrize("seed", range(4))
@@ -99,86 +126,97 @@ class TestStructureProfile:
 
     def test_center_rank_does_not_depend_on_scale(self):
         s1 = get("S1").bracket
-        ranks = {k: center_subspace(Bracket(3, 10.0**k * s1.coeffs)).rank for k in range(-40, 41)}
+        ranks = {k: _center_subspace(_unit_coeffs(Bracket(3, 10.0**k * s1.coeffs))).shape[1]
+                 for k in range(-40, 41)}
         assert {k: r for k, r in ranks.items() if r != 2} == {}
 
     def test_center_of_heisenberg(self):
-        heis = get("L1").bracket
-        z = center_subspace(heis)
-        assert z.rank == 1
-        np.testing.assert_allclose(np.abs(z.basis[:, 0]), [0, 0, 1], atol=1e-12)
+        z = _center_subspace(_unit_coeffs(get("L1").bracket))
+        assert z.shape == (3, 1)
+        np.testing.assert_allclose(np.abs(z[:, 0]), [0, 0, 1], atol=1e-12)
 
 
 class TestGradingDecomposition:
+    """The eigenbasis of D in which verify_structure_theorem reads mu is graded
+    by the critical type."""
+
     def test_l2_grading(self):
-        g = grading_decomposition(criticality_decompose(get("L2").bracket))
-        assert g.zero_part.rank == 1
-        assert g.positive_part.rank == 2
-        assert g.negative_part.rank == 0
-        np.testing.assert_allclose(np.abs(g.zero_part.basis[:, 0]), [1, 0, 0], atol=1e-12)
+        l2 = get("L2").bracket
+        g = graded_basis(l2, criticality_decompose(l2))
+        assert (rank(g["neg"]), rank(g["zero"]), rank(g["pos"])) == (0, 1, 2)
+        np.testing.assert_allclose(np.abs(g["u"][:, g["zero"]][:, 0]), [1, 0, 0], atol=1e-12)
 
     def test_zero_derivation(self):
         rep = criticality_decompose(SO3)
         assert np.linalg.norm(rep.D) < 1e-12
-        g = grading_decomposition(rep)
-        assert g.zero_part.rank == 3
-        assert g.eigenvalues == pytest.approx((0.0,), abs=1e-12)
+        g = graded_basis(SO3, rep)
+        assert rank(g["zero"]) == 3
+        assert eigenspaces(g, rep)[1] == pytest.approx((0.0,), abs=1e-12)
 
     def test_s1_all_positive(self):
-        g = grading_decomposition(criticality_decompose(get("S1").bracket))
-        assert g.positive_part.rank == 3
-        assert g.zero_part.rank == 0
+        s1 = get("S1").bracket
+        g = graded_basis(s1, criticality_decompose(s1))
+        assert rank(g["pos"]) == 3
+        assert rank(g["zero"]) == 0
 
     def test_rejects_uncertified_report(self):
+        sl2, ns2 = get("L5").bracket, get("ns2").bracket
         with pytest.raises(ValueError, match="does not certify a critical point"):
-            grading_decomposition(criticality_decompose(get("L5").bracket))
-        rep = criticality_decompose(irrational_type_s2(), 1e-2)
+            verify_structure_theorem(sl2, criticality_decompose(sl2))
+        # the report is judged before the product
+        with pytest.raises(ValueError, match="does not certify a critical point"):
+            verify_structure_theorem(ns2, criticality_decompose(sl2))
+        mu = irrational_type_s2()
+        rep = criticality_decompose(mu, 1e-2)
         assert rep.is_critical
         with pytest.raises(ValueError, match="no rational critical type"):
-            grading_decomposition(rep)
+            verify_structure_theorem(mu, rep)
 
     def test_parts_orthogonal_and_complete(self):
-        g = grading_decomposition(criticality_decompose(get("S2").bracket))
-        total = sum(s.rank for s in g.eigenspaces)
-        assert total == 3
-        stacked = np.hstack([s.basis for s in g.eigenspaces])
+        s2 = get("S2").bracket
+        rep = criticality_decompose(s2)
+        g = graded_basis(s2, rep)
+        blocks, _ = eigenspaces(g, rep)
+        assert sum(b.shape[1] for b in blocks) == 3
+        stacked = np.hstack(blocks)
         np.testing.assert_allclose(stacked.conj().T @ stacked, np.eye(3), atol=1e-10)
+        assert (g["neg"].start, g["neg"].stop, g["zero"].stop, g["pos"].stop) == (
+            0, g["zero"].start, g["pos"].start, 3)
 
     def test_eigenspaces_follow_the_type(self):
         for entry in symmetric_critical_entries():
             rep = criticality_decompose(entry.bracket)
-            g = grading_decomposition(rep)
-            assert g.type == rep.type, entry.label
-            assert tuple(s.rank for s in g.eigenspaces) == g.type.ds, entry.label
-            np.testing.assert_allclose(
-                g.type.scale * np.array(g.eigenvalues), g.type.ks, atol=1e-6
-            )
-            signs = np.sign(g.type.ks)
-            for part, sign in ((g.negative_part, -1), (g.zero_part, 0), (g.positive_part, 1)):
-                assert part.rank == sum(d for k, d in zip(signs, g.type.ds) if k == sign)
+            g = graded_basis(entry.bracket, rep)
+            blocks, values = eigenspaces(g, rep)
+            assert tuple(b.shape[1] for b in blocks) == rep.type.ds, entry.label
+            np.testing.assert_allclose(rep.type.scale * np.array(values), rep.type.ks, atol=1e-6)
+            signs = np.sign(rep.type.ks)
+            for part, sign in ((g["neg"], -1), (g["zero"], 0), (g["pos"], 1)):
+                assert rank(part) == sum(d for k, d in zip(signs, rep.type.ds) if k == sign)
 
     def test_perturbed_l2_limit_has_one_block_per_type_entry(self):
         # critical to about 1e-8, with D eigenvalues 0, 1.99999999 and 2.00000001
-        rep = descend(perturb_in_orbit(get("L2").bracket, 0.3, 0)).final_report
+        tr = descend(perturb_in_orbit(get("L2").bracket, 0.3, 0))
+        rep = tr.final_report
         assert rep.is_critical and str(rep.type) == "(0<1;1,2)"
-        g = grading_decomposition(rep)
-        assert tuple(s.rank for s in g.eigenspaces) == (1, 2) == rep.type.ds
-        assert g.eigenvalues == pytest.approx((0.0, 2.0), abs=1e-7)
+        blocks, values = eigenspaces(graded_basis(tr.final_bracket, rep), rep)
+        assert tuple(b.shape[1] for b in blocks) == (1, 2) == rep.type.ds
+        assert values == pytest.approx((0.0, 2.0), abs=1e-7)
 
     def test_eigenspace_product_rule(self):
         # products of eigenvectors land in the eigenspace of the summed weight
         for entry in symmetric_critical_entries():
             mu = entry.bracket.normalized()
-            g = grading_decomposition(criticality_decompose(mu))
-            values = np.array(g.eigenvalues)
-            for a, sa in zip(g.eigenvalues, g.eigenspaces):
-                for b, sb in zip(g.eigenvalues, g.eigenspaces):
-                    img = np.einsum("ia,jb,ijk->kab", sa.basis, sb.basis, mu.coeffs)
+            rep = criticality_decompose(mu)
+            blocks, values = eigenspaces(graded_basis(mu, rep), rep)
+            for a, sa in zip(values, blocks):
+                for b, sb in zip(values, blocks):
+                    img = np.einsum("ia,jb,ijk->kab", sa, sb, mu.coeffs)
                     img = img.reshape(mu.dim, -1)
-                    hits = np.where(np.abs(values - (a + b)) < 1e-6)[0]
+                    hits = np.where(np.abs(np.array(values) - (a + b)) < 1e-6)[0]
                     if hits.size:
-                        target = g.eigenspaces[hits[0]]
-                        img = img - target.projector() @ img
+                        target = blocks[hits[0]]
+                        img = img - target @ target.conj().T @ img
                     assert np.linalg.norm(img) < 1e-8, entry.label
 
 
@@ -264,16 +302,16 @@ class TestVerifyStructure:
 
     @pytest.mark.parametrize("mu", KERNEL_CASES)
     def test_builds_only_the_grading_subspaces(self, mu, constructions):
-        # l_-, l_0, l_+ and one eigenspace per entry of the type; every clause
-        # reads arrays
+        # D.mu for the guard, then one Bracket each for a nonzero l_0 and l_+;
+        # the grading itself is the columns of one eigenbasis
         rep = criticality_decompose(mu)
+        r0 = sum(d for k, d in zip(rep.type.ks, rep.type.ds) if k == 0)
+        rp = sum(d for k, d in zip(rep.type.ks, rep.type.ds) if k > 0)
         constructions.clear()
         verify_structure_theorem(mu, rep)
-        assert constructions["Subspace"] == 3 + len(rep.type.ks)
+        assert constructions["Bracket"] == 1 + (r0 > 0) + (rp > 0)
 
     def test_center_of_l0_computed_once(self, monkeypatch):
-        import leibcrit.structure as structure
-
         calls = []
         real = structure._center_subspace  # clause (ii) keeps the unit product's cut
 
@@ -286,21 +324,18 @@ class TestVerifyStructure:
         assert calls == [3]  # l_0 is all of so3 and l_+ = 0
 
     def test_nilradical_is_ideal_and_nilpotent(self):
-        from leibcrit.linalg import restrict
-
         for entry in symmetric_critical_entries():
             mu = entry.bracket.normalized()
-            rep = criticality_decompose(mu)
-            g = grading_decomposition(rep)
-            lp = g.positive_part
-            if lp.rank == 0:
+            g = graded_basis(mu, criticality_decompose(mu))
+            lp = g["u"][:, g["pos"]]
+            if lp.shape[1] == 0:
                 continue
-            proj_out = np.eye(mu.dim) - lp.projector()
-            left = np.einsum("ia,ijk->kaj", lp.basis, mu.coeffs).reshape(mu.dim, -1)
-            right = np.einsum("ja,ijk->kai", lp.basis, mu.coeffs).reshape(mu.dim, -1)
+            proj_out = np.eye(mu.dim) - lp @ lp.conj().T
+            left = np.einsum("ia,ijk->kaj", lp, mu.coeffs).reshape(mu.dim, -1)
+            right = np.einsum("ja,ijk->kai", lp, mu.coeffs).reshape(mu.dim, -1)
             assert np.linalg.norm(proj_out @ left) < 1e-8
             assert np.linalg.norm(proj_out @ right) < 1e-8
-            sub = restrict(mu, lp)
+            sub = Bracket(lp.shape[1], _base_change(lp.conj().T, lp, mu.coeffs))
             if not sub.is_zero:
                 assert structure_profile(sub).is_nilpotent
 

@@ -32,17 +32,20 @@ at other sizes come between, as they do in the benchmark's workloads.
 The third table runs ``descend`` from the thirteen descent
 starts of the benchmark and from L4, whose orbit has no critical point:
 steps, line-search trials (moment matrices of candidates), wall time of
-one run and the condition number of the final group element.  With ``--json
-PATH`` the second and third tables are also written to PATH, with the
-numpy version, machine, CPU count and OpenBLAS thread count they were
-measured on.  Too slow for the test suite; ``tests/test_moment.py``,
+one run and the condition number of the final group element.  Before the
+first table and after the last, it prints the best of 5 runs of
+``perfbench/refkernel.kernel``, a fixed numpy kernel, in this process: a
+table's times divided by it compare across machines and runs whose
+speed differs.  With ``--json PATH`` the second and third tables are also
+written to PATH, with the numpy version, machine, CPU count, OpenBLAS
+thread count and the two kernel readings (``ref_kernel_ms``) they were
+measured with.  Too slow for the test suite; ``tests/test_moment.py``,
 ``tests/test_bracket.py`` and ``tests/test_kernels.py`` guard the traced
 peaks at n = 20 alone, and ``tests/test_flow.py`` pins the step counts.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import os
 import platform
@@ -52,9 +55,12 @@ import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))  # for refkernel, the benchmark's reference clock
 
 import numpy as np  # noqa: E402
+import refkernel  # noqa: E402
 
 from leibcrit import flow  # noqa: E402
 from leibcrit.bracket import Bracket, check_identities, gl_act, inf_act  # noqa: E402
@@ -80,21 +86,13 @@ def _unitary(n: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def blas_threads() -> int | None:
-    """The thread count of the OpenBLAS that numpy bundles, or None when
-    none is found."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*")):
-        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(ctypes.CDLL(str(lib)), sym, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                return fn()
-    return None
-
-
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def ref_kernel_ms() -> float:
+    """Best of 5 runs of the benchmark's reference kernel, in ms."""
+    return min(refkernel.kernel() for _ in range(5)) * 1e3
 
 
 def timed(call) -> tuple[float, float]:
@@ -202,6 +200,9 @@ def main(argv: list[str]) -> int:
     if argv and (len(argv) != 2 or argv[0] != "--json"):
         print("usage: scale_probe.py [--json PATH]", file=sys.stderr)
         return 2
+    ref_before = ref_kernel_ms()
+    print(f"reference kernel: {ref_before:.3f} ms (best of 5)")
+    print()
     print(f"{'algebra':16s} {'n':>3s} {'basis':9s} {'best ms':>9s} {'peak MB':>8s} {'CGLS':>5s}")
     rows = []
     for name in FAMILIES:
@@ -240,6 +241,9 @@ def main(argv: list[str]) -> int:
         print(f"{label:22s} {steps:6d} {trials:6d} {secs * 1e3:9.2f} {cond_g:9.3g}")
         descent_rows.append({"start": label, "n": mu.dim, "steps": steps, "trials": trials,
                              "ms": round(secs * 1e3, 3), "cond_g": float(f"{cond_g:.6g}")})
+    ref_after = ref_kernel_ms()
+    print()
+    print(f"reference kernel: {ref_after:.3f} ms (best of 5)")
     if argv:
         doc = {
             "source": "python3 scripts/scale_probe.py --json PATH",
@@ -247,7 +251,8 @@ def main(argv: list[str]) -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
-            "blas_threads": blas_threads(),
+            "blas_threads": refkernel.blas_threads(),
+            "ref_kernel_ms": {"before": round(ref_before, 4), "after": round(ref_after, 4)},
             "layers": layer_rows,
             "descents": descent_rows,
         }

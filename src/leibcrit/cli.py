@@ -17,7 +17,7 @@ import sys
 from numpy.linalg import LinAlgError
 
 from . import catalog as _catalog
-from .bracket import Bracket, check_identities
+from .bracket import _check_tol, check_identities
 from .extensions import ExtensionError, build_general_extension, build_solvable_extension
 from .fileio import (
     AlgebraFileError,
@@ -101,19 +101,19 @@ def _parse_params(items: list[str]) -> dict:
     return out
 
 
-def _analysis_document(mu: Bracket, meta: dict, rep: MomentReport) -> dict:
-    """The analysis of mu, given its criticality certificate ``rep``."""
-    idr = check_identities(mu)
-    prof = structure_profile(mu)
+def _analysis_document(rep: MomentReport, meta: dict) -> dict:
+    """The analysis of the product ``rep.mu``, given its criticality certificate ``rep``."""
+    idr = check_identities(rep.mu)
+    prof = structure_profile(rep.mu)
     doc = {
-        "algebra": {"dim": mu.dim, **meta},
+        "algebra": {"dim": rep.mu.dim, **meta},
         "identities": report_dict(idr),
         "moment": moment_report_dict(rep),
         "structure": report_dict(prof),
         "structure_checks": None,
     }
     if rep.type is not None and idr.is_symmetric_leibniz:
-        doc["structure_checks"] = report_dict(verify_structure_theorem(mu, rep))
+        doc["structure_checks"] = report_dict(verify_structure_theorem(rep.mu, rep))
     return doc
 
 
@@ -200,7 +200,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_analyze(args) -> int:
     mu, meta = load_algebra(args.file)
-    doc = _analysis_document(mu, meta, criticality_decompose(mu, args.tol))
+    doc = _analysis_document(criticality_decompose(mu, args.tol), meta)
     _emit_analysis(doc, args.format == "json")
     return 0
 
@@ -210,7 +210,7 @@ def _cmd_flow(args) -> int:
     if args.perturb:
         mu = perturb_in_orbit(mu, args.perturb, args.seed)
     trace = descend(mu, args.tol)
-    final_doc = _analysis_document(trace.final_bracket, meta, trace.final_report)
+    final_doc = _analysis_document(trace.final_report, meta)
     flow_doc = {
         "iterations": trace.iterations,
         "converged": trace.converged,
@@ -337,6 +337,7 @@ def run(argv: list[str] | None = None) -> int:
         "extend": _cmd_extend,
     }
     try:
+        _check_tol(args.tol)
         return handlers[args.command](args)
     except ExtensionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

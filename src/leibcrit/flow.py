@@ -55,16 +55,26 @@ _ORBIT_COND = 1e4
 @dataclass(frozen=True)
 class FlowTrace:
     """A descent's iterates and limit.  ``cond_g`` is the condition number
-    of the group element G that carries the unit start to the limit."""
+    of the group element G that carries the unit start to the limit; the limit,
+    step count and verdict are read from the history and the limit's certificate."""
 
-    final_bracket: Bracket
     F_history: np.ndarray
     residual_history: np.ndarray
-    iterations: int
-    converged: bool
     final_report: MomentReport
     cond_g: float
     message: str = field(default="", compare=False)
+
+    @property
+    def final_bracket(self) -> Bracket:
+        return self.final_report.mu
+
+    @property
+    def iterations(self) -> int:
+        return len(self.F_history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.final_report.is_critical
 
 
 def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
@@ -89,10 +99,8 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     f_hist: list[float] = []
     r_hist: list[float] = []
     message = ""
-    converged = False
     prev = None  # (coefficients, tangential gradient) of the last iterate
-    it = 0
-    while it <= _MAX_ITER:
+    for it in range(_MAX_ITER + 1):
         norm_m = float(np.linalg.norm(m))
         f = float(np.vdot(m, m).real)  # |mu| = 1
         v_perp = _tangent(m, c)
@@ -101,7 +109,6 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
         f_hist.append(f)
         r_hist.append(res)
         if res < tol:
-            converged = True
             break
         if it == _MAX_ITER:
             message = "iteration limit reached"
@@ -136,20 +143,15 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
             break
         prev = (c, v_perp)
         c, m, g, ginv = cand, mc, g_cand, ginv_cand
-        it += 1
 
-    mu = Bracket(n, c)
+    final_report = criticality_decompose(Bracket(n, c), tol)
     cond_g = float(np.linalg.cond(g))
-    if converged and cond_g > _ORBIT_COND:
+    if final_report.is_critical and cond_g > _ORBIT_COND:
         message = (f"limit may lie outside the starting orbit (closure limit):"
                    f" cond(G) = {cond_g:.3g} > {_ORBIT_COND:.0e}")
-    final_report = criticality_decompose(mu, tol)
     return FlowTrace(
-        final_bracket=mu,
         F_history=np.array(f_hist),
         residual_history=np.array(r_hist),
-        iterations=it,
-        converged=converged,
         final_report=final_report,
         cond_g=cond_g,
         message=message,

@@ -106,21 +106,31 @@ class MomentReport:
     Hermitian maps, so the distance is |P(M)| / |M| for the projection P
     onto the row space of T, from one CGLS solve started at 0.  ``c`` and
     ``D`` always hold the candidate decomposition M = c I + D with
-    c = tr(M^2)/tr(M); its defect as a derivation,
-    ``derivation_defect = |D.mu| / |mu|``, is computed on each read from
-    ``mu``, the product the report certifies as it was passed.
+    c = tr(M^2)/tr(M).  ``mu`` is the product the report certifies, as it
+    was passed; ``norm_sq = |mu|^2``, ``F = tr(M^2) / norm_sq^2``, the verdict
+    ``is_critical = residual_tangent < tol`` and the defect of D as a
+    derivation, ``derivation_defect = |D.mu| / |mu|``, are computed on each read.
     """
 
     mu: Bracket
     M: np.ndarray
-    norm_sq: float
-    F: float
     c: float
     D: np.ndarray
     residual_decomp: float
     residual_tangent: float
-    is_critical: bool
     tol: float
+
+    @property
+    def norm_sq(self) -> float:
+        return self.mu.norm_sq
+
+    @property
+    def F(self) -> float:
+        return float(np.vdot(self.M, self.M).real) / self.norm_sq**2
+
+    @property
+    def is_critical(self) -> bool:
+        return self.residual_tangent < self.tol
 
     @property
     def derivation_defect(self) -> float:
@@ -245,13 +255,10 @@ def criticality_decompose(
 ) -> MomentReport:
     """Compute M, F and the criticality certificate of a nonzero product."""
     _check_tol(tol)
-    nsq = _norm_sq(mu)
+    _norm_sq(mu)
     m = moment_matrix(mu)
     norm_m = float(np.linalg.norm(m))
-    tr_m = float(np.trace(m).real)
-    tr_m2 = float(np.vdot(m, m).real)
-    f = tr_m2 / nsq**2
-    c = tr_m2 / tr_m
+    c = float(np.vdot(m, m).real) / float(np.trace(m).real)
     d = m - c * np.eye(mu.dim)
     t = _tangent(m, mu.coeffs)
     residual_tangent = float(np.linalg.norm(t)) / (norm_m * mu.norm)
@@ -263,13 +270,10 @@ def criticality_decompose(
     return MomentReport(
         mu=mu,
         M=m,
-        norm_sq=nsq,
-        F=f,
         c=c,
         D=d,
         residual_decomp=residual_decomp,
         residual_tangent=residual_tangent,
-        is_critical=residual_tangent < tol,
         tol=tol,
     )
 

@@ -32,13 +32,19 @@ KILLING_MIN_SV = 1e-6
 
 @dataclass(frozen=True)
 class StructureProfile:
-    """Dimensions of the derived and lower central series plus flags."""
+    """Series and center dimensions; each flag holds when its series ends at 0."""
 
     derived_dims: tuple[int, ...]
     lower_central_dims: tuple[int, ...]
     center_dim: int
-    is_solvable: bool
-    is_nilpotent: bool
+
+    @property
+    def is_solvable(self) -> bool:
+        return self.derived_dims[-1] == 0
+
+    @property
+    def is_nilpotent(self) -> bool:
+        return self.lower_central_dims[-1] == 0
 
 
 @dataclass(frozen=True)
@@ -78,14 +84,14 @@ class StructureVerdict:
         )
 
 
-def _series_dims(first: np.ndarray, step) -> tuple[tuple[int, ...], bool]:
+def _series_dims(first: np.ndarray, step) -> tuple[int, ...]:
     """Ranks of the descending series C^n, first, step(first), ... of basis
-    arrays until it hits zero or stabilizes, and whether it hit zero."""
+    arrays until it hits zero or stabilizes."""
     dims, current = list(first.shape), first
     while 0 < dims[-1] < dims[-2]:
         current = step(current)
         dims.append(current.shape[1])
-    return tuple(dims), dims[-1] == 0
+    return tuple(dims)
 
 
 def _center_subspace(c: np.ndarray) -> np.ndarray:
@@ -105,14 +111,10 @@ def structure_profile(mu: Bracket) -> StructureProfile:
     the scale.  Both series start from the one [mu, mu]."""
     c, full = _unit_coeffs(mu), np.eye(mu.dim)
     derived_algebra = _subspace_product(c, full, full)
-    derived, solvable = _series_dims(derived_algebra, lambda s: _subspace_product(c, s, s))
-    lower, nilpotent = _series_dims(derived_algebra, lambda s: _subspace_product(c, full, s))
     return StructureProfile(
-        derived_dims=derived,
-        lower_central_dims=lower,
+        derived_dims=_series_dims(derived_algebra, lambda s: _subspace_product(c, s, s)),
+        lower_central_dims=_series_dims(derived_algebra, lambda s: _subspace_product(c, full, s)),
         center_dim=_center_subspace(c).shape[1],
-        is_solvable=solvable,
-        is_nilpotent=nilpotent,
     )
 
 
@@ -214,7 +216,7 @@ def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float
         return ideal_res < tol, ideal_res, True, True, None, True
     cp, full = restrp.coeffs, np.eye(rp)
     derived_algebra = _subspace_product(cp, full, full)
-    is_nilp = _series_dims(derived_algebra, lambda s: _subspace_product(cp, full, s))[1]
+    is_nilp = _series_dims(derived_algebra, lambda s: _subspace_product(cp, full, s))[-1] == 0
     restr_type = criticality_decompose(restrp, tol).type
     matches = restr_type == (_strip_zero(parent_type) or parent_type)
     return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches

@@ -6,6 +6,7 @@ tolerance the global ``--tol`` reaches defaults to ``DEFAULT_CRITICAL_TOL``.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -67,6 +68,17 @@ REMOVED = {
     structure: ["center_subspace", "GradingDecomposition", "grading_decomposition"],
 }
 
+#: The stored fields of the reports that summarize a product or a descent,
+#: and the values each derives from them on read.
+REPORT_FIELDS = {
+    moment.MomentReport: (["mu", "M", "c", "D", "residual_decomp", "residual_tangent", "tol"],
+                          ["norm_sq", "F", "is_critical", "derivation_defect"]),
+    flow.FlowTrace: (["F_history", "residual_history", "final_report", "cond_g", "message"],
+                     ["final_bracket", "iterations", "converged"]),
+    structure.StructureProfile: (["derived_dims", "lower_central_dims", "center_dim"],
+                                 ["is_solvable", "is_nilpotent"]),
+}
+
 
 def test_package_all():
     assert leibcrit.__all__ == PACKAGE_ALL
@@ -117,3 +129,10 @@ def test_readme_names_every_fixed_cut(mod):
     cuts = [name for name in defined
             if type(getattr(mod, name)) in (int, float) and f"{short}.{name}" not in readme]
     assert cuts == []
+
+
+@pytest.mark.parametrize("cls", REPORT_FIELDS, ids=lambda c: c.__name__)
+def test_reports_store_no_derived_value(cls):
+    stored, derived = REPORT_FIELDS[cls]
+    assert [f.name for f in dataclasses.fields(cls)] == stored
+    assert [name for name in derived if not isinstance(vars(cls).get(name), property)] == []

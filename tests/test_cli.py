@@ -121,7 +121,7 @@ class TestAnalyzeCommand:
         # exporting lost nothing: the in-memory analysis of the catalog
         # bracket serializes to the identical report
         rep = criticality_decompose(entry.bracket, 1e-8)
-        direct_doc = _analysis_document(entry.bracket, {}, rep)
+        direct_doc = _analysis_document(rep, {})
         for section in ("identities", "moment", "structure", "structure_checks"):
             assert json.dumps(loaded_doc[section]) == json.dumps(
                 json.loads(json.dumps(direct_doc[section]))
@@ -294,19 +294,29 @@ def test_file_error_exit_2(tmp_path, capsys, argv):
 
 
 class TestToleranceFlag:
+    # every command checks --tol, also those that compute nothing with it;
+    # OUT is the file that export would write
     @pytest.mark.parametrize("tol, name, argv", [
         ("nan", "S1", ["analyze"]),
         ("inf", "L5", ["analyze"]),
         ("nan", None, ["catalog", "verify"]),
-    ], ids=["nan-analyze", "inf-analyze", "nan-catalog-verify"])
+        ("nan", "S1", ["check"]),
+        ("-1", None, ["catalog", "list"]),
+        ("nan", None, ["catalog", "show", "S1"]),
+        ("nan", None, ["catalog", "export", "S1", "OUT"]),
+    ], ids=["nan-analyze", "inf-analyze", "nan-catalog-verify", "nan-check",
+            "negative-catalog-list", "nan-catalog-show", "nan-catalog-export"])
     def test_nonfinite_tol_exit_2(self, tmp_path, capsys, tol, name, argv):
         if name is not None:
             path = tmp_path / f"{name}.json"
             save_algebra(path, get(name).bracket, name=name)
             argv = [*argv, str(path)]
+        out_path = tmp_path / "out.json"
+        argv = [str(out_path) if a == "OUT" else a for a in argv]
         code, out, err = run_cli(capsys, "--tol", tol, *argv)
         assert code == 2 and out == ""
-        assert f"tol must be a finite positive number, got {tol}" in err
+        assert f"tol must be a finite positive number, got {float(tol)}" in err
+        assert not out_path.exists()
 
 
 class TestFlowCommand:

@@ -243,6 +243,7 @@ def test_pinned_descent(start, steps, type_):
     assert str(critical_type(tr.final_report.D)) == type_
     assert tr.message == "" and tr.cond_g < 10.0
     assert identity_flags(tr.final_bracket) == identity_flags(mu)
+    assert tr.final_bracket is tr.final_report.mu
 
 
 @pytest.mark.parametrize("start", [pytest.param(s, id=label) for label, s, _, _ in PINNED_DESCENTS])

@@ -8,7 +8,9 @@ mu families at n = 3, 5 and 8.  A fixed set of products keeps the same
 verdicts and structure checks from 1e-50 to 1e50 times its scale, and
 beyond 1e60 either way the certificate asks for a rescale.  A real product,
 stored and processed as float64, gets the verdicts of its phase multiple
-e^{i pi/4} mu, stored and processed as complex128.
+e^{i pi/4} mu, stored and processed as complex128.  A descent from a
+perturbed start reaches a limit of the same critical type, whatever the
+seed and size of the perturbation.
 """
 
 from functools import lru_cache
@@ -23,7 +25,7 @@ from leibcrit.bracket import Bracket, check_identities, gl_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.cli import run
 from leibcrit.fileio import save_algebra
-from leibcrit.flow import descend
+from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import derivation_space, hermitian_eigen
 from leibcrit.moment import criticality_decompose, moment_matrix
 from leibcrit.structure import structure_profile, verify_structure_theorem
@@ -183,3 +185,26 @@ def test_real_start_stays_real():
     assert hermitian_eigen(rep.D)[1].dtype == np.float64
     tr = descend(filiform(6))
     assert tr.iterations > 0 and tr.final_bracket.coeffs.dtype == np.float64
+
+
+DESCENT_STARTS = {
+    "S2": get("S2").bracket,
+    "L3(2)": get("L3", {"alpha": 2}).bracket,
+    "S7(2)": get("S7", {"alpha": 2}).bracket,
+    "m0(5)": filiform(5),
+    "L5": get("L5").bracket,
+    "S3(1)": get("S3", {"beta": 1}).bracket,
+}
+
+
+@lru_cache(maxsize=None)
+def _limit_type(name: str):
+    return descend(DESCENT_STARTS[name]).final_report.type
+
+
+@given(st.sampled_from(list(DESCENT_STARTS)), seeds, st.floats(0.05, 0.5))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_limit_type_does_not_depend_on_the_perturbation(name, seed, magnitude):
+    tr = descend(perturb_in_orbit(DESCENT_STARTS[name], magnitude, seed))
+    assert tr.converged and _limit_type(name) is not None
+    assert tr.final_report.type == _limit_type(name)

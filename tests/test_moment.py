@@ -175,11 +175,10 @@ def reference_report(mu: Bracket, tol: float = 1e-8) -> MomentReport:
     v_perp = v.coeffs - np.vdot(mu.coeffs, v.coeffs).item() / nsq * mu.coeffs
     residual_tangent = float(np.linalg.norm(v_perp)) / (norm_m * mu.norm)
     return MomentReport(
-        M=m, norm_sq=nsq, F=tr_m2 / nsq**2, c=c, D=d,
+        M=m, c=c, D=d,
         residual_decomp=reference_residual_decomp(mu, tol),
         residual_tangent=residual_tangent,
-        mu=mu,
-        is_critical=residual_tangent < tol, tol=tol,
+        mu=mu, tol=tol,
     )
 
 
@@ -378,6 +377,11 @@ class TestCriticalityDecompose:
         rep = criticality_decompose(mu)
         ref = reference_report(mu, rep.tol)
         assert abs(rep.residual_decomp - ref.residual_decomp) <= 1e-12
+        # the values read from the fields, against the reference's own formulas
+        nsq = mu.norm_sq
+        assert rep.norm_sq == nsq
+        assert rep.F == float(np.vdot(ref.M, ref.M).real) / nsq**2
+        assert rep.is_critical is (ref.residual_tangent < rep.tol)
         assert rep.is_critical is ref.is_critical
         for f in dataclasses.fields(MomentReport):
             if f.name != "residual_decomp":

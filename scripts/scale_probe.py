@@ -30,9 +30,11 @@ one call in the third of three rounds in which the layer runs on all ten
 products in turn: the pages a layer maps afresh on every call when calls
 at other sizes come between, as they do in the benchmark's workloads.
 The third table runs ``descend`` from the thirteen descent
-starts of the benchmark and from L4, whose orbit has no critical point:
-steps, line-search trials (moment matrices of candidates), wall time of
-one run and the condition number of the final group element.  Before the
+starts of the benchmark, from L4, whose orbit has no critical point, and
+from S8, whose limit lies in the orbit's closure: steps, line-search
+trials (moment matrices of candidates), projections (factorizations of
+the basis of span{I, A Der(mu0) A^-1}), wall time of one run and the
+condition number of the final group element.  Before the
 first table and after the last, it prints the best of 5 runs of
 ``perfbench/refkernel.kernel``, a fixed numpy kernel, in this process: a
 table's times divided by it compare across machines and runs whose
@@ -169,31 +171,36 @@ def descent_starts() -> list[tuple[str, Bracket]]:
     ]
     starts += [(f"m0({n})", filiform(n)) for n in (5, 6, 7, 8)]
     starts += [(f"m0({n})+0.5/seed2", perturb(filiform(n), 0.5, 2)) for n in (5, 6, 7, 8)]
-    return starts + [("L4", get("L4").bracket)]
+    return starts + [("L4", get("L4").bracket), ("S8", get("S8").bracket)]
 
 
-def descent_row(mu) -> tuple[int, int, float, float]:
-    """(steps, line-search trials, seconds, cond(G)) of one descent from mu.
+def descent_row(mu) -> tuple[int, int, int, float, float]:
+    """(steps, line-search trials, projections, seconds, cond(G)) of one descent from mu.
 
     ``descend`` computes the start's moment matrix and then one per trial,
     which it reuses for the next iterate when the trial is accepted; the
-    trials are counted by wrapping the module's ``_moment_matrix``.
+    trials are counted by wrapping the module's ``_moment_matrix``, and the
+    factorizations of the projection basis by wrapping ``_vertical_basis``.
     """
-    real, calls = flow._moment_matrix, 0
+    calls = {"_moment_matrix": 0, "_vertical_basis": 0}
+    real = {name: getattr(flow, name) for name in calls}
 
-    def counted(x):
-        nonlocal calls
-        calls += 1
-        return real(x)
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return real[name](*args)
+        return call
 
-    flow._moment_matrix = counted
+    for name in calls:
+        setattr(flow, name, counted(name))
     try:
         start = perf_counter()
         tr = flow.descend(mu)
         secs = perf_counter() - start
     finally:
-        flow._moment_matrix = real
-    return tr.iterations, calls, secs, tr.cond_g
+        for name, f in real.items():
+            setattr(flow, name, f)
+    return tr.iterations, calls["_moment_matrix"], calls["_vertical_basis"], secs, tr.cond_g
 
 
 def main(argv: list[str]) -> int:
@@ -234,12 +241,13 @@ def main(argv: list[str]) -> int:
                                "dtype": dtype, "best_ms": round(secs * 1e3, 4),
                                "peak_mb": round(peak, 4), "minor_faults": flt})
     print()
-    print(f"{'descent':22s} {'steps':>6s} {'trials':>6s} {'ms':>9s} {'cond(G)':>9s}")
+    print(f"{'descent':22s} {'steps':>6s} {'trials':>6s} {'proj':>5s} {'ms':>9s} {'cond(G)':>9s}")
     descent_rows = []
     for label, mu in descent_starts():
-        steps, trials, secs, cond_g = descent_row(mu)
-        print(f"{label:22s} {steps:6d} {trials:6d} {secs * 1e3:9.2f} {cond_g:9.3g}")
+        steps, trials, projections, secs, cond_g = descent_row(mu)
+        print(f"{label:22s} {steps:6d} {trials:6d} {projections:5d} {secs * 1e3:9.2f} {cond_g:9.3g}")
         descent_rows.append({"start": label, "n": mu.dim, "steps": steps, "trials": trials,
+                             "projections": projections,
                              "ms": round(secs * 1e3, 3), "cond_g": float(f"{cond_g:.6g}")})
     ref_after = ref_kernel_ms()
     print()

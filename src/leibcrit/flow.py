@@ -7,10 +7,13 @@ class when one exists.  The descent moves a group element G, not the
 coefficients: every iterate is mu = G.mu0 / |G.mu0|, recomputed from the
 fixed unit start mu0, so round-off cannot carry it out of the orbit.
 
-Each step takes the direction a = M minus its Frobenius projection onto
-span{I, G X G^-1 : X a derivation of mu0}: the part of the moment matrix
-that moves mu other than by scaling, with nothing that moves it not at
-all.  The step is the Cayley transform G <- (I + h a/2)^-1 (I - h a/2) G.
+Each step moves G along M less a part in V_G = span{I, G X G^-1 : X a
+derivation of mu0}, which moves mu only by scaling or not at all, so the
+slope and mu's first-order move do not depend on that part.  It is taken
+in the frame of an anchor A, with R = G A^-1: b is Z = R^-1 M R minus its
+Frobenius projection onto V_A, and the step is the Cayley transform
+R <- R (I + h b/2)^-1 (I - h b/2), G = R A.  V_A's orthonormal basis is
+factored at A = I, and again at A = G once |Z| > 2 |M| (closure descents).
 Its length h is the Barzilai-Borwein step |s|^2 / Re<s, y> from the last
 move s of mu and the change y of the tangential gradient, clamped to
 [0.01, 10] / |M|; it is accepted only if it decreases F (backtracking
@@ -50,6 +53,7 @@ _SHRINK = 0.5  # step factor per backtrack
 #: orbit: gl_act's round-off left it from cond 8.6e4 on, descents whose
 #: limit lies in the orbit end below cond 2, and closure limits above 1e7.
 _ORBIT_COND = 1e4
+_REFRESH = 2.0  # refactor the projection basis at G once |R^-1 M R| > _REFRESH |M|
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,8 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     ders = np.array(derivation_space(mu)).reshape(-1, n, n)
     eye = np.eye(n)
     g = ginv = eye
+    anchor = r = eye  # A, G at the last refactoring, and R = G A^-1
+    q = _vertical_basis(ders, eye, eye)
     # the iterate G.mu0 / |G.mu0| as a bare coefficient tensor, and its moment matrix
     c, m = c0, moment_matrix(mu)
     f_hist: list[float] = []
@@ -120,16 +126,19 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
             sy = float(np.vdot(s, y).real)
             if sy > 0:
                 h = min(max(float(np.vdot(s, s).real) / sy, _STEP_MIN / norm_m), _STEP_MAX / norm_m)
-        span = np.column_stack([eye.ravel(), (g @ ders @ ginv).reshape(-1, n * n).T])
-        q = np.linalg.qr(span)[0]
-        a = m - (q @ (q.conj().T @ m.ravel())).reshape(n, n)
+        z = anchor @ ginv @ m @ r  # R^-1 M R, M in the anchor frame
+        if np.linalg.norm(z) > _REFRESH * norm_m:
+            anchor, r, z = g, eye, m
+            q = _vertical_basis(ders, g, ginv)
+        b = z - (q @ (q.conj().T @ z.ravel())).reshape(n, n)
         slope = float(np.vdot(v_perp, v_perp).real)
         # the slack keeps progress possible once per-step decreases of F
         # fall below its floating-point resolution near the minimum
         slack = 1e-14 * max(1.0, f)
         for _ in range(_MAX_BACKTRACKS):
-            half = 0.5 * h * a
-            g_cand = np.linalg.solve(eye + half, (eye - half) @ g)
+            half = 0.5 * h * b
+            r_cand = r @ np.linalg.solve(eye + half, eye - half)
+            g_cand = r_cand @ anchor
             ginv_cand = np.linalg.inv(g_cand)
             cand = _base_change(g_cand, ginv_cand, c0)
             cand /= np.linalg.norm(cand)
@@ -142,7 +151,7 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
             message = "line search underflow"
             break
         prev = (c, v_perp)
-        c, m, g, ginv = cand, mc, g_cand, ginv_cand
+        c, m, g, ginv, r = cand, mc, g_cand, ginv_cand, r_cand
 
     final_report = criticality_decompose(Bracket(n, c), tol)
     cond_g = float(np.linalg.cond(g))
@@ -156,6 +165,12 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
         cond_g=cond_g,
         message=message,
     )
+
+
+def _vertical_basis(ders: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of span{I, G X G^-1 : X in ders}, as columns of length n^2."""
+    span = np.column_stack([np.eye(len(g)).ravel(), (g @ ders @ ginv).reshape(-1, g.size).T])
+    return np.linalg.qr(span)[0]
 
 
 def perturb_in_orbit(mu: Bracket, magnitude: float, seed: int) -> Bracket:

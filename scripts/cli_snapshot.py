@@ -3,6 +3,7 @@
 Usage::
 
     python3 scripts/cli_snapshot.py OUTDIR
+    python3 scripts/cli_snapshot.py --compare A B
 
 Every command runs in process through ``leibcrit.cli.run`` from the
 ``src`` directory next to this script, with OUTDIR as the working
@@ -13,7 +14,13 @@ any algebra file it wrote.  An uncaught exception is recorded as exit 1
 with its type and message, as a fresh process would end.
 
 Two snapshots of different checkouts compare with ``diff -r``: identical
-trees mean the CLI output is byte-identical on the whole set.
+trees mean the CLI output is byte-identical on the whole set.  ``--compare
+A B`` lists each file that differs between the snapshot trees A and B (or
+is in only one of them).  For each it says whether only numeric fields
+differ -- the texts are equal once every number is masked -- and if so gives
+the field with the largest relative change |a - b| / max(|a|, |b|) and the
+largest absolute change.  It exits 0 when the trees are identical and 1
+otherwise, as ``diff`` does.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -196,9 +204,59 @@ def _run_one(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+#: A number as the CLI prints one: sign, digits, point, exponent.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_change(a: str, b: str) -> tuple[int, float, str, float] | None:
+    """(differing numbers, largest relative change, its "x -> y", largest
+    absolute change) over the numbers of a and b when the texts are equal
+    once every number is masked; None when other text differs."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    count, rel, where, absolute = 0, 0.0, "", 0.0
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        if x == y:
+            continue
+        count += 1
+        fx, fy = float(x), float(y)
+        change = 0.0 if fx == fy else abs(fx - fy) / max(abs(fx), abs(fy))
+        absolute = max(absolute, abs(fx - fy))
+        if change >= rel:
+            rel, where = change, f"{x} -> {y}"
+    return count, rel, where, absolute
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print each file that differs between the snapshot trees a and b."""
+    names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+                   | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
+    differing = 0
+    for name in names:
+        fa, fb = a / name, b / name
+        if not (fa.is_file() and fb.is_file()):
+            print(f"{name}: only in {a if fa.is_file() else b}")
+        else:
+            ta, tb = fa.read_text(), fb.read_text()
+            if ta == tb:
+                continue
+            change = numeric_change(ta, tb)
+            if change is None:
+                print(f"{name}: text differs")
+            else:
+                count, rel, where, absolute = change
+                print(f"{name}: {count} numeric fields only; largest relative change"
+                      f" {rel:.3g} ({where}), largest absolute change {absolute:.3g}")
+        differing += 1
+    print(f"{differing} of {len(names)} files differ")
+    return 1 if differing else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
-        print("usage: cli_snapshot.py OUTDIR", file=sys.stderr)
+        print("usage: cli_snapshot.py OUTDIR | --compare A B", file=sys.stderr)
         return 2
     outdir = Path(argv[0])
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width

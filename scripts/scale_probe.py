@@ -6,14 +6,17 @@ Usage::
 
 Runs in process from the ``src`` directory next to this script.  The
 first table covers mu_hy, mu_he and mu_sy at n = 8, 12, 16 and 20, in the
-catalog basis and rotated by a seeded random unitary: the best-of-3 wall
-time of one ``criticality_decompose`` call, the peak of memory
-``tracemalloc`` traces during a fourth call, and the iteration count of
-the cross-check's one CGLS solve.  These critical families take 0
+catalog basis and rotated by a seeded random unitary: the median and
+interquartile range of the wall time of 21 ``criticality_decompose`` calls,
+taken in 21 rounds that time each row once in turn, so that a slow phase of
+a shared machine falls on every row alike; the peak of memory
+``tracemalloc`` traces during one more call; and the iteration count of the
+cross-check's one CGLS solve.  These critical families take 0
 iterations, so the table ends with two non-critical rows that run the
 loop: the perturbed filiform m0(8)+0.5/seed2 and the closure limit of the
-descent from L4.  The second table gives the same time and peak for each
-layer -- ``moment_matrix``, ``inf_act`` (of the moment matrix),
+descent from L4.  The second table gives the same median, interquartile
+range (of 21 rounds over every layer and product) and peak for each layer
+-- ``moment_matrix``, ``inf_act`` (of the moment matrix),
 ``check_identities`` (of a fresh copy of the product per call, copy
 included, since a ``Bracket`` keeps its residuals from the first check),
 the derivation solve ``derivation_space``, ``criticality_decompose``,
@@ -97,20 +100,32 @@ def ref_kernel_ms() -> float:
     return min(refkernel.kernel() for _ in range(5)) * 1e3
 
 
-def timed(call) -> tuple[float, float]:
-    """(best-of-3 seconds, traced peak in MB of a fourth call) of call()."""
-    best = float("inf")
-    for _ in range(3):
-        start = perf_counter()
-        call()
-        best = min(best, perf_counter() - start)
+#: Timed calls per case: the best of a few moves with one lucky call.
+REPEATS = 21
+
+
+def sampled(calls: list) -> list[tuple[float, float]]:
+    """(median, interquartile range) in seconds of each call, over ``REPEATS``
+    rounds that time every call once in turn, so that a slow phase of the
+    machine falls on all of them alike rather than on a few rows."""
+    secs = [[] for _ in calls]
+    for _ in range(REPEATS):
+        for call, out in zip(calls, secs):
+            start = perf_counter()
+            call()
+            out.append(perf_counter() - start)
+    quartiles = [np.percentile(s, [25, 50, 75]) for s in secs]
+    return [(float(q2), float(q3 - q1)) for q1, q2, q3 in quartiles]
+
+
+def traced_peak(call) -> float:
+    """Peak in MB of the memory ``tracemalloc`` traces during one call()."""
     tracemalloc.start()
     try:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    return best, peak / 1e6
 
 
 def mixed_faults(calls: list) -> list[int]:
@@ -127,13 +142,11 @@ def mixed_faults(calls: list) -> list[int]:
     return faults
 
 
-def probe(mu) -> tuple[float, float, int]:
-    """(best-of-3 seconds, traced peak in MB, CGLS iterations)."""
-    secs, peak = timed(lambda: criticality_decompose(mu))
+def cgls_iterations(mu) -> int:
+    """Iterations of the certificate's CGLS cross-check on mu."""
     m = moment_matrix(mu)
     b = _tangent(m, mu.coeffs) / (np.linalg.norm(m) * mu.norm)  # the certificate's CGLS start
-    _, iters = _row_space_projection(b, mu.coeffs / mu.norm)
-    return secs, peak, iters
+    return _row_space_projection(b, mu.coeffs / mu.norm)[1]
 
 
 def layers(mu) -> dict:
@@ -210,7 +223,8 @@ def main(argv: list[str]) -> int:
     ref_before = ref_kernel_ms()
     print(f"reference kernel: {ref_before:.3f} ms (best of 5)")
     print()
-    print(f"{'algebra':16s} {'n':>3s} {'basis':9s} {'best ms':>9s} {'peak MB':>8s} {'CGLS':>5s}")
+    print(f"{'algebra':16s} {'n':>3s} {'basis':9s} {'median ms':>9s} {'IQR ms':>8s} {'peak MB':>8s}"
+          f" {'CGLS':>5s}")
     rows = []
     for name in FAMILIES:
         for n in SIZES:
@@ -218,27 +232,31 @@ def main(argv: list[str]) -> int:
             rows += [(name, "catalog", mu), (name, "rotated", gl_act(_unitary(n, n), mu))]
     rows.append(("m0(8)+0.5/seed2", "perturbed", flow.perturb_in_orbit(filiform(8), 0.5, 2)))
     rows.append(("limit of L4", "limit", flow.descend(get("L4").bracket).final_bracket))
-    for name, basis, mu in rows:
-        secs, peak, iters = probe(mu)
-        print(f"{name:16s} {mu.dim:3d} {basis:9s} {secs * 1e3:9.2f} {peak:8.2f} {iters:5d}")
+    certify = [lambda mu=mu: criticality_decompose(mu) for _, _, mu in rows]
+    for (name, basis, mu), call, (secs, iqr) in zip(rows, certify, sampled(certify)):
+        print(f"{name:16s} {mu.dim:3d} {basis:9s} {secs * 1e3:9.2f} {iqr * 1e3:8.3f}"
+              f" {traced_peak(call):8.2f} {cgls_iterations(mu):5d}")
     print()
-    print(f"{'layer (mu_he)':24s} {'n':>3s} {'basis':8s} {'dtype':10s} {'best ms':>9s} {'peak MB':>8s}"
-          f" {'faults':>7s}")
+    print(f"{'layer (mu_he)':24s} {'n':>3s} {'basis':8s} {'dtype':10s} {'median ms':>9s}"
+          f" {'IQR ms':>8s} {'peak MB':>8s} {'faults':>7s}")
     products = []
     for n in LAYER_SIZES:
         mu = get("mu_he", n=n).bracket
         products += [(n, "catalog", mu), (n, "rotated", gl_act(_unitary(n, n), mu))]
     calls = [layers(mu) for _, _, mu in products]
     faults = {name: mixed_faults([c[name] for c in calls]) for name in calls[0]}
+    times = iter(sampled([call for row in calls for call in row.values()]))
     layer_rows = []
     for i, ((n, basis, mu), row) in enumerate(zip(products, calls)):
         dtype = str(mu.coeffs.dtype)
         for name, call in row.items():
-            secs, peak = timed(call)
+            (secs, iqr), peak = next(times), traced_peak(call)
             flt = faults[name][i]
-            print(f"{name:24s} {n:3d} {basis:8s} {dtype:10s} {secs * 1e3:9.3f} {peak:8.2f} {flt:7d}")
+            print(f"{name:24s} {n:3d} {basis:8s} {dtype:10s} {secs * 1e3:9.3f} {iqr * 1e3:8.4f}"
+                  f" {peak:8.2f} {flt:7d}")
             layer_rows.append({"layer": name, "algebra": "mu_he", "n": n, "basis": basis,
-                               "dtype": dtype, "best_ms": round(secs * 1e3, 4),
+                               "dtype": dtype, "median_ms": round(secs * 1e3, 4),
+                               "iqr_ms": round(iqr * 1e3, 4), "calls": REPEATS,
                                "peak_mb": round(peak, 4), "minor_faults": flt})
     print()
     print(f"{'descent':22s} {'steps':>6s} {'trials':>6s} {'proj':>5s} {'ms':>9s} {'cond(G)':>9s}")

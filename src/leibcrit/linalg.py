@@ -50,13 +50,15 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _nullspace(m: np.ndarray, abs_tol: float) -> np.ndarray:
     """Orthonormal basis (columns) of {v : m v = 0} with |m v| <= abs_tol.
 
-    Tall and square inputs take a thin SVD, whose vh already has one row per
-    column of m.  A wide input needs the full vh: the thin one lacks the
-    trailing null directions beyond its rank.
+    The long side is factored once: a tall m = QR gives way to its square factor
+    R, with the same singular values and right singular vectors.  A wide m needs
+    the full vh: the thin one lacks the trailing null directions beyond its rank.
     """
     rows, cols = m.shape
     if m.size == 0:
         return np.eye(cols, dtype=m.dtype)
+    if rows > cols:
+        m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     small = np.ones(cols, dtype=bool)
     small[: s.size] = s <= abs_tol
@@ -85,24 +87,27 @@ def derivation_space(mu: Bracket) -> list[np.ndarray]:
 
     The right singular vectors of the (n^3, n^2) matrix A of a -> a.mu whose
     singular values are at most ``RANK_RTOL * |mu|``; every returned map a
-    thus satisfies ``|a.mu| <= RANK_RTOL * |mu|``.  They are taken from the
-    SVD of the (n^2, n^2) factor R of A = QR, which has the same singular
-    values and right singular vectors as A.  For the zero bracket all n^2
-    elementary maps are derivations.
+    thus satisfies ``|a.mu| <= RANK_RTOL * |mu|``.  :func:`_nullspace` factors
+    the long side of A once and takes them from the SVD of the (n^2, n^2)
+    factor R of A = QR, which has the same singular values and right singular
+    vectors as A.  For the zero bracket all n^2 elementary maps are derivations.
     """
     n = mu.dim
     if n == 0:
         return []
-    r = np.linalg.qr(_action_matrix(mu), mode="r")
-    null = _nullspace(r, abs_tol=RANK_RTOL * mu.norm)
+    null = _nullspace(_action_matrix(mu), abs_tol=RANK_RTOL * mu.norm)
     return [null[:, j].reshape(n, n) for j in range(null.shape[1])]
 
 
 def _span(m: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the columns of m, keeping the singular
     values above ``RANK_RTOL``: m holds products on a unit product, so the cut
-    is absolute, never relative to the largest, which may be round-off.  An m
-    with no columns gives no columns."""
+    is absolute, never relative to the largest, which may be round-off.  The long
+    side is factored once: a wide m = (QR)* gives way to its square factor R*,
+    with the same singular values and left singular vectors.  An m with no
+    columns gives no columns."""
+    if m.shape[1] > m.shape[0]:
+        m = np.linalg.qr(m.conj().T, mode="r").conj().T
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, s > RANK_RTOL]
 

@@ -293,16 +293,18 @@ def critical_type(d: np.ndarray) -> CriticalType:
     n = len(w)
     if n == 0:
         raise ValueError("empty matrix has no type")
-    gap = DEFAULT_TYPE_TOL * max(1.0, float(np.abs(w).max()))
+    ws = w.tolist()
+    gap = DEFAULT_TYPE_TOL * max(1.0, abs(ws[0]), abs(ws[-1]))  # w ascends
     # clusters are the runs of ascending eigenvalues with no step above gap
-    cuts = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), n]
-    reps = np.array([float(np.mean(w[a:b])) for a, b in zip(cuts, cuts[1:])])
+    cuts = [0, *(i for i in range(1, n) if ws[i] - ws[i - 1] > gap), n]
     mults = [b - a for a, b in zip(cuts, cuts[1:])]
-    if np.abs(reps).max() <= gap:
+    # each mean sums its run as np.mean does (pairwise), so it is that mean bit for bit
+    reps = [float(w[a:a + m].sum()) / m for a, m in zip(cuts, mults)]
+    ref = max(reps, key=abs)
+    if abs(ref) <= gap:
         return CriticalType.zero(n)
 
-    ref = reps[int(np.argmax(np.abs(reps)))]
-    fracs = [Fraction(float(r / ref)).limit_denominator(DEFAULT_MAX_DENOMINATOR) for r in reps]
+    fracs = [Fraction(r / ref).limit_denominator(DEFAULT_MAX_DENOMINATOR) for r in reps]
     common = math.lcm(*(fr.denominator for fr in fracs))
     ints = [fr.numerator * (common // fr.denominator) for fr in fracs]
     sign = 1 if ref > 0 else -1
@@ -310,7 +312,7 @@ def critical_type(d: np.ndarray) -> CriticalType:
     g = math.gcd(*(abs(m) for m in ints if m != 0))
     ks = [m // g for m in ints]
     scale = common / (g * abs(ref))
-    err = float(np.abs(scale * reps - np.array(ks, dtype=float)).max())
+    err = max(abs(scale * r - k) for r, k in zip(reps, ks))
     if err >= DEFAULT_TYPE_TOL:
         raise IrrationalTypeError(
             f"no admissible scaling found (best rounding error {err:.3g})"

@@ -146,7 +146,9 @@ def _outside(c: np.ndarray, xs: slice, ys: slice, part: slice) -> float:
 
 def _mult_ops(c: np.ndarray, part: slice, x: np.ndarray) -> np.ndarray:
     """Transposed left and right multiplications by the columns of x, coordinates on ``part``."""
-    return np.concatenate([np.tensordot(x, c[part], (0, 0)), np.tensordot(x, c[:, part], (0, 1))])
+    n, r = c.shape[0], x.shape[0]
+    blocks = (c[part], c[:, part].swapaxes(0, 1))  # c[p, j, k] and c[i, p, k] as [p, i, k]
+    return np.concatenate([(x.T @ b.reshape(r, n * n)).reshape(-1, n, n) for b in blocks])
 
 
 def _nonnormality(ops: np.ndarray) -> np.ndarray:

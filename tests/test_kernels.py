@@ -17,6 +17,15 @@ same products and defects computed as fresh arrays.
 The derivation solve builds the matrix of a -> a.mu by index assignment
 and takes the SVD of its triangular factor; it must reproduce the einsum
 matrix exactly and the dense SVD's null space to 1e-10.
+
+Every rank decision factors the long side of its matrix once and takes the
+SVD of the square factor: ``_span`` of a wide matrix and ``_nullspace`` (so
+also ``_center_subspace``) of a tall one.  ``reference_span`` and
+``reference_nullspace`` keep the direct SVD of the whole matrix; on the
+product matrices and center stacks of the standard rows and of the three
+families at n = 3..16, in both bases, on empty and one-row shapes and on
+singular values at the ``RANK_RTOL`` cut, both routes must give the same
+rank and projectors within 1e-12.
 """
 
 import tracemalloc
@@ -40,12 +49,13 @@ from leibcrit.linalg import (
     _action_matrix,
     _nullspace,
     _products,
+    _span,
     _subspace_product,
     _unit_coeffs,
     derivation_space,
 )
 from leibcrit.moment import _inf_act_adjoint, moment_matrix
-from leibcrit.structure import _outside
+from leibcrit.structure import _center_subspace, _outside
 
 RTOL = 1e-13
 
@@ -374,3 +384,98 @@ def test_inf_act_adjoint_identity(n, seed):
     rhs = np.vdot(_inf_act_adjoint(r, mu.coeffs.conj()), a).real
     scale = inf_act(a, mu).norm * np.linalg.norm(r)
     assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+def reference_span(m: np.ndarray) -> np.ndarray:
+    """Left singular vectors of the thin SVD of m itself above ``RANK_RTOL``."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, s > RANK_RTOL]
+
+
+def reference_nullspace(m: np.ndarray, abs_tol: float) -> np.ndarray:
+    """Right singular vectors of the SVD of m itself at most abs_tol, with the
+    full vh for a wide m."""
+    rows, cols = m.shape
+    if m.size == 0:
+        return np.eye(cols, dtype=m.dtype)
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    small = np.ones(cols, dtype=bool)
+    small[: s.size] = s <= abs_tol
+    return vh.conj().T[:, small]
+
+
+def center_stack(c: np.ndarray) -> np.ndarray:
+    """The (2 n^2, n) matrix whose null space ``_center_subspace`` takes."""
+    n = c.shape[0]
+    return np.vstack([c.transpose(1, 2, 0).reshape(n * n, n), c.transpose(0, 2, 1).reshape(n * n, n)])
+
+
+def assert_same_subspace(got: np.ndarray, ref: np.ndarray) -> None:
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert float(np.linalg.norm(projector(got) - projector(ref))) <= 1e-12
+
+
+def rank_cases() -> list:
+    """Unit coefficients of the standard rows and of the three families at
+    n = 3..16, in the catalog basis (real) and under a seeded unitary (complex)."""
+    cases = [pytest.param(_unit_coeffs(e.bracket), id=f"row-{i}-{e.label}")
+             for i, e in enumerate(standard_rows())]
+    for name in ("mu_hy", "mu_he", "mu_sy"):
+        for n in range(3, 17):
+            mu = get(name, n=n).bracket
+            rotated = gl_act(random_unitary(n, np.random.default_rng([n, 1])), mu)
+            cases += [pytest.param(_unit_coeffs(mu), id=f"{name}({n})"),
+                      pytest.param(_unit_coeffs(rotated), id=f"{name}({n})@U")]
+    return cases
+
+
+@pytest.mark.parametrize("c", rank_cases())
+def test_span_matches_the_direct_svd(c):
+    # the product matrices of both series: [l, l], then [l, [l, l]] and [[l, l], [l, l]]
+    full = np.eye(c.shape[0])
+    derived = reference_span(_products(c, full, full))
+    for u, w in ((full, full), (full, derived), (derived, derived)):
+        m = _products(c, u, w)
+        assert_same_subspace(_span(m), reference_span(m))
+
+
+@pytest.mark.parametrize("c", rank_cases())
+def test_nullspace_matches_the_direct_svd(c):
+    stack = center_stack(c)
+    ref = reference_nullspace(stack, RANK_RTOL)
+    assert_same_subspace(_nullspace(stack, RANK_RTOL), ref)
+    assert_same_subspace(_center_subspace(c), ref)
+    full = np.eye(c.shape[0])
+    for m in (_products(c, full, full), _products(c, full, full).conj().T):
+        assert_same_subspace(_nullspace(m, RANK_RTOL), reference_nullspace(m, RANK_RTOL))
+
+
+@pytest.mark.parametrize("mu", derivation_cases())
+def test_derivation_space_matches_the_direct_svd(mu):
+    # reference_derivation_projector goes through _nullspace, so it takes the same route
+    ders = derivation_space(mu)
+    basis = np.array([d.ravel() for d in ders]).reshape(-1, mu.dim**2).T
+    ref = reference_nullspace(reference_action_matrix(mu), RANK_RTOL * mu.norm)
+    assert basis.shape == ref.shape
+    assert float(np.linalg.norm(projector(basis) - projector(ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (1, 5), (5, 1)])
+def test_span_and_nullspace_of_degenerate_shapes(shape):
+    m = np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape)
+    for a in (m, (1 + 1j) * m):
+        assert_same_subspace(_span(a), reference_span(a))
+        assert_same_subspace(_nullspace(a, RANK_RTOL), reference_nullspace(a, RANK_RTOL))
+
+
+def test_rank_cut_at_the_boundary_diagonal():
+    # singular values just above, at and just below RANK_RTOL, written on the
+    # diagonal of a wide (span) and a tall (null space) matrix: both routes
+    # keep the two above the cut and count the other three as null
+    values = [1.0, np.nextafter(RANK_RTOL, 1.0), RANK_RTOL, np.nextafter(RANK_RTOL, 0.0), 0.0]
+    wide = np.zeros((5, 8))
+    wide[range(5), range(5)] = values
+    assert_same_subspace(_span(wide), reference_span(wide))
+    assert _span(wide).shape == (5, 2)
+    assert_same_subspace(_nullspace(wide.T, RANK_RTOL), reference_nullspace(wide.T, RANK_RTOL))
+    assert _nullspace(wide.T, RANK_RTOL).shape == (5, 3)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,12 +9,20 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import evaluate, irrational_type_s2, random_bracket, random_hermitian, random_unitary
+from helpers import (
+    evaluate,
+    filiform,
+    irrational_type_s2,
+    random_bracket,
+    random_hermitian,
+    random_unitary,
+)
 from leibcrit.bracket import Bracket, _check_tol, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
-from leibcrit.linalg import RANK_RTOL, _action_matrix, _nullspace, derivation_space
+from leibcrit.linalg import RANK_RTOL, _action_matrix, _nullspace, derivation_space, hermitian_eigen
 from leibcrit.moment import (
+    DEFAULT_MAX_DENOMINATOR,
     DEFAULT_TYPE_TOL,
     CriticalType,
     MomentReport,
@@ -571,6 +580,99 @@ class TestCriticalType:
         else:
             assert t.ks == tuple(ks)
             assert t.ds == tuple(ds)
+
+
+def reference_critical_type(d: np.ndarray) -> CriticalType:
+    """``critical_type`` as it was written with numpy reductions: np.mean per
+    cluster and array arithmetic for the gap, reference entry and rounding error."""
+    w, _ = hermitian_eigen(d)
+    n = len(w)
+    if n == 0:
+        raise ValueError("empty matrix has no type")
+    gap = DEFAULT_TYPE_TOL * max(1.0, float(np.abs(w).max()))
+    # clusters are the runs of ascending eigenvalues with no step above gap
+    cuts = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), n]
+    reps = np.array([float(np.mean(w[a:b])) for a, b in zip(cuts, cuts[1:])])
+    mults = [b - a for a, b in zip(cuts, cuts[1:])]
+    if np.abs(reps).max() <= gap:
+        return CriticalType.zero(n)
+
+    ref = reps[int(np.argmax(np.abs(reps)))]
+    fracs = [Fraction(float(r / ref)).limit_denominator(DEFAULT_MAX_DENOMINATOR) for r in reps]
+    common = math.lcm(*(fr.denominator for fr in fracs))
+    ints = [fr.numerator * (common // fr.denominator) for fr in fracs]
+    sign = 1 if ref > 0 else -1
+    ints = [sign * m for m in ints]
+    g = math.gcd(*(abs(m) for m in ints if m != 0))
+    ks = [m // g for m in ints]
+    scale = common / (g * abs(ref))
+    err = float(np.abs(scale * reps - np.array(ks, dtype=float)).max())
+    if err >= DEFAULT_TYPE_TOL:
+        raise IrrationalTypeError(
+            f"no admissible scaling found (best rounding error {err:.3g})"
+        )
+    return CriticalType(tuple(ks), tuple(mults), scale)
+
+
+def type_outcome(typer, d: np.ndarray) -> tuple:
+    """(ks, ds, scale) of a type, or the message of its IrrationalTypeError."""
+    try:
+        t = typer(d)
+    except IrrationalTypeError as exc:
+        return ("irrational", str(exc))
+    return t.ks, t.ds, t.scale
+
+
+def assert_same_type(d: np.ndarray) -> None:
+    # equal ks and ds, a bit-equal scale, or the same error message
+    assert type_outcome(critical_type, d) == type_outcome(reference_critical_type, d)
+
+
+def certificate_products() -> list:
+    """The standard rows and the three families at n = 3..16 in the catalog
+    basis and under a seeded unitary."""
+    products = [pytest.param(e.bracket, id=e.label) for e in standard_rows()]
+    for name in ("mu_hy", "mu_he", "mu_sy"):
+        for n in range(3, 17):
+            mu = get(name, n=n).bracket
+            u = random_unitary(n, np.random.default_rng([n, 5]))
+            products += [pytest.param(mu, id=f"{name}({n})"),
+                         pytest.param(gl_act(u, mu), id=f"{name}({n})@U")]
+    return products
+
+
+class TestOnePassType:
+    @pytest.mark.parametrize("mu", certificate_products())
+    def test_matches_the_numpy_reductions_on_certificates(self, mu):
+        rep = criticality_decompose(mu)
+        assert_same_type(rep.D)
+        assert_same_type(rep.D / rep.norm_sq)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_the_numpy_reductions_on_descent_limits(self, n):
+        rep = criticality_decompose(descend(filiform(n)).final_bracket)
+        assert_same_type(rep.D)
+        assert_same_type(rep.D / rep.norm_sq)
+
+    def test_same_irrational_message(self):
+        d = np.diag([1.0, np.sqrt(2.0)])
+        assert type_outcome(critical_type, d) == type_outcome(reference_critical_type, d)
+        assert type_outcome(critical_type, d)[0] == "irrational"
+
+    @given(
+        st.lists(st.integers(-12, 12), min_size=1, max_size=4, unique=True),
+        st.lists(st.integers(9, 40), min_size=4, max_size=4),
+        st.floats(0.05, 20.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_numpy_reductions_on_large_clusters(self, ks, sizes, scale, seed):
+        # clusters of more than 8 equal eigenvalues plus noise of about 1e-9,
+        # where a sequential sum and np.mean's pairwise sum part in the last bits
+        rng = np.random.default_rng(seed)
+        eigs = np.repeat(np.array(ks, dtype=float) / scale, sizes[: len(ks)])
+        eigs += 1e-9 * rng.standard_normal(eigs.size)
+        assert_same_type(np.diag(np.sort(eigs)))
 
 
 class TestReportType:

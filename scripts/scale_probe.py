@@ -25,7 +25,11 @@ the derivation solve ``derivation_space``, ``criticality_decompose``,
 on mu/|mu| and the identity, the derived algebra ``structure_profile``
 computes first), ``structure_profile`` and
 ``verify_structure_theorem`` (given the certificate, on a product whose
-identities were already checked, as ``analyze`` runs it) -- on mu_he(n) at
+identities were already checked, as ``analyze`` runs it) and ``analyze``,
+the ``leibcrit analyze`` pipeline end to end (identity check, certificate,
+its type, ``structure_profile`` and the structure checks) on a fresh copy
+of the product per call, so that no call reads a result an earlier one
+kept -- on mu_he(n) at
 n = 3, 4, 8, 12 and 16, in the catalog basis, where it is stored real, and
 rotated by a seeded random unitary, where it is stored complex, with
 the minor page faults (the growth of ``getrusage``'s ``ru_minflt``) of
@@ -149,6 +153,14 @@ def cgls_iterations(mu) -> int:
     return _row_space_projection(b, mu.coeffs / mu.norm)[1]
 
 
+def analyze(mu) -> None:
+    """What ``leibcrit analyze`` computes for mu, without the output."""
+    idr, rep = check_identities(mu), criticality_decompose(mu)
+    structure_profile(mu)
+    if rep.type is not None and idr.is_symmetric_leibniz:
+        verify_structure_theorem(mu, rep)
+
+
 def layers(mu) -> dict:
     """The per-layer calls, by name, on the product mu."""
     m, rep = moment_matrix(mu), criticality_decompose(mu)
@@ -165,6 +177,7 @@ def layers(mu) -> dict:
         "subspace_product": lambda: _subspace_product(unit, full, full),
         "structure_profile": lambda: structure_profile(mu),
         "verify_structure_theorem": lambda: verify_structure_theorem(mu, rep),
+        "analyze": lambda: analyze(Bracket(mu.dim, mu.coeffs)),
     }
 
 

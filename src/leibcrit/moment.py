@@ -99,26 +99,37 @@ class CriticalType:
 class MomentReport:
     """Moment matrix of a product with its criticality certificate.
 
-    ``residual_tangent`` is the certifying residual: the component T(M) of
-    M.mu orthogonal to mu, relative to |M| |mu|.  ``residual_decomp`` is an
-    independent cross-check: the distance (relative to |M|) from M to
-    span_R{I} + Hermitian derivations, which is the kernel of T on
-    Hermitian maps, so the distance is |P(M)| / |M| for the projection P
-    onto the row space of T, from one CGLS solve started at 0.  ``c`` and
-    ``D`` always hold the candidate decomposition M = c I + D with
-    c = tr(M^2)/tr(M).  ``mu`` is the product the report certifies, as it
-    was passed; ``norm_sq = |mu|^2``, ``F = tr(M^2) / norm_sq^2``, the verdict
-    ``is_critical = residual_tangent < tol`` and the defect of D as a
-    derivation, ``derivation_defect = |D.mu| / |mu|``, are computed on each read.
+    Stored: the product ``mu`` as it was passed, ``tol`` and the cross-check
+    ``residual_decomp``, |P(M)| / |M| for the projection P onto the row space of
+    T, whose kernel on Hermitian maps is span_R{I} + Hermitian derivations (so
+    the distance from M to that span), from one CGLS solve started at 0.
+    Derived from ``mu``, so that a report cannot certify another product, on the
+    first read: ``M``; M = c I + D with c = tr(M^2)/tr(M); ``residual_tangent``,
+    the certifying |T(M)| / (|M| |mu|), T(M) the part of M.mu orthogonal to mu.
+    On each read: ``norm_sq = |mu|^2``, ``F = tr(M^2) / norm_sq^2``,
+    ``is_critical = residual_tangent < tol``, ``derivation_defect = |D.mu| / |mu|``.
     """
 
     mu: Bracket
-    M: np.ndarray
-    c: float
-    D: np.ndarray
     residual_decomp: float
-    residual_tangent: float
     tol: float
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return moment_matrix(self.mu)
+
+    @cached_property
+    def c(self) -> float:
+        return float(np.vdot(self.M, self.M).real) / float(np.trace(self.M).real)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return self.M - self.c * np.eye(self.mu.dim)
+
+    @cached_property
+    def residual_tangent(self) -> float:
+        t = _tangent(self.M, self.mu.coeffs)
+        return float(np.linalg.norm(t)) / (float(np.linalg.norm(self.M)) * self.mu.norm)
 
     @property
     def norm_sq(self) -> float:
@@ -138,10 +149,9 @@ class MomentReport:
 
     @cached_property
     def type(self) -> CriticalType | None:
-        """Critical type of ``D`` from :func:`critical_type`, computed on the first read;
-        None when the report is not critical or the spectrum of ``D`` is not rational.
-        ``D / norm_sq`` is typed, so that no cut depends on the scale of mu, and
-        its scale is divided back by ``norm_sq`` (the zero type keeps scale 1)."""
+        """Critical type of ``D / norm_sq`` by :func:`critical_type`, so that no cut
+        depends on the scale of mu, with its scale divided back by ``norm_sq`` (the
+        zero type keeps scale 1); None when not critical or the spectrum is not rational."""
         if not self.is_critical:
             return None
         try:
@@ -257,25 +267,15 @@ def criticality_decompose(
     _check_tol(tol)
     _norm_sq(mu)
     m = moment_matrix(mu)
-    norm_m = float(np.linalg.norm(m))
-    c = float(np.vdot(m, m).real) / float(np.trace(m).real)
-    d = m - c * np.eye(mu.dim)
+    scale = float(np.linalg.norm(m)) * mu.norm
     t = _tangent(m, mu.coeffs)
-    residual_tangent = float(np.linalg.norm(t)) / (norm_m * mu.norm)
     # independent residual: the distance from M to ker T = span_R{I} + HermDer,
     # on mu/|mu| and M/|M|, whose tangent is T(M)/(|M||mu|)
-    u, _ = _row_space_projection(t / (norm_m * mu.norm), mu.coeffs / mu.norm)
-    residual_decomp = float(np.linalg.norm(u))
-
-    return MomentReport(
-        mu=mu,
-        M=m,
-        c=c,
-        D=d,
-        residual_decomp=residual_decomp,
-        residual_tangent=residual_tangent,
-        tol=tol,
-    )
+    u, _ = _row_space_projection(t / scale, mu.coeffs / mu.norm)
+    rep = MomentReport(mu=mu, residual_decomp=float(np.linalg.norm(u)), tol=tol)
+    # the values the report derives from mu on first read, as computed here
+    vars(rep).update(M=m, residual_tangent=float(np.linalg.norm(t)) / scale)
+    return rep
 
 
 def critical_type(d: np.ndarray) -> CriticalType:

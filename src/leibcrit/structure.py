@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket import Bracket, _base_change, _inf_act, _max_defect_norm, check_identities, inf_act
+from .bracket import Bracket, _base_change, _inf_act, _max_defect_norm, check_identities
 from .linalg import RANK_RTOL, _nullspace, _subspace_product, _unit_coeffs, hermitian_eigen
 from .moment import CriticalType, MomentReport, criticality_decompose
 
@@ -202,12 +202,13 @@ def _center_normal(c: np.ndarray, zero: slice, center: np.ndarray, tol: float) -
     return res < tol, res
 
 
-def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float) -> tuple:
+def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float, own: bool) -> tuple:
     """(iv) l_+ is a nilpotent two-sided ideal realizing the stripped type.
 
     Returns (passed, ideal residual, nilpotent, degenerate, restricted type,
     type matches).  A positive part restricting to the zero product is
-    degenerate: reported, not compared, as it has no projective class.
+    degenerate: reported, not compared, as it has no projective class.  When
+    ``own``, l_+ is all of c and parent_type is read as its certified type.
     """
     rp = pos.stop - pos.start
     if rp == 0:
@@ -219,7 +220,7 @@ def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float
     cp, full = restrp.coeffs, np.eye(rp)
     derived_algebra = _subspace_product(cp, full, full)
     is_nilp = _series_dims(derived_algebra, lambda s: _subspace_product(cp, full, s))[-1] == 0
-    restr_type = criticality_decompose(restrp, tol).type
+    restr_type = parent_type if own else criticality_decompose(restrp, tol).type
     matches = restr_type == (_strip_zero(parent_type) or parent_type)
     return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches
 
@@ -241,16 +242,15 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
 
     Requires ``report.is_critical``, a rational ``report.type``, a
     symmetric Leibniz input (by :func:`check_identities`, which reads the
-    residuals mu keeps once checked) and a report of this product: |D.mu|
-    at most ``report.tol * |M| * |mu|``, which for mu's own report is its
-    tangent residual.  Every property is checked at ``report.tol`` on the unit
-    product mu/|mu| written once in the eigenbasis of D.  Its ascending
-    eigenvalues follow the ascending entries of the type, so l_-, l_0 and l_+
-    are its first rm, next r0 and last columns, rm and r0 the multiplicities
-    of the negative and zero entries.  The restriction of mu to l_+ is
-    re-certified and its type compared against the parent type with the zero
-    entry removed, except in the degenerate abelian case which is only
-    reported.
+    residuals mu keeps once checked) and a report of this product: ``report.mu``
+    is mu or has its coefficients.  Every property is checked at ``report.tol``
+    on the unit product mu/|mu| written once in the eigenbasis of D.  Its
+    ascending eigenvalues follow the ascending entries of the type, so l_-,
+    l_0 and l_+ are its first rm, next r0 and last columns, rm and r0 the
+    multiplicities of the negative and zero entries.  The type of mu on l_+,
+    unless that product is degenerate abelian (only reported), is compared
+    against the parent type with the zero entry removed: ``report.type`` when
+    rm = r0 = 0, as l_+ is then mu/|mu| in a unitary basis, else re-certified.
     """
     if not report.is_critical:
         raise ValueError("report does not certify a critical point")
@@ -259,22 +259,22 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
         raise ValueError("report has no rational critical type")
     if not check_identities(mu).is_symmetric_leibniz:
         raise ValueError("bracket is not symmetric Leibniz")
-    defect = inf_act(report.D, mu).norm
-    bound = report.tol * float(np.linalg.norm(report.M)) * mu.norm
-    if not defect <= bound:
-        raise ValueError(
-            f"report does not certify this bracket (|D.mu| {defect:.3g} vs {bound:.3g})"
-        )
+    if not (report.mu is mu or np.array_equal(report.mu.coeffs, mu.coeffs)):
+        raise ValueError("report does not certify this bracket")
     u = hermitian_eigen(report.D)[1]
-    c, tol = _base_change(u.conj().T, u, mu.coeffs / mu.norm), report.tol
+    return _graded_verdict(_base_change(u.conj().T, u, mu.coeffs / mu.norm), t, report.tol, True)
+
+
+def _graded_verdict(c: np.ndarray, t: CriticalType, tol: float, own: bool) -> StructureVerdict:
+    """The clauses on a unit product c graded by the type t; ``own``: t is c's certified type."""
     rm = sum(d for k, d in zip(t.ks, t.ds) if k < 0)
     r0 = sum(d for k, d in zip(t.ks, t.ds) if k == 0)
-    neg, zero, pos = slice(0, rm), slice(rm, rm + r0), slice(rm + r0, mu.dim)
+    neg, zero, pos = slice(0, rm), slice(rm, rm + r0), slice(rm + r0, c.shape[0])
     *reductive, center = _l0_reductive(c, zero, tol)
     return StructureVerdict(
         *_adjoint_closure(c, zero, tol),
         *reductive,
         *_center_normal(c, zero, center, tol),
-        *_nilradical(c, pos, t, tol),
+        *_nilradical(c, pos, t, tol, own and rm + r0 == 0),
         _lminus_nonnormality(c, neg),
     )

@@ -7,6 +7,7 @@ tolerance the global ``--tol`` reaches defaults to ``DEFAULT_CRITICAL_TOL``.
 
 import ast
 import dataclasses
+import functools
 import inspect
 from pathlib import Path
 
@@ -69,10 +70,12 @@ REMOVED = {
 }
 
 #: The stored fields of the reports that summarize a product or a descent,
-#: and the values each derives from them on read.
+#: and the values each derives from them on read (on each read, or on the
+#: first and kept).
 REPORT_FIELDS = {
-    moment.MomentReport: (["mu", "M", "c", "D", "residual_decomp", "residual_tangent", "tol"],
-                          ["norm_sq", "F", "is_critical", "derivation_defect"]),
+    moment.MomentReport: (["mu", "residual_decomp", "tol"],
+                          ["M", "c", "D", "residual_tangent", "norm_sq", "F", "is_critical",
+                           "derivation_defect", "type"]),
     flow.FlowTrace: (["F_history", "residual_history", "final_report", "cond_g", "message"],
                      ["final_bracket", "iterations", "converged"]),
     structure.StructureProfile: (["derived_dims", "lower_central_dims", "center_dim"],
@@ -135,4 +138,5 @@ def test_readme_names_every_fixed_cut(mod):
 def test_reports_store_no_derived_value(cls):
     stored, derived = REPORT_FIELDS[cls]
     assert [f.name for f in dataclasses.fields(cls)] == stored
-    assert [name for name in derived if not isinstance(vars(cls).get(name), property)] == []
+    assert [name for name in derived
+            if not isinstance(vars(cls).get(name), (property, functools.cached_property))] == []

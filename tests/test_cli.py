@@ -152,7 +152,8 @@ class TestAnalyzeCommand:
         assert doc["structure"]["derived_dims"] == [3, 1, 0]
 
     def test_computes_the_type_once_per_report(self, tmp_path, capsys, monkeypatch):
-        # one call types the certificate of S2, one the re-certified l_+
+        # one call types the certificate of S2; its l_+ is all of S2, so the
+        # structure checks read that type instead of re-certifying
         import leibcrit.moment as moment
 
         calls = []
@@ -162,7 +163,7 @@ class TestAnalyzeCommand:
         save_algebra(path, get("S2").bracket, name="S2")
         code, out, _ = run_cli(capsys, "analyze", str(path))
         assert code == 0 and "(1<2;2,1)" in out
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_norm_sq_out_of_float_range_exit_2(self, tmp_path, capsys, scale):
@@ -353,7 +354,8 @@ class TestFlowCommand:
                 " center normal yes; nilradical yes") in out
 
     def test_certifies_the_limit_once(self, tmp_path, capsys, monkeypatch):
-        # one call certifies the limit, one the re-certified l_+ of its structure checks
+        # one call certifies the limit; its l_+ is the whole limit, so the
+        # structure checks read the limit's type instead of re-certifying
         import leibcrit.moment as moment
 
         calls = []
@@ -369,7 +371,7 @@ class TestFlowCommand:
         save_algebra(path, get("S2").bracket, name="S2")
         code, out, _ = run_cli(capsys, "flow", str(path), "--perturb", "0.3", "--seed", "1")
         assert code == 0 and "critical type = (1<2;2,1)" in out
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
     def test_flows_at_extreme_scales(self, tmp_path, capsys, scale):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,9 @@ LIE2 = Bracket.from_entries(2, {(1, 2, 2): 1}, antisymmetrize=True)
 NONLIE2 = Bracket.from_entries(2, {(1, 1, 2): 1})
 HEIS = Bracket.from_entries(3, {(1, 2, 3): 1}, antisymmetrize=True)
 SO3 = Bracket.from_entries(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}, antisymmetrize=True)
+
+#: The values a MomentReport derives from its product and keeps after the first read.
+DERIVED_ON_FIRST_READ = ["M", "c", "D", "residual_tangent"]
 SL2 = Bracket.from_entries(3, {(3, 1, 1): 2, (3, 2, 2): -2, (1, 2, 3): 1}, antisymmetrize=True)
 
 
@@ -170,9 +174,10 @@ def reference_residual_decomp(mu: Bracket, tol: float) -> float:
     return float(np.linalg.norm(mv - q @ (q.T @ mv))) / float(np.linalg.norm(m))
 
 
-def reference_report(mu: Bracket, tol: float = 1e-8) -> MomentReport:
-    """The certificate computed field by field as before the matrix-free
-    cross-check, with the SVD reference for ``residual_decomp``."""
+def reference_report(mu: Bracket, tol: float = 1e-8) -> SimpleNamespace:
+    """The certificate computed value by value as before the matrix-free
+    cross-check, with the SVD reference for ``residual_decomp``: the stored
+    fields of a report and the values it derives from ``mu``."""
     nsq = mu.norm_sq
     m = moment_matrix(mu)
     norm_m = float(np.linalg.norm(m))
@@ -183,10 +188,10 @@ def reference_report(mu: Bracket, tol: float = 1e-8) -> MomentReport:
     # <v, mu> as a Python scalar of mu's dtype: a real product stays real
     v_perp = v.coeffs - np.vdot(mu.coeffs, v.coeffs).item() / nsq * mu.coeffs
     residual_tangent = float(np.linalg.norm(v_perp)) / (norm_m * mu.norm)
-    return MomentReport(
+    return SimpleNamespace(
         M=m, c=c, D=d,
         residual_decomp=reference_residual_decomp(mu, tol),
-        residual_tangent=residual_tangent,
+        residual_tangent=residual_tangent, is_critical=residual_tangent < tol,
         mu=mu, tol=tol,
     )
 
@@ -392,9 +397,9 @@ class TestCriticalityDecompose:
         assert rep.F == float(np.vdot(ref.M, ref.M).real) / nsq**2
         assert rep.is_critical is (ref.residual_tangent < rep.tol)
         assert rep.is_critical is ref.is_critical
-        for f in dataclasses.fields(MomentReport):
-            if f.name != "residual_decomp":
-                assert np.array_equal(getattr(rep, f.name), getattr(ref, f.name)), f.name
+        for name in [f.name for f in dataclasses.fields(MomentReport)] + DERIVED_ON_FIRST_READ:
+            if name != "residual_decomp":
+                assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
 
     @pytest.mark.parametrize("mu", [pytest.param(e.bracket, id=e.label) for e in standard_rows()]
                              + [pytest.param(random_bracket(n, np.random.default_rng(n)),
@@ -692,12 +697,13 @@ class TestReportType:
             if rep.is_critical:
                 assert rep.type == critical_type(rep.D), entry.label
 
-    def test_follows_replaced_d(self):
-        import dataclasses
-
+    def test_follows_replaced_product(self):
+        # D is derived from mu (test_cannot_replace_a_derived_value), so a report
+        # can only be moved to another product, whose D and type it then reads
         rep = criticality_decompose(get("L1").bracket)
-        moved = dataclasses.replace(rep, D=np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert str(rep.type) == "(1<2;2,1)" and str(moved.type) == "(1<2<3;1,1,1)"
+        moved = dataclasses.replace(rep, mu=get("S1").bracket)
+        assert str(rep.type) == "(1<2;2,1)" and str(moved.type) == "(3<5<6;1,1,1)"
+        assert np.array_equal(moved.D, criticality_decompose(moved.mu).D)
 
 
 class TestReportProduct:
@@ -712,6 +718,21 @@ class TestReportProduct:
     def test_certificate_builds_no_bracket(self, mu, constructions):
         criticality_decompose(mu)
         assert constructions["Bracket"] == 0
+
+    @pytest.mark.parametrize("mu", report_product_cases())
+    def test_derives_what_the_certificate_computed(self, mu):
+        # a report built from the stored fields alone reads the same values,
+        # bit for bit, as the one criticality_decompose hands them
+        rep = criticality_decompose(mu)
+        fresh = MomentReport(mu=mu, residual_decomp=rep.residual_decomp, tol=rep.tol)
+        for name in DERIVED_ON_FIRST_READ + ["F", "is_critical", "type"]:
+            assert np.array_equal(getattr(fresh, name), getattr(rep, name)), name
+
+    @pytest.mark.parametrize("name", DERIVED_ON_FIRST_READ)
+    def test_cannot_replace_a_derived_value(self, name):
+        rep = criticality_decompose(get("S1").bracket)
+        with pytest.raises(TypeError):
+            dataclasses.replace(rep, **{name: getattr(rep, name)})
 
     @pytest.mark.parametrize("mu", report_product_cases())
     def test_holds_its_product(self, mu):

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import irrational_type_s2, random_bracket, random_unitary
+import leibcrit
+from helpers import filiform, irrational_type_s2, random_bracket, random_unitary
 from leibcrit import structure
-from leibcrit.bracket import Bracket, _base_change, gl_act
+from leibcrit.bracket import Bracket, _base_change, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
+from leibcrit.extensions import ExtensionSpec, build_solvable_extension
 from leibcrit.flow import descend, perturb_in_orbit
-from leibcrit.linalg import _unit_coeffs
-from leibcrit.moment import criticality_decompose
+from leibcrit.linalg import _unit_coeffs, hermitian_eigen
+from leibcrit.moment import critical_type, criticality_decompose
 from leibcrit.structure import _center_subspace, structure_profile, verify_structure_theorem
 
 NONLIE2 = Bracket.from_entries(2, {(1, 1, 2): 1})
@@ -59,6 +63,71 @@ def symmetric_critical_entries():
         if e.algebra_class in ("lie", "symmetric") and e.critical_in_given_basis:
             out.append(e)
     return out
+
+
+def reference_verify_structure_theorem(mu, report):
+    """The structure checks as they ran while a report stored its own D: a
+    guard that D is a derivation of mu to the report's tolerance, and l_+
+    re-certified also when it is the whole algebra."""
+    if not report.is_critical:
+        raise ValueError("report does not certify a critical point")
+    t = report.type
+    if t is None:
+        raise ValueError("report has no rational critical type")
+    if not check_identities(mu).is_symmetric_leibniz:
+        raise ValueError("bracket is not symmetric Leibniz")
+    defect = inf_act(report.D, mu).norm
+    bound = report.tol * float(np.linalg.norm(report.M)) * mu.norm
+    if not defect <= bound:
+        raise ValueError(
+            f"report does not certify this bracket (|D.mu| {defect:.3g} vs {bound:.3g})"
+        )
+    u = hermitian_eigen(report.D)[1]
+    c, tol = _base_change(u.conj().T, u, mu.coeffs / mu.norm), report.tol
+    rm = sum(d for k, d in zip(t.ks, t.ds) if k < 0)
+    r0 = sum(d for k, d in zip(t.ks, t.ds) if k == 0)
+    neg, zero, pos = slice(0, rm), slice(rm, rm + r0), slice(rm + r0, mu.dim)
+    *reductive, center = structure._l0_reductive(c, zero, tol)
+    return structure.StructureVerdict(
+        *structure._adjoint_closure(c, zero, tol),
+        *reductive,
+        *structure._center_normal(c, zero, center, tol),
+        *structure._nilradical(c, pos, t, tol, False),
+        structure._lminus_nonnormality(c, neg),
+    )
+
+
+def verdict_cases() -> list:
+    """Every symmetric critical standard row, mu_hy, mu_he and mu_sy at
+    n = 3-16 in the catalog basis and rotated, the m0(5-8) descent limits,
+    and the solvable extension of S1 by L = diag(0, 1, 0), R = -L, in both
+    bases: its l_+ is the core, the only case here whose l_+ is re-certified
+    (in every other one l_+ is zero, has the zero product, or is all of mu)."""
+    cases = [pytest.param(e.bracket, id=e.label) for e in symmetric_critical_entries()]
+    rng = np.random.default_rng(271)
+    ext, _ = build_solvable_extension(ExtensionSpec(
+        core=get("S1").bracket, core_report=None,
+        left_maps=(np.diag([0.0, 1.0, 0.0]),), right_maps=(-np.diag([0.0, 1.0, 0.0]),)))
+    cases.append(pytest.param(ext, id="S1+ad(0,1,0)"))
+    cases.append(pytest.param(gl_act(random_unitary(4, rng), ext), id="S1+ad(0,1,0)@U"))
+    for name in ("mu_hy", "mu_he", "mu_sy"):
+        for n in range(3, 17):
+            mu = get(name, n=n).bracket
+            cases.append(pytest.param(mu, id=f"{name}({n})"))
+            cases.append(pytest.param(gl_act(random_unitary(n, rng), mu), id=f"{name}({n})@U"))
+    for n in range(5, 9):
+        cases.append(pytest.param(descend(filiform(n)).final_bracket, id=f"limit of m0({n})"))
+    return cases
+
+
+def assert_same_verdict(got, want) -> None:
+    """Every field equal: types and flags exactly, numbers to 1e-12."""
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, float) and isinstance(b, float):
+            assert a == pytest.approx(b, rel=0, abs=1e-12), f.name
+        else:
+            assert a == b, f.name
 
 
 class TestStructureProfile:
@@ -272,12 +341,43 @@ class TestVerifyStructure:
             verify_structure_theorem(s1, criticality_decompose(l2))
 
     def test_rejects_non_derivation(self):
-        import dataclasses
-
-        s1 = get("S1").bracket
-        rep = dataclasses.replace(criticality_decompose(s1), D=np.diag([1.0, 0.0, 0.0]))
+        # a report whose D is not a derivation of its product cannot be built:
+        # D follows from mu, and moving the report to another product moves D
+        s1, s2 = get("S1").bracket, get("S2").bracket
+        rep = criticality_decompose(s1)
+        with pytest.raises(TypeError):
+            dataclasses.replace(rep, D=np.diag([1.0, 0.0, 0.0]))
+        moved = dataclasses.replace(rep, mu=s2)
+        assert moved.derivation_defect < 1e-12
         with pytest.raises(ValueError, match="does not certify this bracket"):
-            verify_structure_theorem(s1, rep)
+            verify_structure_theorem(s1, moved)
+
+    def test_accepts_report_of_an_equal_product(self):
+        s1 = get("S1").bracket
+        rep = criticality_decompose(s1)
+        copy = Bracket(s1.dim, s1.coeffs.copy())
+        assert copy is not s1
+        assert_same_verdict(verify_structure_theorem(copy, rep), verify_structure_theorem(s1, rep))
+
+    @pytest.mark.parametrize("mu", verdict_cases())
+    def test_matches_reference_verdict(self, mu):
+        rep = criticality_decompose(mu)
+        assert_same_verdict(verify_structure_theorem(mu, rep),
+                            reference_verify_structure_theorem(mu, rep))
+
+    @pytest.mark.parametrize("name", ["mu_he", "mu_sy"])
+    def test_whole_nilradical_calls_no_inf_act_and_no_certificate(self, monkeypatch, name):
+        # every entry of their types is positive, so l_+ is the whole algebra
+        mu = get(name, n=8).bracket
+        rep = criticality_decompose(mu)
+        calls = []
+        for mod in (leibcrit, *(getattr(leibcrit, m) for m in ("bracket", "moment", "structure"))):
+            for fn in ("inf_act", "criticality_decompose"):
+                if hasattr(mod, fn):
+                    monkeypatch.setattr(mod, fn, lambda *a, fn=fn: calls.append(fn))
+        v = verify_structure_theorem(mu, rep)
+        assert calls == []
+        assert v.all_passed and v.type_matches and v.restricted_type == rep.type
 
     def test_reads_the_critical_type_once(self, monkeypatch):
         import leibcrit.moment as moment
@@ -302,14 +402,14 @@ class TestVerifyStructure:
 
     @pytest.mark.parametrize("mu", KERNEL_CASES)
     def test_builds_only_the_grading_subspaces(self, mu, constructions):
-        # D.mu for the guard, then one Bracket each for a nonzero l_0 and l_+;
-        # the grading itself is the columns of one eigenbasis
+        # one Bracket each for a nonzero l_0 and l_+; the grading itself is the
+        # columns of one eigenbasis
         rep = criticality_decompose(mu)
         r0 = sum(d for k, d in zip(rep.type.ks, rep.type.ds) if k == 0)
         rp = sum(d for k, d in zip(rep.type.ks, rep.type.ds) if k > 0)
         constructions.clear()
         verify_structure_theorem(mu, rep)
-        assert constructions["Bracket"] == 1 + (r0 > 0) + (rp > 0)
+        assert constructions["Bracket"] == (r0 > 0) + (rp > 0)
 
     def test_center_of_l0_computed_once(self, monkeypatch):
         calls = []
@@ -366,11 +466,14 @@ class TestFailingClauses:
 
     @staticmethod
     def verdict(diag):
-        import dataclasses
-
-        l1 = get("L1").bracket
-        rep = dataclasses.replace(criticality_decompose(l1), D=np.diag(diag).astype(complex))
-        return verify_structure_theorem(l1, rep)
+        # the clauses on L1 graded by the derivation diag(diag) and its type, as
+        # verify_structure_theorem grades by the certificate's D, at its tolerance;
+        # the type is not L1's certified one, so a whole l_+ is re-certified
+        l1, d = get("L1").bracket, np.diag(diag).astype(complex)
+        assert inf_act(d, l1).norm == 0.0
+        u = hermitian_eigen(d)[1]
+        c = _base_change(u.conj().T, u, l1.coeffs / l1.norm)
+        return structure._graded_verdict(c, critical_type(d), criticality_decompose(l1).tol, False)
 
     def test_zero_derivation_breaks_closure_and_reductivity(self):
         v = self.verdict([0.0, 0.0, 0.0])

@@ -100,7 +100,7 @@ class CertificationFailed(ExtensionError):
 class ExtensionSpec:
     """Inputs of the extension builders.
 
-    ``core`` is the critical core with its certificate ``core_report``;
+    ``core`` is the critical core and ``core_report`` its report, or None;
     ``left_maps[a]`` / ``right_maps[a]`` are the maps L_A, R_A of the a-th
     extending generator.  For the general builder ``f_bracket`` holds the
     Lie bracket of the reductive extending algebra with ``semisimple`` and
@@ -151,6 +151,8 @@ def _core_data(spec: ExtensionSpec, tol: float) -> tuple[np.ndarray, float, Crit
     rep = spec.core_report
     if rep is None:
         rep = criticality_decompose(spec.core, tol)
+    elif not rep.certifies(spec.core):
+        raise ValueError("core_report does not certify core")
     if not rep.is_critical:
         raise HypothesisViolation(
             "core criticality", rep.residual_tangent, "core is not a certified critical point"

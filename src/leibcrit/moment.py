@@ -47,6 +47,9 @@ DEFAULT_CRITICAL_TOL = 1e-8
 DEFAULT_TYPE_TOL = 1e-6
 DEFAULT_MAX_DENOMINATOR = 100
 
+#: |mu|^2 is accepted when its cube, the scale of |M.mu|^2, is a normal float.
+_NORM_SQ_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3))
+
 
 class IrrationalTypeError(ArithmeticError):
     """No positive constant makes the spectrum integral within tolerance."""
@@ -99,20 +102,31 @@ class CriticalType:
 class MomentReport:
     """Moment matrix of a product with its criticality certificate.
 
-    Stored: the product ``mu`` as it was passed, ``tol`` and the cross-check
-    ``residual_decomp``, |P(M)| / |M| for the projection P onto the row space of
-    T, whose kernel on Hermitian maps is span_R{I} + Hermitian derivations (so
-    the distance from M to that span), from one CGLS solve started at 0.
-    Derived from ``mu``, so that a report cannot certify another product, on the
-    first read: ``M``; M = c I + D with c = tr(M^2)/tr(M); ``residual_tangent``,
-    the certifying |T(M)| / (|M| |mu|), T(M) the part of M.mu orthogonal to mu.
-    On each read: ``norm_sq = |mu|^2``, ``F = tr(M^2) / norm_sq^2``,
-    ``is_critical = residual_tangent < tol``, ``derivation_defect = |D.mu| / |mu|``.
+    Stored, and checked on construction: a nonzero product ``mu`` with |mu|^2 in
+    range, as it was passed, and a finite positive ``tol``.  Derived from ``mu``,
+    so that a report cannot certify another product, on the first read: ``M``;
+    M = c I + D with c = tr(M^2)/tr(M); ``residual_tangent``, the certifying
+    |T(M)| / (|M| |mu|), T(M) the part of M.mu orthogonal to mu; the cross-check
+    ``residual_decomp``, the distance |P(M)| / |M| from M to ker T = span_R{I} +
+    Hermitian derivations, P the projection onto the row space of T, by one CGLS
+    solve from T(M); ``eigen``; ``type``.  On each read: ``norm_sq = |mu|^2``,
+    ``F = tr(M^2) / norm_sq^2``, ``is_critical = residual_tangent < tol``,
+    ``derivation_defect = |D.mu| / |mu|``.
     """
 
     mu: Bracket
-    residual_decomp: float
     tol: float
+
+    def __post_init__(self) -> None:
+        _check_tol(self.tol)
+        if self.mu.is_zero:
+            raise ValueError("the zero bracket has no projective class")
+        if not _NORM_SQ_RANGE[0] <= self.mu.norm_sq <= _NORM_SQ_RANGE[1]:
+            raise ValueError("|mu|^2 is outside the float range; rescale")
+
+    def certifies(self, mu: Bracket) -> bool:
+        """Whether this is a report of mu: ``self.mu`` is mu or has its coefficients."""
+        return self.mu is mu or np.array_equal(self.mu.coeffs, mu.coeffs)
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -127,9 +141,20 @@ class MomentReport:
         return self.M - self.c * np.eye(self.mu.dim)
 
     @cached_property
+    def _tangent_M(self) -> tuple[np.ndarray, float]:
+        """T(M) and |M| |mu|, which both residuals divide it by."""
+        return _tangent(self.M, self.mu.coeffs), float(np.linalg.norm(self.M)) * self.mu.norm
+
+    @cached_property
     def residual_tangent(self) -> float:
-        t = _tangent(self.M, self.mu.coeffs)
-        return float(np.linalg.norm(t)) / (float(np.linalg.norm(self.M)) * self.mu.norm)
+        t, scale = self._tangent_M
+        return float(np.linalg.norm(t)) / scale
+
+    @cached_property
+    def residual_decomp(self) -> float:
+        t, scale = self._tangent_M  # on mu/|mu| and M/|M|, whose tangent is T(M)/(|M||mu|)
+        u, _ = _row_space_projection(t / scale, self.mu.coeffs / self.mu.norm)
+        return float(np.linalg.norm(u))
 
     @property
     def norm_sq(self) -> float:
@@ -148,14 +173,20 @@ class MomentReport:
         return inf_act(self.D, self.mu).norm / self.mu.norm
 
     @cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """``hermitian_eigen(D / norm_sq)``, ascending eigenvalues and orthonormal eigenvectors:
+        the one decomposition that the type (its values) and the structure grading read."""
+        return hermitian_eigen(self.D / self.norm_sq)
+
+    @cached_property
     def type(self) -> CriticalType | None:
-        """Critical type of ``D / norm_sq`` by :func:`critical_type`, so that no cut
+        """Critical type of ``D / norm_sq`` from the eigenvalues of ``eigen``, so that no cut
         depends on the scale of mu, with its scale divided back by ``norm_sq`` (the
         zero type keeps scale 1); None when not critical or the spectrum is not rational."""
         if not self.is_critical:
             return None
         try:
-            t = critical_type(self.D / self.norm_sq)
+            t = _spectrum_type(self.eigen[0])
         except IrrationalTypeError:
             return None
         return t if t.ks == (0,) else replace(t, scale=t.scale / self.norm_sq)
@@ -178,16 +209,11 @@ def _moment_matrix(c: np.ndarray) -> np.ndarray:
 
 def functional_value(mu: Bracket) -> float:
     """F = tr(M^2) / |mu|^4; invariant under scaling and unitary base change."""
-    nsq = _norm_sq(mu)
-    m = moment_matrix(mu)
-    return float(np.vdot(m, m).real) / nsq**2
+    return MomentReport(mu, DEFAULT_CRITICAL_TOL).F
 
 
 #: CGLS stops once |T* r| <= _CGLS_RTOL, the scale of T*T x for unit mu and x.
 _CGLS_RTOL = 1e-13
-
-#: |mu|^2 is accepted when its cube, the scale of |M.mu|^2, is a normal float.
-_NORM_SQ_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3))
 
 
 def _tangent(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -250,31 +276,10 @@ def _row_space_projection(r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int
     return y, it
 
 
-def _norm_sq(mu: Bracket) -> float:
-    """|mu|^2, rejected when mu is zero or outside ``_NORM_SQ_RANGE``."""
-    if mu.is_zero:
-        raise ValueError("the zero bracket has no projective class")
-    nsq = mu.norm_sq
-    if not _NORM_SQ_RANGE[0] <= nsq <= _NORM_SQ_RANGE[1]:
-        raise ValueError("|mu|^2 is outside the float range; rescale")
-    return nsq
-
-
-def criticality_decompose(
-    mu: Bracket, tol: float = DEFAULT_CRITICAL_TOL
-) -> MomentReport:
-    """Compute M, F and the criticality certificate of a nonzero product."""
-    _check_tol(tol)
-    _norm_sq(mu)
-    m = moment_matrix(mu)
-    scale = float(np.linalg.norm(m)) * mu.norm
-    t = _tangent(m, mu.coeffs)
-    # independent residual: the distance from M to ker T = span_R{I} + HermDer,
-    # on mu/|mu| and M/|M|, whose tangent is T(M)/(|M||mu|)
-    u, _ = _row_space_projection(t / scale, mu.coeffs / mu.norm)
-    rep = MomentReport(mu=mu, residual_decomp=float(np.linalg.norm(u)), tol=tol)
-    # the values the report derives from mu on first read, as computed here
-    vars(rep).update(M=m, residual_tangent=float(np.linalg.norm(t)) / scale)
+def criticality_decompose(mu: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> MomentReport:
+    """The report of a nonzero product; its CGLS cross-check runs, and can raise, here."""
+    rep = MomentReport(mu, tol)
+    rep.residual_decomp  # computed and kept by the report
     return rep
 
 
@@ -289,7 +294,11 @@ def critical_type(d: np.ndarray) -> CriticalType:
     rounding error below ``DEFAULT_TYPE_TOL``.  Raises
     :class:`IrrationalTypeError` when no admissible constant exists.
     """
-    w, _ = hermitian_eigen(d)
+    return _spectrum_type(hermitian_eigen(d)[0])
+
+
+def _spectrum_type(w: np.ndarray) -> CriticalType:
+    """:func:`critical_type` of a Hermitian map with the ascending eigenvalues w."""
     n = len(w)
     if n == 0:
         raise ValueError("empty matrix has no type")

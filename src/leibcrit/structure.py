@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracket import Bracket, _base_change, _inf_act, _max_defect_norm, check_identities
-from .linalg import RANK_RTOL, _nullspace, _subspace_product, _unit_coeffs, hermitian_eigen
+from .linalg import RANK_RTOL, _nullspace, _subspace_product, _unit_coeffs
 from .moment import CriticalType, MomentReport, criticality_decompose
 
 __all__ = [
@@ -242,10 +242,10 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
 
     Requires ``report.is_critical``, a rational ``report.type``, a
     symmetric Leibniz input (by :func:`check_identities`, which reads the
-    residuals mu keeps once checked) and a report of this product: ``report.mu``
-    is mu or has its coefficients.  Every property is checked at ``report.tol``
-    on the unit product mu/|mu| written once in the eigenbasis of D.  Its
-    ascending eigenvalues follow the ascending entries of the type, so l_-,
+    residuals mu keeps once checked) and ``report.certifies(mu)``.  Every
+    property is checked at ``report.tol`` on the unit product mu/|mu| written once
+    in the eigenbasis ``report.eigen`` of D/|mu|^2, which the type was read from:
+    its ascending eigenvalues follow the ascending entries of the type, so l_-,
     l_0 and l_+ are its first rm, next r0 and last columns, rm and r0 the
     multiplicities of the negative and zero entries.  The type of mu on l_+,
     unless that product is degenerate abelian (only reported), is compared
@@ -259,9 +259,9 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
         raise ValueError("report has no rational critical type")
     if not check_identities(mu).is_symmetric_leibniz:
         raise ValueError("bracket is not symmetric Leibniz")
-    if not (report.mu is mu or np.array_equal(report.mu.coeffs, mu.coeffs)):
+    if not report.certifies(mu):
         raise ValueError("report does not certify this bracket")
-    u = hermitian_eigen(report.D)[1]
+    u = report.eigen[1]
     return _graded_verdict(_base_change(u.conj().T, u, mu.coeffs / mu.norm), t, report.tol, True)
 
 

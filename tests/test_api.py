@@ -73,9 +73,9 @@ REMOVED = {
 #: and the values each derives from them on read (on each read, or on the
 #: first and kept).
 REPORT_FIELDS = {
-    moment.MomentReport: (["mu", "residual_decomp", "tol"],
-                          ["M", "c", "D", "residual_tangent", "norm_sq", "F", "is_critical",
-                           "derivation_defect", "type"]),
+    moment.MomentReport: (["mu", "tol"],
+                          ["M", "c", "D", "residual_tangent", "residual_decomp", "norm_sq", "F",
+                           "is_critical", "derivation_defect", "eigen", "type"]),
     flow.FlowTrace: (["F_history", "residual_history", "final_report", "cond_g", "message"],
                      ["final_bracket", "iterations", "converged"]),
     structure.StructureProfile: (["derived_dims", "lower_central_dims", "center_dim"],

@@ -157,13 +157,27 @@ class TestAnalyzeCommand:
         import leibcrit.moment as moment
 
         calls = []
-        real = moment.critical_type
-        monkeypatch.setattr(moment, "critical_type", lambda d: calls.append(d) or real(d))
+        real = moment._spectrum_type
+        monkeypatch.setattr(moment, "_spectrum_type", lambda w: calls.append(w) or real(w))
         path = tmp_path / "s2.json"
         save_algebra(path, get("S2").bracket, name="S2")
         code, out, _ = run_cli(capsys, "analyze", str(path))
         assert code == 0 and "(1<2;2,1)" in out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, n", [("S2", None), ("mu_he", 7), ("mu_sy", 6)])
+    def test_decomposes_one_spectrum(self, tmp_path, capsys, monkeypatch, name, n):
+        # the type and the structure grading share one eigh; the printed
+        # D eigenvalues come from one eigvalsh of D
+        calls = []
+        for fn in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, fn)
+            monkeypatch.setattr(np.linalg, fn, lambda a, fn=fn, real=real: calls.append(fn) or real(a))
+        path = tmp_path / "mu.json"
+        save_algebra(path, get(name, n=n).bracket, name=name)
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0 and "nilradical yes" in out
+        assert sorted(calls) == ["eigh", "eigvalsh"]
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_norm_sq_out_of_float_range_exit_2(self, tmp_path, capsys, scale):

@@ -321,3 +321,17 @@ class TestSpecValidation:
                 core=get("S1").bracket, core_report=None,
                 left_maps=(Z3, Z3), right_maps=(Z3,),
             )
+
+    def test_core_report_of_another_product_rejected(self, s1):
+        # S2's certificate is critical with a positive type, so without the
+        # check the build went on and blamed the assembled product
+        mu, rep = s1
+        spec = ExtensionSpec(core=mu, core_report=criticality_decompose(get("S2").bracket),
+                             left_maps=(np.diag([0.0, 1.0, 0.0]).astype(complex),),
+                             right_maps=(Z3,))
+        for build, s in ((build_solvable_extension, spec), (build_general_extension, as_f_zero(spec))):
+            with pytest.raises(ValueError, match="core_report does not certify core"):
+                build(s)
+        # a report of an equal product built apart from it is accepted
+        same = dataclasses.replace(spec, core=Bracket(3, mu.coeffs.copy()), core_report=rep)
+        assert build_solvable_extension(same)[1].is_critical

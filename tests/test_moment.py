@@ -41,7 +41,7 @@ HEIS = Bracket.from_entries(3, {(1, 2, 3): 1}, antisymmetrize=True)
 SO3 = Bracket.from_entries(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}, antisymmetrize=True)
 
 #: The values a MomentReport derives from its product and keeps after the first read.
-DERIVED_ON_FIRST_READ = ["M", "c", "D", "residual_tangent"]
+DERIVED_ON_FIRST_READ = ["M", "c", "D", "residual_tangent", "residual_decomp"]
 SL2 = Bracket.from_entries(3, {(3, 1, 1): 2, (3, 2, 2): -2, (1, 2, 3): 1}, antisymmetrize=True)
 
 
@@ -441,6 +441,39 @@ class TestCriticalityDecompose:
             criticality_decompose(Bracket.zero(2))
 
 
+class TestReportValidation:
+    """A report checks its two fields on construction, however it is built."""
+
+    def test_zero_product(self):
+        with pytest.raises(ValueError, match="zero bracket"):
+            MomentReport(mu=Bracket.zero(3), tol=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e120, 1e-110])
+    def test_norm_sq_out_of_range(self, scale):
+        with pytest.raises(ValueError, match="outside the float range"):
+            MomentReport(mu=Bracket(3, scale * get("S1").bracket.coeffs), tol=1e-8)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_tol(self, tol):
+        # with tol = inf the non-critical L5 read as critical, of a negative type
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            MomentReport(mu=get("L5").bracket, tol=tol)
+
+    def test_replace_checks_again(self):
+        rep = criticality_decompose(get("S1").bracket)
+        with pytest.raises(ValueError, match="zero bracket"):
+            dataclasses.replace(rep, mu=Bracket.zero(3))
+        with pytest.raises(ValueError, match="tol must be"):
+            dataclasses.replace(rep, tol=math.nan)
+
+    def test_certifies_its_product_only(self):
+        mu = get("S1").bracket
+        rep = criticality_decompose(mu)
+        assert rep.certifies(mu) and rep.certifies(Bracket(3, mu.coeffs.copy()))
+        assert not rep.certifies(get("S2").bracket)
+        assert not rep.certifies(get("lie2").bracket)
+
+
 class TestHermitianDerivations:
     def test_nonlie2_contains_weight_map(self):
         herms = hermitian_derivations(NONLIE2)
@@ -722,11 +755,12 @@ class TestReportProduct:
     @pytest.mark.parametrize("mu", report_product_cases())
     def test_derives_what_the_certificate_computed(self, mu):
         # a report built from the stored fields alone reads the same values,
-        # bit for bit, as the one criticality_decompose hands them
+        # bit for bit, as the one criticality_decompose returns
         rep = criticality_decompose(mu)
-        fresh = MomentReport(mu=mu, residual_decomp=rep.residual_decomp, tol=rep.tol)
+        fresh = MomentReport(mu=mu, tol=rep.tol)
         for name in DERIVED_ON_FIRST_READ + ["F", "is_critical", "type"]:
             assert np.array_equal(getattr(fresh, name), getattr(rep, name)), name
+        assert all(np.array_equal(a, b) for a, b in zip(fresh.eigen, rep.eigen))
 
     @pytest.mark.parametrize("name", DERIVED_ON_FIRST_READ)
     def test_cannot_replace_a_derived_value(self, name):

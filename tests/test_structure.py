@@ -11,7 +11,7 @@ from leibcrit.catalog import get, standard_rows
 from leibcrit.extensions import ExtensionSpec, build_solvable_extension
 from leibcrit.flow import descend, perturb_in_orbit
 from leibcrit.linalg import _unit_coeffs, hermitian_eigen
-from leibcrit.moment import critical_type, criticality_decompose
+from leibcrit.moment import _spectrum_type, critical_type, criticality_decompose
 from leibcrit.structure import _center_subspace, structure_profile, verify_structure_theorem
 
 NONLIE2 = Bracket.from_entries(2, {(1, 1, 2): 1})
@@ -25,13 +25,24 @@ KERNEL_CASES = [pytest.param(get(name, n=n).bracket, id=name if n is None else f
                                 ("mu_sy", 6), ("S2", None))]
 
 
+def one_spectrum_cases() -> list:
+    """S2, mu_he(7) and mu_sy(6), whose l_+ is the whole algebra, and a unitary rotation of each."""
+    cases = []
+    for i, (name, n) in enumerate((("S2", None), ("mu_he", 7), ("mu_sy", 6))):
+        mu = get(name, n=n).bracket
+        u = random_unitary(mu.dim, np.random.default_rng(i))
+        label = name if n is None else f"{name}({n})"
+        cases += [pytest.param(mu, id=label), pytest.param(gl_act(u, mu), id=f"{label}@U")]
+    return cases
+
+
 def graded_basis(mu, rep) -> dict:
     """What :func:`verify_structure_theorem` reads while it checks mu against
-    rep: the eigenvalues ``w`` and eigenbasis ``u`` of rep.D, and the column
-    blocks ``neg``, ``zero`` and ``pos`` of l_-, l_0 and l_+ its clauses get."""
-    seen = {}
-    spies = {"hermitian_eigen": lambda args, out: {"w": out[0], "u": out[1]},
-             "_lminus_nonnormality": lambda args, out: {"neg": args[1]},
+    rep: the eigenbasis ``u`` of ``rep.eigen`` with its eigenvalues ``w`` scaled
+    back to those of rep.D, and the column blocks ``neg``, ``zero`` and ``pos``
+    of l_-, l_0 and l_+ its clauses get."""
+    seen = {"w": rep.eigen[0] * rep.norm_sq, "u": rep.eigen[1]}
+    spies = {"_lminus_nonnormality": lambda args, out: {"neg": args[1]},
              "_adjoint_closure": lambda args, out: {"zero": args[1]},
              "_nilradical": lambda args, out: {"pos": args[1]}}
     with pytest.MonkeyPatch.context() as mp:
@@ -288,6 +299,33 @@ class TestGradingDecomposition:
                         img = img - target @ target.conj().T @ img
                     assert np.linalg.norm(img) < 1e-8, entry.label
 
+    def test_blocks_are_the_type_multiplicities(self):
+        # the type clusters the eigenvalues of rep.eigen and the grading slices
+        # its eigenvectors, so each block holds as many columns as the type's
+        # entries of its sign count, over eigenvalues of that sign
+        for entry in symmetric_critical_entries():
+            rep = criticality_decompose(entry.bracket)
+            w, t = rep.eigen[0], rep.type
+            assert t == _spectrum_type(w), entry.label
+            g = graded_basis(entry.bracket, rep)
+            ints = np.round(w * t.scale * rep.norm_sq)
+            for part, sign in ((g["neg"], -1), (g["zero"], 0), (g["pos"], 1)):
+                assert rank(part) == sum(d for k, d in zip(t.ks, t.ds) if np.sign(k) == sign)
+                assert np.all(np.sign(ints[part]) == sign), entry.label
+
+    @pytest.mark.parametrize("mu", one_spectrum_cases())
+    def test_analyze_pipeline_decomposes_one_spectrum(self, mu, monkeypatch):
+        # the type and the grading read one eigendecomposition of D/|mu|^2
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+        check_identities(mu)
+        rep = criticality_decompose(mu)
+        assert rep.type is not None
+        structure_profile(mu)
+        assert verify_structure_theorem(mu, rep).all_passed
+        assert calls == [(mu.dim, mu.dim)]
+
 
 class TestVerifyStructure:
     def test_all_symmetric_criticals_pass(self):
@@ -382,20 +420,20 @@ class TestVerifyStructure:
     def test_reads_the_critical_type_once(self, monkeypatch):
         import leibcrit.moment as moment
 
-        real = moment.critical_type
+        real = moment._spectrum_type
         for entry in symmetric_critical_entries():
             rep = criticality_decompose(entry.bracket)
             seen = []
 
-            def counting(d):
-                # rep's own read types D/|mu|^2 while its cache is still empty;
-                # the re-certified l_+ of nonlie2 types an equal matrix later
-                seen.append(np.array_equal(d, rep.D / rep.norm_sq) and "type" not in vars(rep))
-                return real(d)
+            def counting(w):
+                # rep's own read types the eigenvalues of rep.eigen while its
+                # type is not yet kept; a re-certified l_+ types its own
+                seen.append(w is vars(rep).get("eigen", (None,))[0] and "type" not in vars(rep))
+                return real(w)
 
-            monkeypatch.setattr(moment, "critical_type", counting)
+            monkeypatch.setattr(moment, "_spectrum_type", counting)
             verify_structure_theorem(entry.bracket, rep)
-            monkeypatch.setattr(moment, "critical_type", real)
+            monkeypatch.setattr(moment, "_spectrum_type", real)
             # one read of rep.type; any other call types the re-certified l_+
             assert seen.count(True) == 1, entry.label
             assert len(seen) <= 2, entry.label

@@ -276,7 +276,10 @@ def _cmd_catalog(args) -> int:
     if args.catalog_command == "export":
         entry = _catalog_entry(args)
         save_algebra(args.file, entry.bracket, entry.label, entry.params)
-        print(f"wrote {args.file}")
+        if args.format == "json":
+            print(json.dumps({"output_file": args.file}, indent=2))
+        else:
+            print(f"wrote {args.file}")
         return 0
     # verify
     rows = _catalog.verify_catalog(args.tol)

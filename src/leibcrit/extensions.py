@@ -167,27 +167,26 @@ def _core_data(spec: ExtensionSpec, tol: float) -> tuple[np.ndarray, float, Crit
     return rep.D, rep.c, t
 
 
-def _comm(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a @ b - b @ a))
+def _require(clause: str, residual: float, tol: float, detail: str) -> None:
+    """The pass/fail rule of every hypothesis read as a residual."""
+    if residual > tol:
+        raise HypothesisViolation(clause, residual, detail)
 
 
-def _check_commute_with_core(spec: ExtensionSpec, d_core: np.ndarray, tol: float) -> None:
-    scale = max(1.0, float(np.linalg.norm(d_core)))
-    for a in range(spec.d1):
-        for op, side in ((spec.left_maps[a], "L"), (spec.right_maps[a], "R")):
-            r = _comm(d_core, op) / (scale * max(1.0, float(np.linalg.norm(op))))
-            if r > tol:
-                raise HypothesisViolation("(i)", r, f"[D, {side}_{a}] != 0")
-
-
-def _check_derivations(spec: ExtensionSpec, tol: float) -> None:
+def _check_core_maps(spec: ExtensionSpec, d_core: np.ndarray, tol: float) -> None:
+    """(i) Every action map commutes with D and is a derivation of the core."""
+    maps = [(op, f"{side}_{a}", max(1.0, float(np.linalg.norm(op))))
+            for a, pair in enumerate(zip(spec.left_maps, spec.right_maps))
+            for side, op in zip("LR", pair)]
+    d_scale = max(1.0, float(np.linalg.norm(d_core)))
+    for op, name, scale in maps:
+        r = float(np.linalg.norm(d_core @ op - op @ d_core)) / (d_scale * scale)
+        _require("(i)", r, tol, f"[D, {name}] != 0")
     if spec.core.is_zero:
         return
-    for a in range(spec.d1):
-        for op, side in ((spec.left_maps[a], "L"), (spec.right_maps[a], "R")):
-            r = inf_act(op, spec.core).norm / (spec.core.norm * max(1.0, float(np.linalg.norm(op))))
-            if r > tol:
-                raise HypothesisViolation("core derivation", r, f"{side}_{a} is not a derivation of the core")
+    for op, name, scale in maps:
+        r = inf_act(op, spec.core).norm / (spec.core.norm * scale)
+        _require("core derivation", r, tol, f"{name} is not a derivation of the core")
 
 
 def _check_normal_family(maps: list[np.ndarray], tol: float, clause: str) -> None:
@@ -196,17 +195,16 @@ def _check_normal_family(maps: list[np.ndarray], tol: float, clause: str) -> Non
     for i, a in enumerate(maps):
         for b in maps[i:]:
             r = float(np.linalg.norm(a @ b.conj().T - b.conj().T @ a)) / scale
-            if r > tol:
-                raise HypothesisViolation(clause, r, "action maps are not a commuting normal family")
+            _require(clause, r, tol, "action maps are not a commuting normal family")
 
 
-def _check_nonvanishing(pairs: list[tuple[np.ndarray, np.ndarray]], tol: float, clause: str) -> None:
-    """No nonzero combination of the generators acts by zero on the core."""
+def _check_nonvanishing(pairs: list[tuple[np.ndarray, np.ndarray]], tol: float) -> None:
+    """(ii) No nonzero combination of the generators acts by zero on the core."""
     stacked = np.stack([np.concatenate([l.ravel(), r.ravel()]) for l, r in pairs], axis=1)
     s = np.linalg.svd(stacked, compute_uv=False)
     if s.size == 0 or s[0] <= tol or s[-1] <= tol * s[0]:
         raise HypothesisViolation(
-            clause, float(s[-1]) if s.size else 0.0,
+            "(ii)", float(s[-1]) if s.size else 0.0,
             "some nonzero generator combination has zero left and right action",
         )
 
@@ -214,8 +212,7 @@ def _check_nonvanishing(pairs: list[tuple[np.ndarray, np.ndarray]], tol: float, 
 def _check_skew(maps: list[np.ndarray], tol: float, clause: str) -> None:
     for x in maps:
         r = float(np.linalg.norm(x + x.conj().T)) / max(1.0, float(np.linalg.norm(x)))
-        if r > tol:
-            raise HypothesisViolation(clause, r, "map is not skew-Hermitian")
+        _require(clause, r, tol, "map is not skew-Hermitian")
 
 
 def _orthonormalize(gram: np.ndarray) -> np.ndarray:
@@ -251,16 +248,14 @@ def _assemble(
     return Bracket(n, c)
 
 
-def _identity_gate(
-    out: Bracket, rmaps: list[np.ndarray], d1: int, tol: float
-) -> None:
+def _identity_gate(out: Bracket, rmaps: list[np.ndarray], tol: float) -> None:
     """Accept symmetric Leibniz output, or left Leibniz with R in Der(out),
-    each at the build's ``tol``."""
+    each at the build's ``tol``; the core follows the len(rmaps) generators."""
     idr = check_identities(out, tol)
     if idr.is_symmetric_leibniz:
         return
     if idr.is_left_leibniz:
-        worst = 0.0
+        worst, d1 = 0.0, len(rmaps)
         for r in rmaps:
             full = np.zeros((out.dim, out.dim), dtype=r.dtype)
             full[d1:, d1:] = r
@@ -271,14 +266,9 @@ def _identity_gate(
 
 
 def _certify(
-    out: Bracket,
-    rmaps: list[np.ndarray],
-    core_c: float,
-    core_type: CriticalType,
-    d1: int,
-    tol: float,
+    out: Bracket, rmaps: list[np.ndarray], core_c: float, core_type: CriticalType, tol: float
 ) -> MomentReport:
-    _identity_gate(out, rmaps, d1, tol)
+    _identity_gate(out, rmaps, tol)
     rep = criticality_decompose(out, tol)
     if not rep.is_critical:
         raise CertificationFailed(
@@ -288,7 +278,7 @@ def _certify(
         raise CertificationFailed(
             f"constant changed: core {core_c:.12g} vs assembled {rep.c:.12g}"
         )
-    expected = CriticalType((0,) + core_type.ks, (d1,) + core_type.ds)
+    expected = CriticalType((0,) + core_type.ks, (len(rmaps),) + core_type.ds)
     got = rep.type
     if got != expected:
         raise CertificationFailed(f"type {got} differs from expected {expected}")
@@ -309,8 +299,7 @@ def _check_clauses(
     ads = f.coeffs.transpose(0, 2, 1)  # ads[a] is the matrix of y -> f(e_a, y)
     for z in center:
         r = float(np.linalg.norm(ads[z])) / max(1.0, f.norm)
-        if r > tol:
-            raise HypothesisViolation("center" + when, r, f"generator {z} is not central in f")
+        _require("center" + when, r, tol, f"generator {z} is not central in f")
     _check_skew([ads[h] for h in semisimple], tol, "ad skewness" + when)
     _check_skew([lmaps[h] for h in semisimple], tol, "L skewness" + when)
     _check_skew([rmaps[h] for h in semisimple], tol, "R skewness" + when)
@@ -318,20 +307,23 @@ def _check_clauses(
     _check_normal_family([rmaps[z] for z in center], tol, "(ii)" + when)
 
 
-def _build(
-    spec: ExtensionSpec, f: Bracket, semisimple: tuple[int, ...], center: tuple[int, ...], tol: float
-) -> tuple[Bracket, MomentReport]:
-    """Check the hypotheses, orthonormalize, assemble and certify."""
+def _build(spec: ExtensionSpec, tol: float) -> tuple[Bracket, MomentReport]:
+    """Check the hypotheses, orthonormalize, assemble and certify.  A spec
+    without ``f_bracket`` has f = 0 and every generator central."""
     _check_tol(tol)
+    d1 = spec.d1
+    if spec.f_bracket is None:
+        f, semisimple, center = Bracket.zero(d1), (), tuple(range(d1))
+    else:
+        f, semisimple, center = spec.f_bracket, spec.semisimple, spec.center
     d_core, core_c, core_type = _core_data(spec, tol)
-    _check_commute_with_core(spec, d_core, tol)
-    _check_derivations(spec, tol)
+    _check_core_maps(spec, d_core, tol)
     lmaps, rmaps = spec.left_maps, spec.right_maps
     _check_clauses(f, lmaps, rmaps, semisimple, center, tol)
     if center:
-        _check_nonvanishing([(lmaps[z], rmaps[z]) for z in center], tol, "(ii)")
+        _check_nonvanishing([(lmaps[z], rmaps[z]) for z in center], tol)
 
-    ads, d1 = f.coeffs.transpose(0, 2, 1), spec.d1
+    ads = f.coeffs.transpose(0, 2, 1)
     gram = np.array([
         [-2.0 / core_c * sum(np.trace(x[a] @ x[b].conj().T) for x in (ads, lmaps, rmaps))
          for b in range(d1)]
@@ -344,7 +336,7 @@ def _build(
     _check_clauses(f, lmaps, rmaps, semisimple, center, tol, " after orthonormalization")
 
     out = _assemble(spec.core, lmaps, rmaps, f.coeffs)
-    return out, _certify(out, rmaps, core_c, core_type, d1, tol)
+    return out, _certify(out, rmaps, core_c, core_type, tol)
 
 
 def build_solvable_extension(
@@ -359,7 +351,7 @@ def build_solvable_extension(
     """
     if spec.f_bracket is not None:
         raise ValueError("solvable extension takes no reductive bracket; use the general builder")
-    return _build(spec, Bracket.zero(spec.d1), (), tuple(range(spec.d1)), tol)
+    return _build(spec, tol)
 
 
 def build_general_extension(
@@ -385,4 +377,4 @@ def build_general_extension(
             f"f_bracket is not a Lie algebra (anticommutativity defect "
             f"{idr_f.anticommutativity_residual:.3g}, Jacobi defect {idr_f.jacobi_residual:.3g})"
         )
-    return _build(spec, f, spec.semisimple, spec.center, tol)
+    return _build(spec, tol)

@@ -22,7 +22,9 @@ from typing import Any
 
 import numpy as np
 
+from . import catalog
 from .bracket import Bracket
+from .extensions import ExtensionSpec
 from .moment import CriticalType, MomentReport
 
 __all__ = [
@@ -163,10 +165,8 @@ def load_extension_spec(path):
     ``{"abelian": {"dim": m, "c": c}}``.  Matrices are lists of
     rows whose cells are numbers or [re, im] pairs; generator index lists
     ``semisimple`` and ``center`` are 1-based.  ``core_report`` is left
-    None, so the builder certifies the core at its own tolerance.
+    None, so the builder certifies the core at the build's tolerance.
     """
-    from .extensions import ExtensionSpec
-
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise AlgebraFileError("extension spec must be a JSON object")
@@ -185,8 +185,6 @@ def load_extension_spec(path):
         core_c = _finite(ab["c"], "'core.abelian.c'")
         core = Bracket.zero(m)
     elif "catalog" in core_doc:
-        from . import catalog
-
         name = _string(core_doc["catalog"], "'core.catalog'")
         params = core_doc.get("params", {})
         if not isinstance(params, dict):

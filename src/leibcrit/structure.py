@@ -161,7 +161,7 @@ def _nonnormality(ops: np.ndarray) -> np.ndarray:
 # l_-, l_0 and l_+ are the index blocks neg, zero and pos, and returns (passed,
 # residual, ...) in the order of its StructureVerdict fields; (ii) appends the
 # center of l_0, in l_0's basis, for (iii).  Ranks of blocks are cut on the unit
-# product, never on a block's own norm, which may be round-off.
+# product, never on the norm of a block alone, which may be round-off.
 
 
 def _adjoint_closure(c: np.ndarray, zero: slice, tol: float) -> tuple[bool, float]:
@@ -181,9 +181,8 @@ def _l0_reductive(c: np.ndarray, zero: slice, tol: float) -> tuple:
     closure = _outside(c, zero, zero, zero)
     restr0 = Bracket(r0, c[zero, zero, zero])
     idr0 = check_identities(restr0)
-    lie_res = 0.0 if restr0.is_zero else max(
-        idr0.anticommutativity_residual, idr0.jacobi_residual
-    ) * restr0.norm  # identity residuals are unit-normalized; undo for comparison
+    # identity residuals are unit-normalized; undo for comparison
+    lie_res = max(idr0.anticommutativity_residual, idr0.jacobi_residual) * restr0.norm
     c0 = restr0.coeffs
     z = _center_subspace(c0)
     h = _subspace_product(c0, np.eye(r0), np.eye(r0))
@@ -202,13 +201,14 @@ def _center_normal(c: np.ndarray, zero: slice, center: np.ndarray, tol: float) -
     return res < tol, res
 
 
-def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float, own: bool) -> tuple:
+def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float) -> tuple:
     """(iv) l_+ is a nilpotent two-sided ideal realizing the stripped type.
 
     Returns (passed, ideal residual, nilpotent, degenerate, restricted type,
     type matches).  A positive part restricting to the zero product is
-    degenerate: reported, not compared, as it has no projective class.  When
-    ``own``, l_+ is all of c and parent_type is read as its certified type.
+    degenerate: reported, not compared, as it has no projective class.  An
+    l_+ that is all of c reads parent_type, c's certified type; a proper one
+    is re-certified.
     """
     rp = pos.stop - pos.start
     if rp == 0:
@@ -220,7 +220,7 @@ def _nilradical(c: np.ndarray, pos: slice, parent_type: CriticalType, tol: float
     cp, full = restrp.coeffs, np.eye(rp)
     derived_algebra = _subspace_product(cp, full, full)
     is_nilp = _series_dims(derived_algebra, lambda s: _subspace_product(cp, full, s))[-1] == 0
-    restr_type = parent_type if own else criticality_decompose(restrp, tol).type
+    restr_type = parent_type if rp == c.shape[0] else criticality_decompose(restrp, tol).type
     matches = restr_type == (_strip_zero(parent_type) or parent_type)
     return ideal_res < tol and is_nilp and matches, ideal_res, is_nilp, False, restr_type, matches
 
@@ -262,11 +262,11 @@ def verify_structure_theorem(mu: Bracket, report: MomentReport) -> StructureVerd
     if not report.certifies(mu):
         raise ValueError("report does not certify this bracket")
     u = report.eigen[1]
-    return _graded_verdict(_base_change(u.conj().T, u, mu.coeffs / mu.norm), t, report.tol, True)
+    return _graded_verdict(_base_change(u.conj().T, u, mu.coeffs / mu.norm), t, report.tol)
 
 
-def _graded_verdict(c: np.ndarray, t: CriticalType, tol: float, own: bool) -> StructureVerdict:
-    """The clauses on a unit product c graded by the type t; ``own``: t is c's certified type."""
+def _graded_verdict(c: np.ndarray, t: CriticalType, tol: float) -> StructureVerdict:
+    """The clauses on a unit product c graded by its certified type t."""
     rm = sum(d for k, d in zip(t.ks, t.ds) if k < 0)
     r0 = sum(d for k, d in zip(t.ks, t.ds) if k == 0)
     neg, zero, pos = slice(0, rm), slice(rm, rm + r0), slice(rm + r0, c.shape[0])
@@ -275,6 +275,6 @@ def _graded_verdict(c: np.ndarray, t: CriticalType, tol: float, own: bool) -> St
         *_adjoint_closure(c, zero, tol),
         *reductive,
         *_center_normal(c, zero, center, tol),
-        *_nilradical(c, pos, t, tol, own and rm + r0 == 0),
+        *_nilradical(c, pos, t, tol),
         _lminus_nonnormality(c, neg),
     )

@@ -463,6 +463,15 @@ class TestCatalogCommand:
         assert code == 0
         assert out.splitlines()[0] == "S5(alpha=1e-06): right, dim 3"
 
+    def test_export_json_names_the_output_file(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        code, out, _ = run_cli(capsys, "--format", "json", "catalog", "export", "S1", str(path))
+        assert code == 0
+        assert json.loads(out) == {"output_file": str(path)}
+        np.testing.assert_array_equal(load_algebra(path)[0].coeffs, get("S1").bracket.coeffs)
+        code, out, _ = run_cli(capsys, "catalog", "export", "S1", str(path))
+        assert code == 0 and out == f"wrote {path}\n"
+
     def test_show_family_with_n(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "show", "mu_sy", "--n", "5")
         assert code == 0
@@ -628,6 +637,22 @@ class TestExtendCommand:
         code, _, err = run_cli(capsys, "extend", "solvable", str(path))
         assert code == 1
         assert "verification failed" in err
+
+    @pytest.mark.parametrize("mode,f_bracket,msg", [
+        ("solvable", True,
+         "solvable extension takes no reductive bracket; use the general builder"),
+        ("general", False, "general extension needs the reductive bracket f_bracket"),
+    ])
+    def test_spec_of_the_other_mode_exit_2(self, tmp_path, capsys, mode, f_bracket, msg):
+        path = self.write_solvable_spec(tmp_path)
+        if f_bracket:
+            spec = json.loads(path.read_text())
+            spec.update(f_bracket=algebra_to_dict(Bracket.zero(1)), center=[1])
+            path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "extend", mode, str(path), "-o", str(tmp_path / "o.json"))
+        assert code == 2 and out == ""
+        assert err == f"error: {msg}\n"
+        assert not (tmp_path / "o.json").exists()
 
     def test_malformed_spec_exit_2(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

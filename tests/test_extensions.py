@@ -173,8 +173,22 @@ class TestSolvableExtension:
             build_solvable_extension(spec, 1e-2)
         assert info.value.clause == "core type"
 
+    def test_f_bracket_rejected(self, s1):
+        mu, rep = s1
+        spec = as_f_zero(ExtensionSpec(core=mu, core_report=rep, left_maps=(Z3,), right_maps=(Z3,)))
+        with pytest.raises(ValueError, match="^solvable extension takes no reductive bracket;"
+                                             " use the general builder$"):
+            build_solvable_extension(spec)
+
 
 class TestGeneralExtension:
+    def test_missing_f_bracket_rejected(self, s1):
+        mu, rep = s1
+        spec = ExtensionSpec(core=mu, core_report=rep, left_maps=(Z3,), right_maps=(Z3,))
+        with pytest.raises(ValueError,
+                           match="^general extension needs the reductive bracket f_bracket$"):
+            build_general_extension(spec)
+
     def test_so3_times_s1(self, s1):
         mu, rep = s1
         spec = ExtensionSpec(

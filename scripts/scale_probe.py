@@ -40,9 +40,9 @@ The third table runs ``descend`` from the thirteen descent
 starts of the benchmark, from L4, whose orbit has no critical point, and
 from S8, whose limit lies in the orbit's closure: steps, line-search
 trials (moment matrices of candidates), projections (factorizations of
-the basis of span{I, A Der(mu0) A^-1}), wall time of one run and the
-condition number of the final group element.  Before the
-first table and after the last, it prints the best of 5 runs of
+the basis of span{I, A Der(mu0) A^-1}), both read from the descent's step
+records, wall time of one run and the condition number of the final group
+element.  Before the first table and after the last, it prints the best of 5 runs of
 ``perfbench/refkernel.kernel``, a fixed numpy kernel, in this process: a
 table's times divided by it compare across machines and runs whose
 speed differs.  With ``--json PATH`` the second and third tables are also
@@ -201,32 +201,14 @@ def descent_starts() -> list[tuple[str, Bracket]]:
 
 
 def descent_row(mu) -> tuple[int, int, int, float, float]:
-    """(steps, line-search trials, projections, seconds, cond(G)) of one descent from mu.
-
-    ``descend`` computes the start's moment matrix and then one per trial,
-    which it reuses for the next iterate when the trial is accepted; the
-    trials are counted by wrapping the module's ``_moment_matrix``, and the
-    factorizations of the projection basis by wrapping ``_vertical_basis``.
-    """
-    calls = {"_moment_matrix": 0, "_vertical_basis": 0}
-    real = {name: getattr(flow, name) for name in calls}
-
-    def counted(name):
-        def call(*args):
-            calls[name] += 1
-            return real[name](*args)
-        return call
-
-    for name in calls:
-        setattr(flow, name, counted(name))
-    try:
-        start = perf_counter()
-        tr = flow.descend(mu)
-        secs = perf_counter() - start
-    finally:
-        for name, f in real.items():
-            setattr(flow, name, f)
-    return tr.iterations, calls["_moment_matrix"], calls["_vertical_basis"], secs, tr.cond_g
+    """(steps, line-search trials, projections, seconds, cond(G)) of one descent
+    from mu, read from its step records: the basis is factored at the start and
+    again at each refactoring step."""
+    start = perf_counter()
+    tr = flow.descend(mu)
+    secs = perf_counter() - start
+    trials = sum(s.trials for s in tr.steps)
+    return tr.iterations, trials, 1 + sum(s.refactored for s in tr.steps), secs, tr.cond_g
 
 
 def main(argv: list[str]) -> int:

@@ -215,9 +215,9 @@ def _cmd_flow(args) -> int:
         "iterations": trace.iterations,
         "converged": trace.converged,
         "message": trace.message,
-        "F_initial": float(trace.F_history[0]),
-        "F_final": float(trace.F_history[-1]),
-        "residual_final": float(trace.residual_history[-1]),
+        "F_initial": trace.steps[0].F,
+        "F_final": trace.steps[-1].F,
+        "residual_final": trace.steps[-1].residual,
         "cond_g": trace.cond_g,
     }
     if args.format == "json":

@@ -129,6 +129,8 @@ class ExtensionSpec:
         for a in (*self.left_maps, *self.right_maps):
             if a.shape != (m, m):
                 raise ValueError(f"action maps must be {m}x{m}")
+        if self.f_bracket is None and (self.semisimple or self.center):
+            raise ValueError("semisimple and center index the generators of f_bracket, which is None")
 
     @property
     def d1(self) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .moment import (
     moment_matrix,
 )
 
-__all__ = ["FlowTrace", "descend", "perturb_in_orbit"]
+__all__ = ["FlowStep", "FlowTrace", "descend", "perturb_in_orbit"]
 
 _STEP0 = 0.1  # first and fallback step, _STEP0 / |M|, a dimensionless step scale
 _STEP_MIN, _STEP_MAX = 0.01, 10.0  # clamp of the Barzilai-Borwein step, times 1 / |M|
@@ -56,17 +57,34 @@ _ORBIT_COND = 1e4
 _REFRESH = 2.0  # refactor the projection basis at G once |R^-1 M R| > _REFRESH |M|
 
 
+class FlowStep(NamedTuple):
+    """An iterate's F and tangential residual, and the line-search trials and basis
+    refactoring of the step that reached it (0 and False at the start)."""
+
+    F: float
+    residual: float
+    trials: int
+    refactored: bool
+
+
 @dataclass(frozen=True)
 class FlowTrace:
-    """A descent's iterates and limit.  ``cond_g`` is the condition number
-    of the group element G that carries the unit start to the limit; the limit,
-    step count and verdict are read from the history and the limit's certificate."""
+    """A descent's records, one per iterate from the start on, and its limit.  ``cond_g``
+    is the condition number of the group element G that carries the unit start to the
+    limit; the step count and verdict are read from the records and the limit's certificate."""
 
-    F_history: np.ndarray
-    residual_history: np.ndarray
+    steps: tuple[FlowStep, ...]
     final_report: MomentReport
     cond_g: float
     message: str = field(default="", compare=False)
+
+    @property
+    def F_history(self) -> np.ndarray:
+        return np.array([s.F for s in self.steps])
+
+    @property
+    def residual_history(self) -> np.ndarray:
+        return np.array([s.residual for s in self.steps])
 
     @property
     def final_bracket(self) -> Bracket:
@@ -74,7 +92,7 @@ class FlowTrace:
 
     @property
     def iterations(self) -> int:
-        return len(self.F_history) - 1
+        return len(self.steps) - 1
 
     @property
     def converged(self) -> bool:
@@ -102,8 +120,8 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     q = _vertical_basis(ders, eye, eye)
     # the iterate G.mu0 / |G.mu0| as a bare coefficient tensor, and its moment matrix
     c, m = c0, moment_matrix(mu)
-    f_hist: list[float] = []
-    r_hist: list[float] = []
+    steps: list[FlowStep] = []
+    trials, refactored = 0, False  # of the step that reached the iterate
     message = ""
     prev = None  # (coefficients, tangential gradient) of the last iterate
     for it in range(_MAX_ITER + 1):
@@ -112,8 +130,7 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
         v_perp = _tangent(m, c)
         # as in the final report, whose |mu| is this one
         res = float(np.linalg.norm(v_perp)) / (norm_m * math.sqrt(float(np.vdot(c, c).real)))
-        f_hist.append(f)
-        r_hist.append(res)
+        steps.append(FlowStep(f, res, trials, refactored))
         if res < tol:
             break
         if it == _MAX_ITER:
@@ -127,7 +144,8 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
             if sy > 0:
                 h = min(max(float(np.vdot(s, s).real) / sy, _STEP_MIN / norm_m), _STEP_MAX / norm_m)
         z = anchor @ ginv @ m @ r  # R^-1 M R, M in the anchor frame
-        if np.linalg.norm(z) > _REFRESH * norm_m:
+        refactored = bool(np.linalg.norm(z) > _REFRESH * norm_m)
+        if refactored:
             anchor, r, z = g, eye, m
             q = _vertical_basis(ders, g, ginv)
         b = z - (q @ (q.conj().T @ z.ravel())).reshape(n, n)
@@ -135,7 +153,7 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
         # the slack keeps progress possible once per-step decreases of F
         # fall below its floating-point resolution near the minimum
         slack = 1e-14 * max(1.0, f)
-        for _ in range(_MAX_BACKTRACKS):
+        for trials in range(1, _MAX_BACKTRACKS + 1):
             half = 0.5 * h * b
             r_cand = r @ np.linalg.solve(eye + half, eye - half)
             g_cand = r_cand @ anchor
@@ -158,13 +176,7 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     if final_report.is_critical and cond_g > _ORBIT_COND:
         message = (f"limit may lie outside the starting orbit (closure limit):"
                    f" cond(G) = {cond_g:.3g} > {_ORBIT_COND:.0e}")
-    return FlowTrace(
-        F_history=np.array(f_hist),
-        residual_history=np.array(r_hist),
-        final_report=final_report,
-        cond_g=cond_g,
-        message=message,
-    )
+    return FlowTrace(steps=tuple(steps), final_report=final_report, cond_g=cond_g, message=message)
 
 
 def _vertical_basis(ders: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:

@@ -102,12 +102,8 @@ def derivation_space(mu: Bracket) -> list[np.ndarray]:
 def _span(m: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the columns of m, keeping the singular
     values above ``RANK_RTOL``: m holds products on a unit product, so the cut
-    is absolute, never relative to the largest, which may be round-off.  The long
-    side is factored once: a wide m = (QR)* gives way to its square factor R*,
-    with the same singular values and left singular vectors.  An m with no
-    columns gives no columns."""
-    if m.shape[1] > m.shape[0]:
-        m = np.linalg.qr(m.conj().T, mode="r").conj().T
+    is absolute, never relative to the largest, which may be round-off.  An m
+    with no columns gives no columns."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, s > RANK_RTOL]
 

@@ -76,8 +76,8 @@ REPORT_FIELDS = {
     moment.MomentReport: (["mu", "tol"],
                           ["M", "c", "D", "residual_tangent", "residual_decomp", "norm_sq", "F",
                            "is_critical", "derivation_defect", "eigen", "type"]),
-    flow.FlowTrace: (["F_history", "residual_history", "final_report", "cond_g", "message"],
-                     ["final_bracket", "iterations", "converged"]),
+    flow.FlowTrace: (["steps", "final_report", "cond_g", "message"],
+                     ["F_history", "residual_history", "final_bracket", "iterations", "converged"]),
     structure.StructureProfile: (["derived_dims", "lower_central_dims", "center_dim"],
                                  ["is_solvable", "is_nilpotent"]),
 }

@@ -336,6 +336,18 @@ class TestSpecValidation:
                 left_maps=(Z3, Z3), right_maps=(Z3,),
             )
 
+    @pytest.mark.parametrize("indices", [{"semisimple": (0,)}, {"center": (0,)}],
+                             ids=["semisimple", "center"])
+    def test_generator_indices_without_f_bracket_rejected(self, indices):
+        # L = diag(0, 1, 0) is not skew-Hermitian, as a semisimple generator's
+        # maps must be; without the check this spec built silently as an
+        # all-central extension of type (0<3<5<6;1,1,1,1)
+        ell = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="^semisimple and center index the generators"
+                                             " of f_bracket, which is None$"):
+            ExtensionSpec(core=get("S1").bracket, core_report=None,
+                          left_maps=(ell,), right_maps=(-ell,), **indices)
+
     def test_core_report_of_another_product_rejected(self, s1):
         # S2's certificate is critical with a positive type, so without the
         # check the build went on and blamed the assembled product

@@ -321,6 +321,27 @@ def test_closure_descent_refactors_its_basis(monkeypatch):
     assert tr.converged and "closure" in tr.message
 
 
+@pytest.mark.parametrize("start, pinned",
+                         [pytest.param(s, None, id=label) for label, s, _, _ in PINNED_DESCENTS]
+                         + [pytest.param(lambda: get("S8").bracket, (28, 28, 3), id="S8")])
+def test_records_count_the_trials_and_refactorings(start, pinned, monkeypatch):
+    # a record holds the trials and the refactoring of the step that reached
+    # its iterate: the trials sum to the moment matrices of candidates, and the
+    # refactorings to the basis factorizations after the one at the start;
+    # S8's (steps, trials, factorizations) are pinned
+    import leibcrit.flow as flow
+
+    trials, real_trial = [], flow._moment_matrix
+    monkeypatch.setattr(flow, "_moment_matrix", lambda c: trials.append(c) or real_trial(c))
+    count, tr = projection_factorizations(start(), monkeypatch)
+    assert tr.steps[0].trials == 0 and tr.steps[0].refactored is False
+    assert all(s.trials >= 1 for s in tr.steps[1:])
+    assert sum(s.trials for s in tr.steps) == len(trials)
+    assert 1 + sum(s.refactored for s in tr.steps) == count
+    if pinned is not None:
+        assert (tr.iterations, len(trials), count) == pinned
+
+
 @pytest.mark.parametrize("start", [pytest.param(s, id=label) for label, s, _, _ in PINNED_DESCENTS])
 def test_descent_is_unitary_equivariant(start):
     # a unitary base change U of the start moves the whole descent by U:

@@ -18,10 +18,11 @@ The derivation solve builds the matrix of a -> a.mu by index assignment
 and takes the SVD of its triangular factor; it must reproduce the einsum
 matrix exactly and the dense SVD's null space to 1e-10.
 
-Every rank decision factors the long side of its matrix once and takes the
-SVD of the square factor: ``_span`` of a wide matrix and ``_nullspace`` (so
-also ``_center_subspace``) of a tall one.  ``reference_span`` and
-``reference_nullspace`` keep the direct SVD of the whole matrix; on the
+``_span`` takes one thin SVD of its matrix.  ``_nullspace`` (so also
+``_center_subspace``) factors a tall matrix once and takes the SVD of the
+square factor, which spares the derivation solve the (n^3, n^2) left factor
+of a direct SVD.  ``reference_span`` and ``reference_nullspace`` keep the
+direct SVD of the whole matrix; on the
 product matrices and center stacks of the standard rows and of the three
 families at n = 3..16, in both bases, on empty and one-row shapes and on
 singular values at the ``RANK_RTOL`` cut, both routes must give the same

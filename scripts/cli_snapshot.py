@@ -105,6 +105,9 @@ EDGE_CASES = {
 #: Help texts, which show the default of --tol.
 HELP = {"help": ["--help"], "flow-help": ["flow", "--help"], "extend-help": ["extend", "--help"]}
 
+#: Catalog entries to show, by file stem: each is shown in text and in JSON.
+SHOWS = {"S1": ["S1"], "S5-alpha2": ["S5", "--param", "alpha=2"], "mu_he-n5": ["mu_he", "--n", "5"]}
+
 BAD_SHOWS = {
     "unknown-param": ["S3", "--param", "alpha=0.25"],
     "n-on-fixed-dim": ["S1", "--n", "7"],
@@ -169,6 +172,12 @@ def _commands(stems: list[str]) -> dict[str, list[str]]:
     for stem in SCALED:
         for verb in ("check", "analyze", "flow"):
             cmds[f"{verb}-{stem}"] = [verb, f"inputs/{stem}.json"]
+    cmds["catalog-list-text"] = ["catalog", "list"]
+    cmds["catalog-list-json"] = ["--format", "json", "catalog", "list"]
+    for stem, argv in SHOWS.items():
+        cmds[f"catalog-show-{stem}-text"] = ["catalog", "show", *argv]
+        cmds[f"catalog-show-{stem}-json"] = ["--format", "json", "catalog", "show", *argv]
+    cmds["catalog-export-S1"] = ["catalog", "export", "S1", "written.json"]
     cmds["catalog-verify"] = ["catalog", "verify"]
     cmds["catalog-verify-json"] = ["--format", "json", "catalog", "verify"]
     cmds["flow-S2-perturbed"] = ["flow", "inputs/S2.json", "--perturb", "0.3", "--seed", "1"]

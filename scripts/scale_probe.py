@@ -76,8 +76,8 @@ from leibcrit.bracket import Bracket, check_identities, gl_act, inf_act  # noqa:
 from leibcrit.catalog import get  # noqa: E402
 from leibcrit.linalg import _subspace_product, _unit_coeffs, derivation_space  # noqa: E402
 from leibcrit.moment import (  # noqa: E402
+    _moment_tangent,
     _row_space_projection,
-    _tangent,
     critical_type,
     criticality_decompose,
     moment_matrix,
@@ -148,9 +148,8 @@ def mixed_faults(calls: list) -> list[int]:
 
 def cgls_iterations(mu) -> int:
     """Iterations of the certificate's CGLS cross-check on mu."""
-    m = moment_matrix(mu)
-    b = _tangent(m, mu.coeffs) / (np.linalg.norm(m) * mu.norm)  # the certificate's CGLS start
-    return _row_space_projection(b, mu.coeffs / mu.norm)[1]
+    t, scale, _ = _moment_tangent(moment_matrix(mu), mu.coeffs)
+    return _row_space_projection(t / scale, mu.coeffs / mu.norm)[1]  # the certificate's CGLS start
 
 
 def analyze(mu) -> None:

@@ -216,8 +216,8 @@ def _cmd_flow(args) -> int:
         "converged": trace.converged,
         "message": trace.message,
         "F_initial": trace.steps[0].F,
-        "F_final": trace.steps[-1].F,
-        "residual_final": trace.steps[-1].residual,
+        "F_final": trace.final_report.F,
+        "residual_final": trace.final_report.residual_tangent,
         "cond_g": trace.cond_g,
     }
     if args.format == "json":

@@ -164,12 +164,18 @@ def load_extension_spec(path):
     to the document's directory), an inline ``{"algebra": {...}}``, or the degenerate
     ``{"abelian": {"dim": m, "c": c}}``.  Matrices are lists of
     rows whose cells are numbers or [re, im] pairs; generator index lists
-    ``semisimple`` and ``center`` are 1-based.  ``core_report`` is left
-    None, so the builder certifies the core at the build's tolerance.
+    ``semisimple`` and ``center`` are 1-based and read with or without an
+    ``f_bracket``.  A top-level key other than ``core``, ``left_maps``,
+    ``right_maps``, ``f_bracket``, ``semisimple`` and ``center`` is rejected.
+    ``core_report`` is left None, so the builder certifies the core at the
+    build's tolerance.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise AlgebraFileError("extension spec must be a JSON object")
+    extra = set(doc) - {"core", "left_maps", "right_maps", "f_bracket", "semisimple", "center"}
+    if extra:
+        raise AlgebraFileError(f"extension spec has unknown fields {sorted(extra)}")
     core_doc = doc.get("core")
     if not isinstance(core_doc, dict):
         raise AlgebraFileError("'core' must be an object")
@@ -213,23 +219,15 @@ def load_extension_spec(path):
     lmaps = tuple(_matrix_from_json(x, m, f"left_maps[{a + 1}]") for a, x in enumerate(lm_doc))
     rmaps = tuple(_matrix_from_json(x, m, f"right_maps[{a + 1}]") for a, x in enumerate(rm_doc))
 
-    f_bracket = None
-    semisimple: tuple[int, ...] = ()
-    center: tuple[int, ...] = ()
-    if "f_bracket" in doc:
-        f_bracket, _ = bracket_from_dict(doc["f_bracket"])
-        d1 = len(lmaps)
+    f_bracket = bracket_from_dict(doc["f_bracket"])[0] if "f_bracket" in doc else None
 
-        def _indices(key: str) -> tuple[int, ...]:
-            lst = doc.get(key, [])
-            if not isinstance(lst, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= d1 for x in lst
-            ):
-                raise AlgebraFileError(f"'{key}' must list 1-based generator indices")
-            return tuple(x - 1 for x in lst)
-
-        semisimple = _indices("semisimple")
-        center = _indices("center")
+    def _indices(key: str) -> tuple[int, ...]:
+        lst = doc.get(key, [])
+        if not isinstance(lst, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= len(lmaps) for x in lst
+        ):
+            raise AlgebraFileError(f"'{key}' must list 1-based generator indices")
+        return tuple(x - 1 for x in lst)
 
     return ExtensionSpec(
         core=core,
@@ -237,8 +235,8 @@ def load_extension_spec(path):
         left_maps=lmaps,
         right_maps=rmaps,
         f_bracket=f_bracket,
-        semisimple=semisimple,
-        center=center,
+        semisimple=_indices("semisimple"),
+        center=_indices("center"),
         core_c=core_c,
     )
 
@@ -267,7 +265,6 @@ def _json_value(v: Any) -> Any:
 
 def moment_report_dict(rep: MomentReport) -> dict:
     t = rep.type
-    eig = np.linalg.eigvalsh(rep.D)
     return {
         "dim": rep.M.shape[0],
         "norm_sq": rep.norm_sq,
@@ -280,7 +277,7 @@ def moment_report_dict(rep: MomentReport) -> dict:
         "derivation_defect": rep.derivation_defect,
         "critical_type": None if t is None else str(t),
         "type_scale": None if t is None else t.scale,
-        "D_eigenvalues": [float(x) for x in eig],
+        "D_eigenvalues": [float(x) for x in rep.eigen[0] * rep.norm_sq],
         "M": _matrix_to_json(rep.M),
         "D": _matrix_to_json(rep.D),
         "tol": rep.tol,

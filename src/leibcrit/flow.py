@@ -37,7 +37,7 @@ from .moment import (
     DEFAULT_CRITICAL_TOL,
     MomentReport,
     _moment_matrix,
-    _tangent,
+    _moment_tangent,
     criticality_decompose,
     moment_matrix,
 )
@@ -127,9 +127,7 @@ def descend(mu0: Bracket, tol: float = DEFAULT_CRITICAL_TOL) -> FlowTrace:
     for it in range(_MAX_ITER + 1):
         norm_m = float(np.linalg.norm(m))
         f = float(np.vdot(m, m).real)  # |mu| = 1
-        v_perp = _tangent(m, c)
-        # as in the final report, whose |mu| is this one
-        res = float(np.linalg.norm(v_perp)) / (norm_m * math.sqrt(float(np.vdot(c, c).real)))
+        v_perp, _, res = _moment_tangent(m, c)  # the final report's residual, on its mu
         steps.append(FlowStep(f, res, trials, refactored))
         if res < tol:
             break

@@ -141,18 +141,16 @@ class MomentReport:
         return self.M - self.c * np.eye(self.mu.dim)
 
     @cached_property
-    def _tangent_M(self) -> tuple[np.ndarray, float]:
-        """T(M) and |M| |mu|, which both residuals divide it by."""
-        return _tangent(self.M, self.mu.coeffs), float(np.linalg.norm(self.M)) * self.mu.norm
+    def _tangent_M(self) -> tuple[np.ndarray, float, float]:
+        return _moment_tangent(self.M, self.mu.coeffs)
 
     @cached_property
     def residual_tangent(self) -> float:
-        t, scale = self._tangent_M
-        return float(np.linalg.norm(t)) / scale
+        return self._tangent_M[2]
 
     @cached_property
     def residual_decomp(self) -> float:
-        t, scale = self._tangent_M  # on mu/|mu| and M/|M|, whose tangent is T(M)/(|M||mu|)
+        t, scale, _ = self._tangent_M  # on mu/|mu| and M/|M|, whose tangent is T(M)/(|M||mu|)
         u, _ = _row_space_projection(t / scale, self.mu.coeffs / self.mu.norm)
         return float(np.linalg.norm(u))
 
@@ -226,6 +224,14 @@ def _tangent(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     v = _inf_act(a, c)
     # .item() is a Python float or complex, as c is real or complex
     return v - np.vdot(c, v).item() / float(np.vdot(c, c).real) * c
+
+
+def _moment_tangent(m: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """T(M), |M| |mu| and the certifying residual |T(M)| / (|M| |mu|), for the moment
+    matrix m of the product with the nonzero coefficient tensor c."""
+    t = _tangent(m, c)
+    scale = float(np.linalg.norm(m)) * math.sqrt(float(np.vdot(c, c).real))
+    return t, scale, float(np.linalg.norm(t)) / scale
 
 
 def _inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from leibcrit.bracket import check_identities
+from leibcrit.bracket import Bracket, check_identities
 from leibcrit.catalog import CatalogEntry, get, names, standard_rows, verify_catalog
 from leibcrit.moment import criticality_decompose
 
@@ -104,6 +104,25 @@ class TestIdentityClasses:
             "symmetric": idr.is_symmetric_leibniz and not idr.is_lie,
             "right": idr.is_right_leibniz and not idr.is_left_leibniz,
         }[e.algebra_class], e.label
+
+    @pytest.mark.parametrize("entry", standard_rows(), ids=lambda e: e.label)
+    def test_opposite_product_swaps_sides_only(self, entry):
+        # c[j, i, k] swaps left and right multiplications, which M sums alike
+        mu = entry.bracket
+        op = Bracket(mu.dim, mu.coeffs.transpose(1, 0, 2))
+        rep, rep_op = criticality_decompose(mu), criticality_decompose(op)
+        np.testing.assert_array_equal(rep_op.M, rep.M)
+        assert (rep_op.F, rep_op.is_critical, rep_op.type) == (rep.F, rep.is_critical, rep.type)
+        idr, idr_op = check_identities(mu), check_identities(op)
+        assert (idr_op.is_left_leibniz, idr_op.is_right_leibniz) == (
+            idr.is_right_leibniz, idr.is_left_leibniz)
+
+    def test_one_sided_rows_lie_outside_s3(self):
+        one_sided = [e for e in standard_rows() if e.algebra_class == "right"]
+        assert {e.name for e in one_sided} == {"S4", "S5", "S7", "S8"}
+        for e in one_sided:
+            assert e.notes.endswith("right Leibniz only; its opposite is left Leibniz only;"
+                                    " in S_3 in neither orientation"), e.label
 
     def test_get_does_not_check_identities(self):
         # the class is the builder's: a lookup runs no O(n^4) identity check

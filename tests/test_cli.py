@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from helpers import irrational_type_s2, random_bracket
 from leibcrit.bracket import Bracket
-from leibcrit.catalog import get
+from leibcrit.catalog import get, names
 from leibcrit.cli import run, _analysis_document
 from leibcrit.extensions import HypothesisViolation, build_solvable_extension
 from leibcrit.fileio import (
@@ -167,17 +168,18 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("name, n", [("S2", None), ("mu_he", 7), ("mu_sy", 6)])
     def test_decomposes_one_spectrum(self, tmp_path, capsys, monkeypatch, name, n):
-        # the type and the structure grading share one eigh; the printed
-        # D eigenvalues come from one eigvalsh of D
+        # the type, the structure grading and the printed D eigenvalues share one eigh
         calls = []
         for fn in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, fn)
             monkeypatch.setattr(np.linalg, fn, lambda a, fn=fn, real=real: calls.append(fn) or real(a))
         path = tmp_path / "mu.json"
         save_algebra(path, get(name, n=n).bracket, name=name)
-        code, out, _ = run_cli(capsys, "analyze", str(path))
-        assert code == 0 and "nilradical yes" in out
-        assert sorted(calls) == ["eigh", "eigvalsh"]
+        for fmt, verdict in (("text", "nilradical yes"), ("json", '"nilradical_ok": true')):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "--format", fmt, "analyze", str(path))
+            assert code == 0 and verdict in out
+            assert calls == ["eigh"], fmt
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_norm_sq_out_of_float_range_exit_2(self, tmp_path, capsys, scale):
@@ -587,7 +589,7 @@ class TestExtendCommand:
         assert doc["F"] == pytest.approx(1.25, abs=1e-8)
 
     def test_abelian_core_spec(self, tmp_path, capsys):
-        # a "scale" key of the former D = scale * I is ignored like any unknown key
+        # a "scale" key in core.abelian, of the former D = scale * I, is ignored
         outputs = []
         for core in ({"dim": 2, "c": -4.0}, {"dim": 2, "scale": 4.0, "c": -4.0}):
             spec = {
@@ -673,6 +675,8 @@ class TestExtendCommand:
             ({"dim": 2, "c": "-4"}, "'core.abelian.c'='-4'"),
             ({"dim": 2, "c": -10 ** 400}, "'core.abelian.c'="),
             ({"dim": 2}, "needs numeric dim and c"),
+            ({"dim": 2, "c": 0}, "degenerate mode needs core_c < 0"),
+            ({"dim": 2, "c": 4.0}, "degenerate mode needs core_c < 0"),
         ],
     )
     def test_bad_abelian_core_exit_2(self, tmp_path, capsys, abelian, msg):
@@ -697,6 +701,9 @@ class TestExtendCommand:
             ({"catalog": "S1", "params": 5}, "'core.params'=5 must be an object"),
             ({"catalog": "mu_he", "params": {"n": [4]}},
              "'core.params.n'=[4] is not a finite number"),
+            ("S1", "'core' must be an object"),
+            ({"bogus": 1}, "'core' needs one of: catalog, file, algebra, abelian"),
+            ({"catalog": "S9"}, "\"unknown catalog entry 'S9'; known: " + ", ".join(names()) + '"'),
         ],
     )
     def test_bad_core_field_exit_2(self, tmp_path, capsys, core, msg):
@@ -744,3 +751,149 @@ class TestExtendCommand:
         code, _, err = run_cli(capsys, "extend", "solvable", str(path))
         assert code == 2
         assert "left_maps[1][3][3] must be a number or [re, im] pair" in err
+
+
+S1_SPEC = {
+    "core": {"catalog": "S1"},
+    "left_maps": [[[0, 0, 0], [0, 1, 0], [0, 0, 0]]],
+    "right_maps": [[[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
+}
+Z3 = [[0, 0, 0]] * 3
+SO3_SPEC = {
+    "core": {"catalog": "S1"}, "left_maps": [Z3] * 3, "right_maps": [Z3] * 3,
+    "f_bracket": algebra_to_dict(get("so3").bracket), "semisimple": [1, 2, 3], "center": [],
+}
+
+
+class TestInputChecks:
+    """Each check of an algebra or spec document, with its exit code and message."""
+
+    @pytest.mark.parametrize("doc,msg", [
+        ([1, 2], "algebra document must be a JSON object"),
+        ({"dim": 2, "entries": [5]}, "entry #1 is not an object"),
+        ({"dim": 2, "entries": [{"i": 1, "j": 1, "re": 1.0}]}, "entry #1 is missing field 'k'"),
+    ], ids=["not-an-object", "entry-not-an-object", "missing-index"])
+    def test_bad_algebra_document_exit_2(self, tmp_path, capsys, doc, msg):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+    def test_invalid_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text('{"dim": 2,')
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: invalid JSON (Expecting property name enclosed in"
+                       " double quotes: line 1 column 11 (char 10))\n")
+
+    @pytest.mark.parametrize("mode,doc,msg", [
+        ("solvable", [S1_SPEC], "extension spec must be a JSON object"),
+        ("solvable", {**S1_SPEC, "bogus_key": 1}, "extension spec has unknown fields ['bogus_key']"),
+        ("solvable", {**S1_SPEC, "left_maps": [Z3[:2]]}, "left_maps[1] must be a list of 3 rows"),
+        ("solvable", {**S1_SPEC, "left_maps": [[[0, 0, 0], [0, 1], [0, 0, 0]]]},
+         "left_maps[1] row 2 must have 3 entries"),
+        ("solvable", {**S1_SPEC, "right_maps": [Z3, Z3]},
+         "'left_maps' and 'right_maps' must have equal length"),
+        ("general", {**SO3_SPEC, "semisimple": [0, 1, 2]},
+         "'semisimple' must list 1-based generator indices"),
+        ("general", {**SO3_SPEC, "semisimple": [1, 2, 4]},
+         "'semisimple' must list 1-based generator indices"),
+        ("general", {**SO3_SPEC, "center": "1"}, "'center' must list 1-based generator indices"),
+        ("general", {**SO3_SPEC, "f_bracket": algebra_to_dict(get("lie2").bracket)},
+         "f_bracket has dimension 2, expected 3"),
+        # semisimple and center are read without an f_bracket too, so the spec rejects them
+        ("solvable", {**S1_SPEC, "semisimple": [1]},
+         "semisimple and center index the generators of f_bracket, which is None"),
+        ("general", {**S1_SPEC, "semisimple": [1]},
+         "semisimple and center index the generators of f_bracket, which is None"),
+        ("solvable", {**S1_SPEC, "center": [7]}, "'center' must list 1-based generator indices"),
+    ], ids=["not-an-object", "unknown-key", "row-count", "row-length", "unequal-map-lists",
+            "index-zero", "index-beyond-d1", "indices-not-a-list", "f-bracket-dimension",
+            "semisimple-without-f-bracket", "general-semisimple-without-f-bracket",
+            "center-beyond-d1"])
+    def test_bad_spec_exit_2(self, tmp_path, capsys, mode, doc, msg):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "extend", mode, str(path), "-o", str(out_path))
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+        assert not out_path.exists()
+
+    def test_core_file_is_relative_to_the_spec(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "specs").mkdir()
+        save_algebra(tmp_path / "specs" / "core.json", get("S1").bracket)
+        path = tmp_path / "specs" / "spec.json"
+        path.write_text(json.dumps({**S1_SPEC, "core": {"file": "core.json"}}))
+        monkeypatch.chdir(tmp_path)  # core.json is not in the working directory
+        code, out, err = run_cli(capsys, "--format", "json", "extend", "solvable",
+                                 "specs/spec.json", "-o", "out.json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["type"] == "(0<3<5<6;1,1,1,1)"
+        assert load_algebra(tmp_path / "out.json")[0].dim == 4
+
+
+class TestPinnedOutputs:
+    """Outputs of CLI paths that no other test prints, pinned as they are."""
+
+    def test_check_json(self, tmp_path, capsys):
+        path = tmp_path / "s1.json"
+        save_algebra(path, get("S1").bracket, name="S1")
+        code, out, _ = run_cli(capsys, "--format", "json", "check", str(path))
+        assert code == 0
+        assert out == json.dumps({"algebra": {"dim": 3, "name": "S1"}, "identities": {
+            "left_residual": 0.0, "right_residual": 0.0, "anticommutativity_residual": 2.0,
+            "jacobi_residual": 0.0, "tol": 1e-09, "is_left_leibniz": True,
+            "is_right_leibniz": True, "is_symmetric_leibniz": True, "is_lie": False,
+        }}, indent=2) + "\n"
+
+    def test_catalog_list_json(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "catalog", "list")
+        assert code == 0
+        assert out == json.dumps({"names": [
+            "L1", "L2", "L3", "L4", "L5", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8",
+            "lie2", "nonlie2", "ns2", "so3", "mu_hy", "mu_he", "mu_sy",
+        ]}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv,doc", [
+        (["S1"], {"label": "S1", "class": "symmetric", "dim": 3, "expected_type": "(3<5<6;1,1,1)",
+                  "expected_value": 20.0, "critical_in_given_basis": True, "notes": "",
+                  "algebra": {"dim": 3, "entries": [
+                      {"i": 3, "j": 3, "k": 1, "re": 1.0, "im": 0.0}], "name": "S1"}}),
+        (["S5", "--param", "alpha=2"], {
+            "label": "S5(alpha=2)", "class": "right", "dim": 3, "expected_type": "(0<1;1,2)",
+            "expected_value": 4.0, "critical_in_given_basis": True,
+            "notes": "right Leibniz only; its opposite is left Leibniz only;"
+                     " in S_3 in neither orientation",
+            "algebra": {"dim": 3, "entries": [
+                {"i": 1, "j": 3, "k": 1, "re": 2.0, "im": 0.0},
+                {"i": 2, "j": 3, "k": 2, "re": 1.0, "im": 0.0},
+                {"i": 3, "j": 2, "k": 2, "re": -1.0, "im": 0.0}],
+                "name": "S5(alpha=2)", "params": {"alpha": {"re": 2.0, "im": 0.0}}}}),
+    ], ids=["S1", "S5-alpha2"])
+    def test_catalog_show_json(self, capsys, argv, doc):
+        code, out, _ = run_cli(capsys, "--format", "json", "catalog", "show", *argv)
+        assert code == 0
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_extend_text(self, tmp_path, capsys):
+        path, out_path = tmp_path / "spec.json", tmp_path / "out.json"
+        path.write_text(json.dumps(S1_SPEC))
+        code, out, err = run_cli(capsys, "extend", "solvable", str(path), "-o", str(out_path))
+        assert code == 0 and err == ""
+        # only the round-off tangent residual is not pinned to the digit
+        first, second = out.splitlines()
+        assert re.fullmatch(r"certified critical point: dim 4, type \(0<3<5<6;1,1,1,1\),"
+                            r" F = 3\.33333333333, c = -10 \(tangent residual \d\.\d+e-1[5-7]\)",
+                            first), first
+        assert second == f"wrote {out_path}"
+
+    @pytest.mark.parametrize("param,msg", [
+        ("alpha", "bad --param 'alpha', expected NAME=VALUE"),
+        ("=2", "bad --param '=2', expected NAME=VALUE"),
+        ("alpha=x", "bad --param value 'x'"),
+        ("alpha=1+", "bad --param value '1+'"),
+    ], ids=["no-equals", "no-name", "not-a-number", "dangling-sign"])
+    def test_malformed_param_exit_2(self, capsys, param, msg):
+        code, out, err = run_cli(capsys, "catalog", "show", "S5", "--param", param)
+        assert (code, out, err) == (2, "", f"error: {msg}\n")

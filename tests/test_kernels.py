@@ -21,8 +21,9 @@ matrix exactly and the dense SVD's null space to 1e-10.
 ``_span`` takes one thin SVD of its matrix.  ``_nullspace`` (so also
 ``_center_subspace``) factors a tall matrix once and takes the SVD of the
 square factor, which spares the derivation solve the (n^3, n^2) left factor
-of a direct SVD.  ``reference_span`` and ``reference_nullspace`` keep the
-direct SVD of the whole matrix; on the
+of a direct SVD.  ``reference_span`` takes scipy's gesvd SVD of the whole
+matrix, another LAPACK algorithm than ``_span``'s, and ``reference_nullspace``
+numpy's direct SVD of it; on the
 product matrices and center stacks of the standard rows and of the three
 families at n = 3..16, in both bases, on empty and one-row shapes and on
 singular values at the ``RANK_RTOL`` cut, both routes must give the same
@@ -33,6 +34,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import random_bracket, random_hermitian, random_invertible, random_unitary
 from leibcrit.bracket import (
@@ -388,8 +390,10 @@ def test_inf_act_adjoint_identity(n, seed):
 
 
 def reference_span(m: np.ndarray) -> np.ndarray:
-    """Left singular vectors of the thin SVD of m itself above ``RANK_RTOL``."""
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    """Left singular vectors of m with singular values above the absolute cut
+    ``RANK_RTOL``, from scipy's QR-iteration SVD (LAPACK gesvd), not the
+    divide-and-conquer one (gesdd) that numpy and ``_span`` call."""
+    u, s, _ = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
     return u[:, s > RANK_RTOL]
 
 
@@ -467,6 +471,14 @@ def test_span_and_nullspace_of_degenerate_shapes(shape):
     for a in (m, (1 + 1j) * m):
         assert_same_subspace(_span(a), reference_span(a))
         assert_same_subspace(_nullspace(a, RANK_RTOL), reference_nullspace(a, RANK_RTOL))
+
+
+def test_span_cut_is_absolute():
+    # a product space whose largest singular value is itself small: the cut
+    # stays at RANK_RTOL, so 1e-11 is round-off although it is 1e-8 of 1e-3
+    m = np.diag([1e-3, 1e-11, 0.0])
+    assert_same_subspace(_span(m), reference_span(m))
+    assert _span(m).shape == (3, 1)
 
 
 def test_rank_cut_at_the_boundary_diagonal():

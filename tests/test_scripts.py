@@ -1,7 +1,7 @@
 """Smoke test of ``scripts/scale_probe.py`` and ``scripts/cli_snapshot.py``.
 
 scale_probe imports private names of the library (``_subspace_product``,
-``_unit_coeffs``, ``_row_space_projection``, ``_tangent``), so a refactor
+``_unit_coeffs``, ``_row_space_projection``, ``_moment_tangent``), so a refactor
 that renames one breaks the script while the library's own tests pass; it
 reads a descent's trials and projections from ``FlowTrace.steps`` and
 wraps nothing.  Both

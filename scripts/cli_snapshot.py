@@ -114,6 +114,9 @@ BAD_SHOWS = {
     "fractional-n": ["mu_he", "--param", "n=4.7"],
     "complex-n": ["mu_he", "--param", "n=2j"],
     "float-n": ["mu_he", "--param", "n=4"],
+    "unknown-name": ["nope"],
+    "nan-param": ["S3", "--param", "beta=nan"],
+    "large-param": ["L3", "--param", "alpha=1e20"],
 }
 
 
@@ -178,10 +181,13 @@ def _commands(stems: list[str]) -> dict[str, list[str]]:
         cmds[f"catalog-show-{stem}-text"] = ["catalog", "show", *argv]
         cmds[f"catalog-show-{stem}-json"] = ["--format", "json", "catalog", "show", *argv]
     cmds["catalog-export-S1"] = ["catalog", "export", "S1", "written.json"]
+    cmds["catalog-export-S1-json"] = ["--format", "json", "catalog", "export", "S1", "written.json"]
     cmds["catalog-verify"] = ["catalog", "verify"]
     cmds["catalog-verify-json"] = ["--format", "json", "catalog", "verify"]
     cmds["flow-S2-perturbed"] = ["flow", "inputs/S2.json", "--perturb", "0.3", "--seed", "1"]
     cmds["flow-L5"] = ["flow", "inputs/L5.json"]
+    cmds["flow-S2-perturbed-json"] = ["--format", "json", *cmds["flow-S2-perturbed"]]
+    cmds["flow-L5-json"] = ["--format", "json", *cmds["flow-L5"]]
     cmds["flow-L3-alpha2-perturbed"] = ["flow", "inputs/L3-alpha2.json",
                                         "--perturb", "0.5", "--seed", "1"]
     for stem in ("so3", "L2"):  # limits critical to about 1e-8, graded by their type
@@ -191,6 +197,7 @@ def _commands(stems: list[str]) -> dict[str, list[str]]:
     for mode in ("solvable", "general"):
         cmds[f"extend-{mode}"] = ["extend", mode, "inputs/spec-" + mode + ".json",
                                   "-o", "written.json"]
+        cmds[f"extend-{mode}-json"] = ["--format", "json", *cmds[f"extend-{mode}"]]
     for label in BAD_CORES:
         cmds[f"extend-bad-{label}"] = ["extend", "solvable", f"inputs/spec-bad-{label}.json",
                                        "-o", "written.json"]

@@ -53,7 +53,7 @@ class CatalogEntry:
 def _fmt_param(v) -> str:
     if isinstance(v, complex) and v.imag == 0:
         v = v.real
-    if isinstance(v, float) and v.is_integer():
+    if isinstance(v, float) and v.is_integer() and abs(v) < 2**53:
         return str(int(v))
     return str(v)
 

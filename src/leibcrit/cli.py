@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``check``, ``analyze``, ``flow``, ``catalog`` (list / show /
-export / verify) and ``extend`` (solvable / general).  Reports print as
-text by default or as JSON documents with ``--format json``.  Exit status
+export / verify) and ``extend`` (solvable / general).  Each command builds
+one document: ``--format json`` prints it, and the default text is
+rendered from it, so :func:`run` is the only writer to stdout.  Exit status
 is 0 on success or pass, 1 on a verification failure, 2 on input errors
 and 3 on an internal numerical failure.
 """
@@ -10,6 +11,7 @@ and 3 on an internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -95,6 +97,8 @@ def _parse_params(items: list[str]) -> dict:
             raise AlgebraFileError(f"bad --param {item!r}, expected NAME=VALUE")
         try:
             v = complex(value.replace(" ", ""))
+            if not cmath.isfinite(v):
+                raise ValueError
         except ValueError:
             raise AlgebraFileError(f"bad --param value {value!r}") from None
         out[name] = v if v.imag else v.real
@@ -117,101 +121,95 @@ def _analysis_document(rep: MomentReport, meta: dict) -> dict:
     return doc
 
 
-def _print_identities(idr_doc: dict) -> None:
-    print(f"left Leibniz:       {_yesno(idr_doc['is_left_leibniz'])}"
-          f" (residual {_fmt(idr_doc['left_residual'])})")
-    print(f"right Leibniz:      {_yesno(idr_doc['is_right_leibniz'])}"
-          f" (residual {_fmt(idr_doc['right_residual'])})")
-    print(f"symmetric Leibniz:  {_yesno(idr_doc['is_symmetric_leibniz'])}")
-    print(f"Lie:                {_yesno(idr_doc['is_lie'])}"
-          f" (anticommutativity {_fmt(idr_doc['anticommutativity_residual'])},"
-          f" Jacobi {_fmt(idr_doc['jacobi_residual'])})")
+def _identity_lines(idr_doc: dict) -> list[str]:
+    return [
+        f"left Leibniz:       {_yesno(idr_doc['is_left_leibniz'])}"
+        f" (residual {_fmt(idr_doc['left_residual'])})",
+        f"right Leibniz:      {_yesno(idr_doc['is_right_leibniz'])}"
+        f" (residual {_fmt(idr_doc['right_residual'])})",
+        f"symmetric Leibniz:  {_yesno(idr_doc['is_symmetric_leibniz'])}",
+        f"Lie:                {_yesno(idr_doc['is_lie'])}"
+        f" (anticommutativity {_fmt(idr_doc['anticommutativity_residual'])},"
+        f" Jacobi {_fmt(idr_doc['jacobi_residual'])})",
+    ]
 
 
-def _print_moment(m: dict) -> None:
-    print(f"|mu|^2 = {_fmt(m['norm_sq'])}")
-    print(f"F = {_fmt(m['F'])}")
-    print(f"tr M = {_fmt(m['trace_M'])}")
-    print(f"c = {_fmt(m['c'])}")
-    print(f"critical: {_yesno(m['is_critical'])}"
-          f" (tangent residual {_fmt(m['residual_tangent'])},"
-          f" decomposition residual {_fmt(m['residual_decomp'])})")
+def _moment_lines(m: dict) -> list[str]:
+    lines = [
+        f"|mu|^2 = {_fmt(m['norm_sq'])}",
+        f"F = {_fmt(m['F'])}",
+        f"tr M = {_fmt(m['trace_M'])}",
+        f"c = {_fmt(m['c'])}",
+        f"critical: {_yesno(m['is_critical'])}"
+        f" (tangent residual {_fmt(m['residual_tangent'])},"
+        f" decomposition residual {_fmt(m['residual_decomp'])})",
+    ]
     if m["critical_type"]:
-        print(f"critical type = {m['critical_type']}  (scale {_fmt(m['type_scale'])})")
-    print("D eigenvalues = " + " ".join(_fmt(x) for x in m["D_eigenvalues"]))
+        lines.append(f"critical type = {m['critical_type']}  (scale {_fmt(m['type_scale'])})")
+    return lines + ["D eigenvalues = " + " ".join(_fmt(x) for x in m["D_eigenvalues"])]
 
 
-def _print_structure(s: dict) -> None:
-    print(
-        "structure: derived dims "
-        + ",".join(str(d) for d in s["derived_dims"])
-        + "; lower central "
-        + ",".join(str(d) for d in s["lower_central_dims"])
-        + f"; center dim {s['center_dim']}"
-        + f"; solvable {_yesno(s['is_solvable'])}"
-        + f"; nilpotent {_yesno(s['is_nilpotent'])}"
-    )
+def _structure_line(s: dict) -> str:
+    derived, lower = (",".join(map(str, s[k])) for k in ("derived_dims", "lower_central_dims"))
+    return (f"structure: derived dims {derived}; lower central {lower};"
+            f" center dim {s['center_dim']}; solvable {_yesno(s['is_solvable'])};"
+            f" nilpotent {_yesno(s['is_nilpotent'])}")
 
 
-def _print_verdict(doc: dict) -> None:
+def _verdict_lines(doc: dict) -> list[str]:
     v = doc["structure_checks"]
     if v is None:
-        if doc["moment"]["is_critical"] and doc["identities"]["is_symmetric_leibniz"]:
-            reason = "no rational type"
-        else:
-            reason = "needs a symmetric Leibniz critical point"
-        print(f"structure checks: not applicable ({reason})")
-        return
-    print(
+        critical = doc["moment"]["is_critical"] and doc["identities"]["is_symmetric_leibniz"]
+        reason = "no rational type" if critical else "needs a symmetric Leibniz critical point"
+        return [f"structure checks: not applicable ({reason})"]
+    lines = [
         "structure checks: "
         f"adjoint-closed {_yesno(v['adjoint_closed'])}; "
         f"l0 reductive {_yesno(v['l0_reductive'])}; "
         f"center normal {_yesno(v['center_normal'])}; "
         f"nilradical {_yesno(v['nilradical_ok'])}"
         + (" [degenerate: abelian nilradical]" if v["degenerate_abelian_nilradical"] else "")
-    )
+    ]
     if v["restricted_type"]:
-        print(f"nilradical type = {v['restricted_type']} (matches {_yesno(v['type_matches'])})")
+        lines.append(f"nilradical type = {v['restricted_type']}"
+                     f" (matches {_yesno(v['type_matches'])})")
+    return lines
 
 
-def _emit_analysis(doc: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-        return
+def _analysis_lines(doc: dict) -> list[str]:
     meta = doc["algebra"]
-    label = meta.get("name", "algebra")
-    print(f"{label} (dim {meta['dim']})")
-    _print_identities(doc["identities"])
-    _print_moment(doc["moment"])
-    _print_structure(doc["structure"])
-    _print_verdict(doc)
+    return [
+        f"{meta.get('name', 'algebra')} (dim {meta['dim']})",
+        *_identity_lines(doc["identities"]),
+        *_moment_lines(doc["moment"]),
+        _structure_line(doc["structure"]),
+        *_verdict_lines(doc),
+    ]
 
 
-def _cmd_check(args) -> int:
+#: What a command hands to :func:`run`: the document that ``--format json``
+#: prints, the text lines rendered from that document, and the exit status.
+_Output = tuple[dict, list[str], int]
+
+
+def _cmd_check(args) -> _Output:
     mu, meta = load_algebra(args.file)
-    idr = check_identities(mu)
-    doc = report_dict(idr)
-    if args.format == "json":
-        print(json.dumps({"algebra": {"dim": mu.dim, **meta}, "identities": doc}, indent=2))
-    else:
-        _print_identities(doc)
-    return 0
+    doc = {"algebra": {"dim": mu.dim, **meta}, "identities": report_dict(check_identities(mu))}
+    return doc, _identity_lines(doc["identities"]), 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> _Output:
     mu, meta = load_algebra(args.file)
     doc = _analysis_document(criticality_decompose(mu, args.tol), meta)
-    _emit_analysis(doc, args.format == "json")
-    return 0
+    return doc, _analysis_lines(doc), 0
 
 
-def _cmd_flow(args) -> int:
+def _cmd_flow(args) -> _Output:
     mu, meta = load_algebra(args.file)
     if args.perturb:
         mu = perturb_in_orbit(mu, args.perturb, args.seed)
     trace = descend(mu, args.tol)
-    final_doc = _analysis_document(trace.final_report, meta)
-    flow_doc = {
+    flow = {
         "iterations": trace.iterations,
         "converged": trace.converged,
         "message": trace.message,
@@ -220,32 +218,50 @@ def _cmd_flow(args) -> int:
         "residual_final": trace.final_report.residual_tangent,
         "cond_g": trace.cond_g,
     }
-    if args.format == "json":
-        print(json.dumps({"flow": flow_doc, "final": final_doc}, indent=2))
-    else:
-        print(
-            f"flow: {trace.iterations} steps, converged {_yesno(trace.converged)}"
-            + (f" ({trace.message})" if trace.message else "")
-        )
-        print(f"F: {_fmt(flow_doc['F_initial'])} -> {_fmt(flow_doc['F_final'])}"
-              f" (residual {_fmt(flow_doc['residual_final'])})")
-        _emit_analysis(final_doc, False)
-    return 0
+    doc = {"flow": flow, "final": _analysis_document(trace.final_report, meta)}
+    return doc, [
+        f"flow: {flow['iterations']} steps, converged {_yesno(flow['converged'])}"
+        + (f" ({flow['message']})" if flow["message"] else ""),
+        f"F: {_fmt(flow['F_initial'])} -> {_fmt(flow['F_final'])}"
+        f" (residual {_fmt(flow['residual_final'])})",
+        *_analysis_lines(doc["final"]),
+    ], 0
 
 
 def _catalog_entry(args) -> _catalog.CatalogEntry:
-    params = _parse_params(args.param)
-    return _catalog.get(args.name, params or None, args.n)
+    try:
+        return _catalog.get(args.name, _parse_params(args.param) or None, args.n)
+    except KeyError as exc:
+        raise AlgebraFileError(exc.args[0]) from None
 
 
-def _cmd_catalog(args) -> int:
+def _show_lines(doc: dict) -> list[str]:
+    lines = [f"{doc['label']}: {doc['class']}, dim {doc['dim']}"]
+    if doc["expected_type"] is not None:
+        lines.append(f"expected type {doc['expected_type']}, value {_fmt(doc['expected_value'])}"
+                     f" ({'direct' if doc['critical_in_given_basis'] else 'via flow'})")
+    else:
+        lines.append("expected: no critical point in this orbit")
+    if doc["notes"]:
+        lines.append(doc["notes"])
+    for e in doc["algebra"]["entries"]:
+        z = complex(e["re"], e["im"])
+        lines.append(f"  c[{e['i']},{e['j']},{e['k']}] = {z if z.imag else _fmt(z.real)}")
+    return lines
+
+
+def _verify_line(r: dict) -> str:
+    ct, et = r["computed_type"] or "-", r["expected_type"] or "-"
+    cv = _fmt(r["computed_value"]) if r["computed_value"] is not None else "-"
+    ev = _fmt(r["expected_value"]) if r["expected_value"] is not None else "-"
+    return (f"{r['label']:16s} {r['strategy']:12s} {ct:16s} {cv:>14s}"
+            f"  expected {et:16s} {ev:>14s}  {'pass' if r['passed'] else 'FAIL'}")
+
+
+def _cmd_catalog(args) -> _Output:
     if args.catalog_command == "list":
-        if args.format == "json":
-            print(json.dumps({"names": _catalog.names()}, indent=2))
-        else:
-            for name in _catalog.names():
-                print(name)
-        return 0
+        doc = {"names": _catalog.names()}
+        return doc, doc["names"], 0
     if args.catalog_command == "show":
         entry = _catalog_entry(args)
         doc = {
@@ -258,90 +274,54 @@ def _cmd_catalog(args) -> int:
             "notes": entry.notes,
             "algebra": algebra_to_dict(entry.bracket, entry.label, entry.params),
         }
-        if args.format == "json":
-            print(json.dumps(doc, indent=2))
-        else:
-            print(f"{entry.label}: {entry.algebra_class}, dim {entry.dim}")
-            if entry.expected_type is not None:
-                print(f"expected type {entry.expected_type}, value {_fmt(entry.expected_value)}"
-                      f" ({'direct' if entry.critical_in_given_basis else 'via flow'})")
-            else:
-                print("expected: no critical point in this orbit")
-            if entry.notes:
-                print(entry.notes)
-            for e in doc["algebra"]["entries"]:
-                z = complex(e["re"], e["im"])
-                print(f"  c[{e['i']},{e['j']},{e['k']}] = {z if z.imag else _fmt(z.real)}")
-        return 0
+        return doc, _show_lines(doc), 0
     if args.catalog_command == "export":
         entry = _catalog_entry(args)
         save_algebra(args.file, entry.bracket, entry.label, entry.params)
-        if args.format == "json":
-            print(json.dumps({"output_file": args.file}, indent=2))
-        else:
-            print(f"wrote {args.file}")
-        return 0
+        return {"output_file": args.file}, [f"wrote {args.file}"], 0
     # verify
-    rows = _catalog.verify_catalog(args.tol)
-    ok = all(r.passed for r in rows)
-    if args.format == "json":
-        print(json.dumps({"rows": [report_dict(r) for r in rows], "all_passed": ok}, indent=2))
-    else:
-        for r in rows:
-            ct = str(r.computed_type) if r.computed_type else "-"
-            cv = _fmt(r.computed_value) if r.computed_value is not None else "-"
-            et = str(r.expected_type) if r.expected_type else "-"
-            ev = _fmt(r.expected_value) if r.expected_value is not None else "-"
-            status = "pass" if r.passed else "FAIL"
-            print(f"{r.label:16s} {r.strategy:12s} {ct:16s} {cv:>14s}"
-                  f"  expected {et:16s} {ev:>14s}  {status}")
-        print(f"{'all rows pass' if ok else 'FAILURES present'}")
-    return 0 if ok else 1
+    rows = [report_dict(r) for r in _catalog.verify_catalog(args.tol)]
+    ok = all(r["passed"] for r in rows)
+    lines = [_verify_line(r) for r in rows] + ["all rows pass" if ok else "FAILURES present"]
+    return {"rows": rows, "all_passed": ok}, lines, 0 if ok else 1
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> _Output:
     spec = load_extension_spec(args.specfile)
     builder = build_solvable_extension if args.mode == "solvable" else build_general_extension
     out, rep = builder(spec, args.tol)
-    t = rep.type
     out_path = args.output
     if out_path is None:
-        stem, _ = os.path.splitext(args.specfile)
-        out_path = stem + ".out.json"
+        out_path = os.path.splitext(args.specfile)[0] + ".out.json"
     save_algebra(out_path, out, name=f"{args.mode} extension")
     doc = {
         "certified": True,
         "mode": args.mode,
         "dim": out.dim,
-        "type": str(t),
+        "type": str(rep.type),
         "F": rep.F,
         "c": rep.c,
         "residual_tangent": rep.residual_tangent,
         "output_file": out_path,
     }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"certified critical point: dim {out.dim}, type {t}, "
-              f"F = {_fmt(rep.F)}, c = {_fmt(rep.c)}"
-              f" (tangent residual {_fmt(rep.residual_tangent)})")
-        print(f"wrote {out_path}")
-    return 0
+    return doc, [
+        f"certified critical point: dim {doc['dim']}, type {doc['type']}, "
+        f"F = {_fmt(doc['F'])}, c = {_fmt(doc['c'])}"
+        f" (tangent residual {_fmt(doc['residual_tangent'])})",
+        f"wrote {doc['output_file']}",
+    ], 0
 
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "check": _cmd_check,
-        "analyze": _cmd_analyze,
-        "flow": _cmd_flow,
-        "catalog": _cmd_catalog,
-        "extend": _cmd_extend,
-    }
+    handlers = {"check": _cmd_check, "analyze": _cmd_analyze, "flow": _cmd_flow,
+                "catalog": _cmd_catalog, "extend": _cmd_extend}
     try:
         _check_tol(args.tol)
-        return handlers[args.command](args)
+        doc, lines, code = handlers[args.command](args)
+        print(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines))
+        return code
     except ExtensionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
@@ -349,7 +329,7 @@ def run(argv: list[str] | None = None) -> int:
     except (LinAlgError, MemoryError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (AlgebraFileError, OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,8 @@ __all__ = [
 
 
 class AlgebraFileError(ValueError):
-    """Malformed algebra or extension-spec document."""
+    """Bad input: a malformed algebra or extension-spec document, a bad
+    ``--param`` value or an unknown catalog name."""
 
 
 def algebra_to_dict(mu: Bracket, name: str | None = None, params: dict | None = None) -> dict:
@@ -199,7 +200,7 @@ def load_extension_spec(path):
         try:
             core = catalog.get(name, params).bracket
         except KeyError as exc:
-            raise AlgebraFileError(str(exc)) from None
+            raise AlgebraFileError(exc.args[0]) from None
     elif "file" in core_doc:
         rel = os.path.join(os.path.dirname(os.fspath(path)),
                            _string(core_doc["file"], "'core.file'"))

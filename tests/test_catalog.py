@@ -72,6 +72,7 @@ class TestGet:
     def test_label(self):
         assert get("S3", {"beta": 0.25}).label == "S3(beta=0.25)"
         assert get("L3", {"alpha": 2}).label == "L3(alpha=2)"
+        assert get("L3", {"alpha": 1e20}).label == "L3(alpha=1e+20)"
 
 
 class TestIdentityClasses:

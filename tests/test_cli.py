@@ -484,6 +484,15 @@ class TestCatalogCommand:
         assert code == 2
         assert "unknown catalog entry" in err
 
+    @pytest.mark.parametrize("verb", ["show", "export"])
+    def test_unknown_name_message_unquoted(self, tmp_path, capsys, verb):
+        path = tmp_path / "x.json"
+        argv = ["catalog", verb, "nope"] + ([str(path)] if verb == "export" else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown catalog entry 'nope'; known: {', '.join(names())}\n"
+        assert not path.exists()
+
     def test_bad_param_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "catalog", "show", "L3", "--param", "alpha=0")
         assert code == 2
@@ -703,7 +712,7 @@ class TestExtendCommand:
              "'core.params.n'=[4] is not a finite number"),
             ("S1", "'core' must be an object"),
             ({"bogus": 1}, "'core' needs one of: catalog, file, algebra, abelian"),
-            ({"catalog": "S9"}, "\"unknown catalog entry 'S9'; known: " + ", ".join(names()) + '"'),
+            ({"catalog": "S9"}, "unknown catalog entry 'S9'; known: " + ", ".join(names())),
         ],
     )
     def test_bad_core_field_exit_2(self, tmp_path, capsys, core, msg):
@@ -715,9 +724,7 @@ class TestExtendCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         code, out, err = run_cli(capsys, "extend", "solvable", str(path))
-        assert code == 2
-        assert msg in err
-        assert out == ""
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
 
     @pytest.mark.parametrize(
         "cell,where",
@@ -893,7 +900,37 @@ class TestPinnedOutputs:
         ("=2", "bad --param '=2', expected NAME=VALUE"),
         ("alpha=x", "bad --param value 'x'"),
         ("alpha=1+", "bad --param value '1+'"),
-    ], ids=["no-equals", "no-name", "not-a-number", "dangling-sign"])
+        ("alpha=nan", "bad --param value 'nan'"),
+        ("alpha=-inf", "bad --param value '-inf'"),
+        ("alpha=1+nanj", "bad --param value '1+nanj'"),
+        ("n=1e400", "bad --param value '1e400'"),
+    ], ids=["no-equals", "no-name", "not-a-number", "dangling-sign", "nan", "inf", "nan-imag",
+            "overflow"])
     def test_malformed_param_exit_2(self, capsys, param, msg):
         code, out, err = run_cli(capsys, "catalog", "show", "S5", "--param", param)
         assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["check", "{alg}"], ["analyze", "{alg}"], ["flow", "{alg}"], ["catalog", "list"],
+    ["catalog", "show", "S1"], ["catalog", "export", "S1", "{out}"], ["catalog", "verify"],
+    ["extend", "solvable", "{spec}", "-o", "{out}"],
+], ids=["check", "analyze", "flow", "catalog-list", "catalog-show", "catalog-export",
+        "catalog-verify", "extend"])
+def test_one_stdout_write_per_command(tmp_path, monkeypatch, fmt, argv):
+    import leibcrit.cli as cli
+
+    paths = {"alg": tmp_path / "l5.json", "spec": tmp_path / "spec.json",
+             "out": tmp_path / "out.json"}
+    save_algebra(paths["alg"], get("L5").bracket, name="L5")
+    paths["spec"].write_text(json.dumps(S1_SPEC))
+    writes = []
+
+    def counting_print(*args, file=None, **kwargs):
+        if file is None:
+            writes.append(args)
+
+    monkeypatch.setattr(cli, "print", counting_print, raising=False)
+    assert run(["--format", fmt, *(a.format(**paths) for a in argv)]) == 0
+    assert len(writes) == 1

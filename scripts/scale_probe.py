@@ -31,9 +31,11 @@ its type, ``structure_profile`` and the structure checks) on a fresh copy
 of the product per call, so that no call reads a result an earlier one
 kept -- on mu_he(n) at
 n = 3, 4, 8, 12 and 16, in the catalog basis, where it is stored real, and
-rotated by a seeded random unitary, where it is stored complex, with
+rotated by a seeded random unitary, where it is stored complex, and
+``derivation_space`` also on the filiform m0(n), real, and its perturbation
+m0(n)+0.5/seed2, complex, at n = 12, 16 and 20, with
 the minor page faults (the growth of ``getrusage``'s ``ru_minflt``) of
-one call in the third of three rounds in which the layer runs on all ten
+one call in the third of three rounds in which the layer runs on all its
 products in turn: the pages a layer maps afresh on every call when calls
 at other sizes come between, as they do in the benchmark's workloads.
 The third table runs ``descend`` from the thirteen descent
@@ -87,6 +89,7 @@ from leibcrit.structure import structure_profile, verify_structure_theorem  # no
 FAMILIES = ("mu_hy", "mu_he", "mu_sy")
 SIZES = (8, 12, 16, 20)
 LAYER_SIZES = (3, 4, 8, 12, 16)
+DERIVATION_SIZES = (12, 16, 20)
 
 
 def _unitary(n: int, seed: int) -> np.ndarray:
@@ -231,24 +234,30 @@ def main(argv: list[str]) -> int:
         print(f"{name:16s} {mu.dim:3d} {basis:9s} {secs * 1e3:9.2f} {iqr * 1e3:8.3f}"
               f" {traced_peak(call):8.2f} {cgls_iterations(mu):5d}")
     print()
-    print(f"{'layer (mu_he)':24s} {'n':>3s} {'basis':8s} {'dtype':10s} {'median ms':>9s}"
+    print(f"{'layer':24s} {'algebra':7s} {'n':>3s} {'basis':9s} {'dtype':10s} {'median ms':>9s}"
           f" {'IQR ms':>8s} {'peak MB':>8s} {'faults':>7s}")
     products = []
     for n in LAYER_SIZES:
         mu = get("mu_he", n=n).bracket
-        products += [(n, "catalog", mu), (n, "rotated", gl_act(_unitary(n, n), mu))]
-    calls = [layers(mu) for _, _, mu in products]
-    faults = {name: mixed_faults([c[name] for c in calls]) for name in calls[0]}
+        products += [("mu_he", n, "catalog", mu),
+                     ("mu_he", n, "rotated", gl_act(_unitary(n, n), mu))]
+    calls = [layers(mu) for *_, mu in products]
+    for n in DERIVATION_SIZES:
+        m0 = filiform(n)
+        for basis, mu in (("catalog", m0), ("perturbed", flow.perturb_in_orbit(m0, 0.5, 2))):
+            products.append(("m0", n, basis, mu))
+            calls.append({"derivation_space": lambda mu=mu: derivation_space(mu)})
+    # each layer's faults in the order of the rows that run it
+    faults = {name: iter(mixed_faults([c[name] for c in calls if name in c])) for name in calls[0]}
     times = iter(sampled([call for row in calls for call in row.values()]))
     layer_rows = []
-    for i, ((n, basis, mu), row) in enumerate(zip(products, calls)):
+    for (algebra, n, basis, mu), row in zip(products, calls):
         dtype = str(mu.coeffs.dtype)
         for name, call in row.items():
-            (secs, iqr), peak = next(times), traced_peak(call)
-            flt = faults[name][i]
-            print(f"{name:24s} {n:3d} {basis:8s} {dtype:10s} {secs * 1e3:9.3f} {iqr * 1e3:8.4f}"
-                  f" {peak:8.2f} {flt:7d}")
-            layer_rows.append({"layer": name, "algebra": "mu_he", "n": n, "basis": basis,
+            (secs, iqr), peak, flt = next(times), traced_peak(call), next(faults[name])
+            print(f"{name:24s} {algebra:7s} {n:3d} {basis:9s} {dtype:10s} {secs * 1e3:9.3f}"
+                  f" {iqr * 1e3:8.4f} {peak:8.2f} {flt:7d}")
+            layer_rows.append({"layer": name, "algebra": algebra, "n": n, "basis": basis,
                                "dtype": dtype, "median_ms": round(secs * 1e3, 4),
                                "iqr_ms": round(iqr * 1e3, 4), "calls": REPEATS,
                                "peak_mb": round(peak, 4), "minor_faults": flt})

@@ -244,12 +244,13 @@ def inf_act(a: np.ndarray, mu: Bracket) -> Bracket:
 
 
 def _inf_act(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Coefficients of :func:`inf_act` by the (n, n) matrix a on the
-    coefficient tensor c, in the dtype of the two."""
-    n = c.shape[0]
-    out = (c.reshape(n * n, n) @ a.T).reshape(n, n, n)
-    out -= (a.T @ c.reshape(n, n * n)).reshape(n, n, n)
-    out -= a.T @ c
+    """Coefficients of :func:`inf_act` by the (n, n) matrix a, or by each map
+    of a stack (..., n, n), on the coefficient tensor c, in the dtype of the two."""
+    n, at = c.shape[0], a.swapaxes(-1, -2)
+    shape = a.shape[:-2] + (n, n, n)
+    out = (c.reshape(n * n, n) @ at).reshape(shape)
+    out -= (at @ c.reshape(n, n * n)).reshape(shape)
+    out -= at[..., None, :, :] @ c
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bracket import Bracket
+from .bracket import Bracket, _inf_act
 
 __all__ = [
     "is_hermitian",
@@ -50,9 +50,9 @@ def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _nullspace(m: np.ndarray, abs_tol: float) -> np.ndarray:
     """Orthonormal basis (columns) of {v : m v = 0} with |m v| <= abs_tol.
 
-    The long side is factored once: a tall m = QR gives way to its square factor
-    R, with the same singular values and right singular vectors.  A wide m needs
-    the full vh: the thin one lacks the trailing null directions beyond its rank.
+    A tall m = QR gives way to its square factor R, with the same singular
+    values and right singular vectors.  A wide m needs the full vh: the thin
+    one lacks the trailing null directions beyond its rank.
     """
     rows, cols = m.shape
     if m.size == 0:
@@ -65,37 +65,43 @@ def _nullspace(m: np.ndarray, abs_tol: float) -> np.ndarray:
     return vh.conj().T[:, small]
 
 
-def _action_matrix(mu: Bracket) -> np.ndarray:
-    """(n^3, n^2) matrix of the linear map a -> a.mu of :func:`~leibcrit.bracket.inf_act`.
-
-    Column ``p * n + q`` is the image of the elementary map with a[p, q] = 1,
-    so ``op @ a.ravel() == inf_act(a, mu).coeffs.ravel()``.
-    """
-    n = mu.dim
-    c = mu.coeffs
+def _one_index_rows(c: np.ndarray, i: int) -> np.ndarray:
+    """(n^2, n^2) rows of the matrix of a -> a.mu of :func:`~leibcrit.bracket.inf_act`
+    for the first index i: row ``j * n + k`` is the equation (a.mu)[i, j, k] = 0,
+    and column ``p * n + q`` the elementary map with a[p, q] = 1."""
+    n = c.shape[0]
     r = np.arange(n)
-    op = np.zeros((n,) * 5, dtype=c.dtype)  # [i, j, k, p, q]
-    op[:, :, r, r, :] = c[:, :, None, :]  # k = p: c[i, j, q]
-    op[r, :, :, :, r] -= c.transpose(1, 2, 0)  # q = i: c[p, j, k]
-    op[:, r, :, :, r] -= c.transpose(0, 2, 1)  # q = j: c[i, p, k]
-    return op.reshape(n**3, n * n)
+    rows = np.zeros((n,) * 4, dtype=c.dtype)  # [j, k, p, q]
+    rows[:, r, r, :] = c[i][:, None, :]  # k = p: c[i, j, q]
+    rows[:, :, :, i] -= c.transpose(1, 2, 0)  # q = i: c[p, j, k]
+    rows[r, :, :, r] -= c[i].T  # q = j: c[i, p, k]
+    return rows.reshape(n * n, n * n)
 
 
 def derivation_space(mu: Bracket) -> list[np.ndarray]:
     """Orthonormal basis of the derivations of mu, as arrays in mu's dtype:
     real for a real product, whose real derivations span the complex ones.
 
-    The right singular vectors of the (n^3, n^2) matrix A of a -> a.mu whose
-    singular values are at most ``RANK_RTOL * |mu|``; every returned map a
-    thus satisfies ``|a.mu| <= RANK_RTOL * |mu|``.  :func:`_nullspace` factors
-    the long side of A once and takes them from the SVD of the (n^2, n^2)
-    factor R of A = QR, which has the same singular values and right singular
-    vectors as A.  For the zero bracket all n^2 elementary maps are derivations.
+    Two exact solves at the cut ``RANK_RTOL * |mu|``, neither of which builds
+    the (n^3, n^2) matrix of a -> a.mu.  The n^2 equations (a.mu)[i, j, k] = 0
+    of the first index i with the heaviest multiplications,
+    ``|c[i]|^2 + |c[:, i]|^2``, give orthonormal candidate maps V, among them
+    every exact derivation; the maps of V's span whose n^3 equations, the
+    (n^3, dim V) matrix of a.mu over V, are within the cut are returned.  So
+    every returned map a satisfies ``|a.mu| <= RANK_RTOL * |mu|``.  The span
+    differs from that of the full matrix's right singular vectors at the cut
+    only where a near-derivation's one-index equations split across it.  For
+    the zero bracket all n^2 elementary maps are derivations.
     """
     n = mu.dim
     if n == 0:
         return []
-    null = _nullspace(_action_matrix(mu), abs_tol=RANK_RTOL * mu.norm)
+    c, tol = mu.coeffs, RANK_RTOL * mu.norm
+    sq = np.abs(c) ** 2
+    weight = sq.sum(axis=(1, 2)) + sq.sum(axis=(0, 2))
+    cands = _nullspace(_one_index_rows(c, int(np.argmax(weight))), tol)
+    images = _inf_act(cands.T.reshape(-1, n, n), c).reshape(-1, n**3).T
+    null = cands @ _nullspace(images, tol)
     return [null[:, j].reshape(n, n) for j in range(null.shape[1])]
 
 

@@ -43,6 +43,16 @@ def random_invertible(n: int, rng: np.random.Generator, max_cond: float = 10.0) 
             return g
 
 
+def reference_action_matrix(mu: Bracket) -> np.ndarray:
+    """(n^3, n^2) matrix of a -> a.mu by three einsums: row ``(i * n + j) * n + k``
+    is (a.mu)[i, j, k] and column ``p * n + q`` the elementary map with a[p, q] = 1."""
+    n, c, eye = mu.dim, mu.coeffs, np.eye(mu.dim)
+    op = np.einsum("kp,ijq->ijkpq", eye, c)
+    op -= np.einsum("qi,pjk->ijkpq", eye, c)
+    op -= np.einsum("qj,ipk->ijkpq", eye, c)
+    return op.reshape(n**3, n * n)
+
+
 def irrational_type_s2() -> Bracket:
     """S2 moved by I + 1e-4 R (R standard normal, seed 3): critical at tol
     1e-2 (tangent residual 1.4e-4) and symmetric Leibniz, but its D has no

@@ -33,6 +33,15 @@ class TestBracketType:
         with pytest.raises(ValueError, match="shape"):
             Bracket(2, np.zeros((2, 2, 3)))
 
+    def test_rejects_negative_dim(self):
+        with pytest.raises(ValueError, match="^dimension must be nonnegative$"):
+            Bracket(-1, np.zeros((0, 0, 0)))
+
+    def test_antisymmetric_table_rejects_equal_first_indices(self):
+        msg = "^antisymmetric table cannot have equal first indices$"
+        with pytest.raises(ValueError, match=msg):
+            Bracket.from_entries(3, {(1, 1, 2): 1}, antisymmetrize=True)
+
     def test_coeffs_read_only(self):
         with pytest.raises(ValueError):
             LIE2.coeffs[0, 0, 0] = 1.0
@@ -107,6 +116,14 @@ class TestGlAct:
         with pytest.raises(ValueError, match="ill-conditioned"):
             gl_act(np.zeros((2, 2)), LIE2)
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=re.escape("g must be 2x2, got shape (3, 3)")):
+            gl_act(np.eye(3), LIE2)
+
+    def test_zero_dim_returns_the_product(self):
+        mu = Bracket.zero(0)
+        assert gl_act(np.zeros((0, 0)), mu) is mu
+
     def test_preserves_variety_membership(self, rng):
         mu = LIE2.normalized()
         assert check_identities(mu).left_residual < 1e-12
@@ -124,6 +141,10 @@ class TestInfAct:
 
     def test_weighted_diagonal_is_derivation(self):
         assert inf_act(np.diag([1.0, 2.0]), NONLIE2).norm == 0.0
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=re.escape("matrix must be 2x2, got shape (2, 3)")):
+            inf_act(np.zeros((2, 3)), NONLIE2)
 
     def test_lie2_term_expansion(self):
         out = inf_act(np.diag([1.0, 0.0]), LIE2)

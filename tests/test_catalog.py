@@ -44,6 +44,8 @@ class TestGet:
             get("L3", {"alpha": 0})
         with pytest.raises(ValueError, match="alpha"):
             get("S5", {"alpha": 0})
+        with pytest.raises(ValueError, match="^S7 requires alpha != 0$"):
+            get("S7", {"alpha": 0})
         with pytest.raises(ValueError, match="n >="):
             get("mu_he", n=2)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from helpers import irrational_type_s2
 from leibcrit.bracket import Bracket, check_identities
 from leibcrit.catalog import get
 from leibcrit.extensions import (
+    CertificationFailed,
     ExtensionSpec,
     GramNotPositive,
     HypothesisViolation,
     NotLie,
     NotSymmetricLeibniz,
+    _certify,
     build_general_extension,
     build_solvable_extension,
 )
+from leibcrit.flow import perturb_in_orbit
 from leibcrit.moment import CriticalType, critical_type, critical_value_formula, criticality_decompose
 
 Z2 = np.zeros((2, 2), dtype=complex)
@@ -329,6 +333,11 @@ class TestSpecValidation:
                 left_maps=(Z2,), right_maps=(Z2,),
             )
 
+    def test_core_dimension_zero_rejected(self):
+        z0 = np.zeros((0, 0))
+        with pytest.raises(ValueError, match="^core dimension must be at least 1$"):
+            ExtensionSpec(core=Bracket.zero(0), core_report=None, left_maps=(z0,), right_maps=(z0,))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="pair"):
             ExtensionSpec(
@@ -361,3 +370,28 @@ class TestSpecValidation:
         # a report of an equal product built apart from it is accepted
         same = dataclasses.replace(spec, core=Bracket(3, mu.coeffs.copy()), core_report=rep)
         assert build_solvable_extension(same)[1].is_critical
+
+
+class TestCertify:
+    """The last gate of both builders: the assembled product must be critical,
+    keep the core's constant and have the core's type with a 0 prepended."""
+
+    def test_not_critical(self, s1):
+        _, rep = s1
+        moved = perturb_in_orbit(get("S2").bracket, 0.3, 1)  # symmetric Leibniz, not critical
+        msg = "assembled product is not critical (tangent residual 0.288)"
+        with pytest.raises(CertificationFailed, match=re.escape(msg)):
+            _certify(moved, [], rep.c, rep.type, 1e-8)
+
+    def test_constant_changed(self, s1):
+        mu, rep = s1
+        msg = "^constant changed: core -20 vs assembled -10$"
+        with pytest.raises(CertificationFailed, match=msg):
+            _certify(mu, [], 2 * rep.c, rep.type, 1e-8)
+
+    def test_type_differs(self, s1):
+        # one generator expects (0<3<5<6;1,1,1,1); S1 itself reads (3<5<6;1,1,1)
+        mu, rep = s1
+        with pytest.raises(CertificationFailed, match=re.escape(
+                "type (3<5<6;1,1,1) differs from expected (0<3<5<6;1,1,1,1)")):
+            _certify(mu, [Z3], rep.c, rep.type, 1e-8)

@@ -14,16 +14,21 @@ n = 3..12 in the catalog basis (stored real) and under a seeded unitary
 defects into one workspace; its residuals must equal exactly those of the
 same products and defects computed as fresh arrays.
 
-The derivation solve builds the matrix of a -> a.mu by index assignment
-and takes the SVD of its triangular factor; it must reproduce the einsum
-matrix exactly and the dense SVD's null space to 1e-10.
+The derivation solve builds the n^2 rows of the matrix of a -> a.mu of one
+first index by index assignment, and applies ``_inf_act`` to a stack of
+candidate maps in one call; the rows must equal the matching rows of the
+einsum matrix exactly for every index, the stacked kernel the per-map one
+bit for bit, and the solve the dense SVD's null space to 1e-10, also on
+S1 and m0(8) with the basis reversed, which moves the index of the
+heaviest multiplications the solve starts from, and on m0(12) and its
+perturbation, within a traced peak far below the dense matrix at n = 20.
 
 ``_span`` takes one thin SVD of its matrix.  ``_nullspace`` (so also
-``_center_subspace``) factors a tall matrix once and takes the SVD of the
-square factor, which spares the derivation solve the (n^3, n^2) left factor
-of a direct SVD.  ``reference_span`` takes scipy's gesvd SVD of the whole
-matrix, another LAPACK algorithm than ``_span``'s, and ``reference_nullspace``
-numpy's direct SVD of it; on the
+``_center_subspace`` and the derivation solve's second stage) factors a
+tall matrix once and takes the SVD of the square factor.
+``reference_span`` takes scipy's gesvd SVD of the whole matrix, another
+LAPACK algorithm than ``_span``'s, and ``reference_nullspace`` numpy's
+direct SVD of it; on the
 product matrices and center stacks of the standard rows and of the three
 families at n = 3..16, in both bases, on empty and one-row shapes and on
 singular values at the ``RANK_RTOL`` cut, both routes must give the same
@@ -36,7 +41,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_bracket, random_hermitian, random_invertible, random_unitary
+from helpers import (
+    filiform,
+    random_bracket,
+    random_hermitian,
+    random_invertible,
+    random_unitary,
+    reference_action_matrix,
+)
 from leibcrit.bracket import (
     Bracket,
     _base_change,
@@ -47,10 +59,11 @@ from leibcrit.bracket import (
     inf_act,
 )
 from leibcrit.catalog import get, standard_rows
+from leibcrit.flow import perturb_in_orbit
 from leibcrit.linalg import (
     RANK_RTOL,
-    _action_matrix,
     _nullspace,
+    _one_index_rows,
     _products,
     _span,
     _subspace_product,
@@ -128,14 +141,6 @@ def reference_inf_act_adjoint(r: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
 def reference_gl_act(g: np.ndarray, mu: Bracket) -> np.ndarray:
     ginv = np.linalg.inv(g)
     return np.einsum("ai,bj,kc,abc->ijk", ginv, ginv, g, mu.coeffs, optimize=True)
-
-
-def reference_action_matrix(mu: Bracket) -> np.ndarray:
-    n, c, eye = mu.dim, mu.coeffs, np.eye(mu.dim)
-    op = np.einsum("kp,ijq->ijkpq", eye, c)
-    op -= np.einsum("qi,pjk->ijkpq", eye, c)
-    op -= np.einsum("qj,ipk->ijkpq", eye, c)
-    return op.reshape(n**3, n * n)
 
 
 def reference_derivation_projector(mu: Bracket) -> np.ndarray:
@@ -296,15 +301,61 @@ def test_gl_act_matches_reference(mu):
 
 
 @pytest.mark.parametrize("mu", CASES)
+def test_stacked_inf_act_equals_each_map(mu):
+    # the derivation solve's second stage applies _inf_act to all its candidates at once
+    rng = case_rng(mu)
+    n, c = mu.dim, mu.coeffs
+    real = rng.standard_normal((4, n, n))
+    for stack in (real, real + 1j * rng.standard_normal((4, n, n))):
+        got = _inf_act(stack, c)
+        assert got.shape == (4, n, n, n)
+        for a, image in zip(stack, got):
+            np.testing.assert_array_equal(image, _inf_act(a, c))
+
+
+@pytest.mark.parametrize("mu", CASES)
 def test_action_matrix_matches_reference(mu):
-    np.testing.assert_array_equal(_action_matrix(mu), reference_action_matrix(mu))
+    # the derivation solve builds the matrix one first index at a time: n^2 rows each
+    n, ref = mu.dim, reference_action_matrix(mu)
+    for i in range(n):
+        rows = _one_index_rows(mu.coeffs, i)
+        assert rows.dtype == mu.coeffs.dtype
+        np.testing.assert_array_equal(rows, ref[i * n * n : (i + 1) * n * n])
+
+
+def reversed_basis(mu: Bracket) -> Bracket:
+    """mu with its basis in reverse order, so that e_1 is the last catalog vector."""
+    return gl_act(np.eye(mu.dim)[::-1], mu)
 
 
 def derivation_cases() -> list:
     cases = [pytest.param(e.bracket, id=f"row-{i}-{e.label}") for i, e in enumerate(standard_rows())]
     for name in ("mu_hy", "mu_he", "mu_sy"):
         cases += [pytest.param(get(name, n=n).bracket, id=f"{name}({n})") for n in range(3, 9)]
-    return cases
+    return cases + [
+        pytest.param(reversed_basis(get("S1").bracket), id="S1-reversed"),
+        pytest.param(reversed_basis(filiform(8)), id="m0(8)-reversed"),
+        pytest.param(filiform(12), id="m0(12)"),
+        pytest.param(perturb_in_orbit(filiform(12), 0.5, 2), id="m0(12)+0.5/seed2"),
+    ]
+
+
+@pytest.mark.parametrize("perturbed, bound_mb", [(False, 8.0), (True, 16.0)])
+def test_derivation_space_peak_at_n20(perturbed, bound_mb):
+    # the (n^3, n^2) matrix of a -> a.mu alone is 25.6 MB on the real m0(20) and
+    # 51.2 MB on its complex perturbation; the two stages take one (n^2, n^2)
+    # block and the (n^3, dim V) images of the dim V = 40 candidates
+    mu = filiform(20)
+    if perturbed:
+        mu = perturb_in_orbit(mu, 0.5, 2)
+    tracemalloc.start()
+    try:
+        ders = derivation_space(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ders) == 39
+    assert peak < bound_mb * 1e6
 
 
 @pytest.mark.parametrize("mu", derivation_cases())

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import evaluate, random_bracket, random_hermitian, random_unitary
+from helpers import (
+    evaluate,
+    random_bracket,
+    random_hermitian,
+    random_unitary,
+    reference_action_matrix,
+)
 from leibcrit.bracket import Bracket, _base_change, gl_act, inf_act
 from leibcrit.linalg import (
     RANK_RTOL,
-    _action_matrix,
     _nullspace,
     _span,
     _subspace_product,
@@ -56,7 +61,7 @@ class TestActionMatrix:
     def test_matches_inf_act(self, rng):
         for n in (1, 2, 3, 4):
             mu = random_bracket(n, rng)
-            op = _action_matrix(mu)
+            op = reference_action_matrix(mu)
             assert op.shape == (n**3, n * n)
             for _ in range(3):
                 a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -68,6 +73,9 @@ class TestActionMatrix:
 class TestDerivationSpace:
     def test_zero_bracket_everything(self):
         assert len(derivation_space(Bracket.zero(2))) == 4
+
+    def test_zero_dim_has_none(self):
+        assert derivation_space(Bracket.zero(0)) == []
 
     def test_nonlie2_dim_and_members(self):
         # hand-solved: the span of diag(1, 2) and the nilpotent map e1 -> e2
@@ -140,6 +148,10 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            hermitian_eigen(np.zeros((2, 3)))
 
     def test_verdict_does_not_depend_on_scale(self):
         nilpotent, symmetric = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 2.0], [2.0, 3.0]])

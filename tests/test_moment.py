@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -17,11 +18,12 @@ from helpers import (
     random_bracket,
     random_hermitian,
     random_unitary,
+    reference_action_matrix,
 )
 from leibcrit.bracket import Bracket, _check_tol, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.flow import descend, perturb_in_orbit
-from leibcrit.linalg import RANK_RTOL, _action_matrix, _nullspace, derivation_space, hermitian_eigen
+from leibcrit.linalg import RANK_RTOL, _nullspace, derivation_space, hermitian_eigen
 from leibcrit.moment import (
     DEFAULT_MAX_DENOMINATOR,
     DEFAULT_TYPE_TOL,
@@ -97,7 +99,7 @@ def hermitian_derivations(mu: Bracket, tol: float = RANK_RTOL) -> list[np.ndarra
     n = mu.dim
     if n == 0:
         return []
-    op = _hermitian_coords(_action_matrix(mu), n)
+    op = _hermitian_coords(reference_action_matrix(mu), n)
     _, s, vh = np.linalg.svd(np.vstack([op.real, op.imag]), full_matrices=False)
     null = vh[s <= tol * mu.norm]
     basis = _hermitian_coords(np.eye(n * n, dtype=complex), n)
@@ -592,6 +594,21 @@ class TestCriticalType:
             CriticalType((2, 1), (1, 1))
         with pytest.raises(ValueError, match="positive"):
             CriticalType((1, 2), (1, 0))
+
+    def test_type_validation_messages(self):
+        with pytest.raises(ValueError, match="^ks and ds must be nonempty and of equal length$"):
+            CriticalType((1, 2), (1,))
+        # a tuple of zeros that increases strictly is (0,) itself, so only a
+        # list reaches this check
+        with pytest.raises(ValueError, match=re.escape("all-zero type must be written (0; n)")):
+            CriticalType([0], [3])
+        for scale in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^scale must be positive$"):
+                CriticalType((1, 2), (1, 1), scale)
+
+    def test_empty_matrix_has_no_type(self):
+        with pytest.raises(ValueError, match="^empty matrix has no type$"):
+            critical_type(np.zeros((0, 0)))
 
     @given(
         st.lists(st.integers(-6, 8), min_size=1, max_size=4, unique=True),

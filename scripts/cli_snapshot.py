@@ -106,7 +106,8 @@ EDGE_CASES = {
 HELP = {"help": ["--help"], "flow-help": ["flow", "--help"], "extend-help": ["extend", "--help"]}
 
 #: Catalog entries to show, by file stem: each is shown in text and in JSON.
-SHOWS = {"S1": ["S1"], "S5-alpha2": ["S5", "--param", "alpha=2"], "mu_he-n5": ["mu_he", "--n", "5"]}
+SHOWS = {"S1": ["S1"], "S5-alpha2": ["S5", "--param", "alpha=2"], "mu_he-n5": ["mu_he", "--n", "5"],
+         "m0-n9": ["m0", "--n", "9"]}
 
 BAD_SHOWS = {
     "unknown-param": ["S3", "--param", "alpha=0.25"],
@@ -117,6 +118,7 @@ BAD_SHOWS = {
     "unknown-name": ["nope"],
     "nan-param": ["S3", "--param", "beta=nan"],
     "large-param": ["L3", "--param", "alpha=1e20"],
+    "m0-n2": ["m0", "--n", "2"],
 }
 
 
@@ -145,8 +147,7 @@ def _write_inputs(inputs: Path) -> list[str]:
     r = np.random.default_rng(3).standard_normal((3, 3))
     save_algebra(inputs / "S2-irrational.json", gl_act(np.eye(3) + 1e-4 * r, get("S2").bracket),
                  "S2 moved")
-    m0 = Bracket.from_entries(9, {(1, i, i + 1): 1 for i in range(2, 9)}, antisymmetrize=True)
-    save_algebra(inputs / "m0-9.json", m0, "m0(9)")
+    save_algebra(inputs / "m0-9.json", get("m0", n=9).bracket, "m0(9)")
     near = get("S1").bracket.coeffs.copy()
     near[1, 2, 0] += 1e-6  # tangent residual 6.3e-7
     z3 = [[0, 0, 0]] * 3

@@ -183,11 +183,6 @@ def layers(mu) -> dict:
     }
 
 
-def filiform(n: int) -> Bracket:
-    """m0(n): the filiform Lie algebra [e1, ei] = e(i+1)."""
-    return Bracket.from_entries(n, {(1, i, i + 1): 1 for i in range(2, n)}, antisymmetrize=True)
-
-
 def descent_starts() -> list[tuple[str, Bracket]]:
     perturb = flow.perturb_in_orbit
     starts = [
@@ -197,8 +192,9 @@ def descent_starts() -> list[tuple[str, Bracket]]:
         ("L3(alpha=2)+0.5/seed1", perturb(get("L3", {"alpha": 2}).bracket, 0.5, 1)),
         ("S7(alpha=2)+0.5/seed1", perturb(get("S7", {"alpha": 2}).bracket, 0.5, 1)),
     ]
-    starts += [(f"m0({n})", filiform(n)) for n in (5, 6, 7, 8)]
-    starts += [(f"m0({n})+0.5/seed2", perturb(filiform(n), 0.5, 2)) for n in (5, 6, 7, 8)]
+    m0 = {n: get("m0", n=n).bracket for n in (5, 6, 7, 8)}
+    starts += [(f"m0({n})", mu) for n, mu in m0.items()]
+    starts += [(f"m0({n})+0.5/seed2", perturb(mu, 0.5, 2)) for n, mu in m0.items()]
     return starts + [("L4", get("L4").bracket), ("S8", get("S8").bracket)]
 
 
@@ -227,7 +223,8 @@ def main(argv: list[str]) -> int:
         for n in SIZES:
             mu = get(name, n=n).bracket
             rows += [(name, "catalog", mu), (name, "rotated", gl_act(_unitary(n, n), mu))]
-    rows.append(("m0(8)+0.5/seed2", "perturbed", flow.perturb_in_orbit(filiform(8), 0.5, 2)))
+    m0_8 = flow.perturb_in_orbit(get("m0", n=8).bracket, 0.5, 2)
+    rows.append(("m0(8)+0.5/seed2", "perturbed", m0_8))
     rows.append(("limit of L4", "limit", flow.descend(get("L4").bracket).final_bracket))
     certify = [lambda mu=mu: criticality_decompose(mu) for _, _, mu in rows]
     for (name, basis, mu), call, (secs, iqr) in zip(rows, certify, sampled(certify)):
@@ -243,7 +240,7 @@ def main(argv: list[str]) -> int:
                      ("mu_he", n, "rotated", gl_act(_unitary(n, n), mu))]
     calls = [layers(mu) for *_, mu in products]
     for n in DERIVATION_SIZES:
-        m0 = filiform(n)
+        m0 = get("m0", n=n).bracket
         for basis, mu in (("catalog", m0), ("perturbed", flow.perturb_in_orbit(m0, 0.5, 2))):
             products.append(("m0", n, basis, mu))
             calls.append({"derivation_space": lambda mu=mu: derivation_space(mu)})

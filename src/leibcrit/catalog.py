@@ -6,18 +6,22 @@ is itself a critical point of F is decided numerically, never assumed:
 the criticality test, and otherwise descends F inside the orbit and
 certifies the limit.  Rows without a critical point ("L4", "S3(1/4)",
 "S6", "S8") are checked to be decisively non-critical in their given basis.
+An entry's expected value of F is read from its type by ``critical_value_formula``.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .bracket import Bracket
 from .flow import descend
-from .moment import DEFAULT_CRITICAL_TOL, CriticalType, criticality_decompose
+from .moment import (DEFAULT_CRITICAL_TOL, CriticalType, critical_value_formula,
+                     criticality_decompose)
 
 __all__ = ["CatalogEntry", "VerifyRow", "get", "names", "standard_rows", "verify_catalog"]
 
@@ -34,13 +38,18 @@ class CatalogEntry:
     bracket: Bracket
     algebra_class: str  # "lie" | "symmetric" | "left" | "right"
     expected_type: CriticalType | None
-    expected_value: float | None
     critical_in_given_basis: bool
     notes: str = ""
 
     @property
     def dim(self) -> int:
         return self.bracket.dim
+
+    @property
+    def expected_value(self) -> float | None:
+        """F of the expected type, by :func:`critical_value_formula`; None without one."""
+        t = self.expected_type
+        return None if t is None else critical_value_formula(t, self.dim)
 
     @property
     def label(self) -> str:
@@ -66,10 +75,6 @@ def _alg(dim: int, table: dict) -> Bracket:
     return Bracket.from_entries(dim, table)
 
 
-def _t(ks, ds) -> CriticalType:
-    return CriticalType(tuple(ks), tuple(ds))
-
-
 def _dim_param(name: str, n, least: int) -> int:
     """The dimension parameter as an int >= least; a float must be integral."""
     try:
@@ -89,13 +94,13 @@ _ONE_SIDED = "right Leibniz only; its opposite is left Leibniz only; in S_3 in n
 
 
 def _entry_L1() -> CatalogEntry:
-    return CatalogEntry("L1", {}, _lie(3, {(1, 2, 3): 1}), "lie", _t((1, 2), (2, 1)), 12.0, True,
-                        "Heisenberg algebra")
+    return CatalogEntry("L1", {}, _lie(3, {(1, 2, 3): 1}), "lie", CriticalType((1, 2), (2, 1)),
+                        True, "Heisenberg algebra")
 
 
 def _entry_L2() -> CatalogEntry:
-    return CatalogEntry("L2", {}, _lie(3, {(1, 2, 2): 1}), "lie", _t((0, 1), (1, 2)), 4.0, True,
-                        "2-d solvable plus a trivial summand")
+    return CatalogEntry("L2", {}, _lie(3, {(1, 2, 2): 1}), "lie", CriticalType((0, 1), (1, 2)),
+                        True, "2-d solvable plus a trivial summand")
 
 
 def _entry_L3(alpha=1.0) -> CatalogEntry:
@@ -103,44 +108,44 @@ def _entry_L3(alpha=1.0) -> CatalogEntry:
     if alpha == 0:
         raise ValueError("L3 requires alpha != 0")
     b = _lie(3, {(3, 1, 1): 1, (3, 2, 2): alpha})
-    return CatalogEntry("L3", {"alpha": alpha}, b, "lie", _t((0, 1), (1, 2)), 4.0, True)
+    return CatalogEntry("L3", {"alpha": alpha}, b, "lie", CriticalType((0, 1), (1, 2)), True)
 
 
 def _entry_L4() -> CatalogEntry:
     b = _lie(3, {(3, 1, 1): 1, (3, 1, 2): 1, (3, 2, 2): 1})
-    return CatalogEntry("L4", {}, b, "lie", None, None, False,
+    return CatalogEntry("L4", {}, b, "lie", None, False,
                         "no critical point in its orbit")
 
 
 def _entry_L5() -> CatalogEntry:
     b = _lie(3, {(3, 1, 1): 2, (3, 2, 2): -2, (1, 2, 3): 1})
-    return CatalogEntry("L5", {}, b, "lie", _t((0,), (3,)), 4.0 / 3.0, False,
+    return CatalogEntry("L5", {}, b, "lie", CriticalType((0,), (3,)), False,
                         "sl(2) in a weight basis; the critical basis is so3")
 
 
 def _entry_S1() -> CatalogEntry:
     return CatalogEntry("S1", {}, _alg(3, {(3, 3, 1): 1}), "symmetric",
-                        _t((3, 5, 6), (1, 1, 1)), 20.0, True)
+                        CriticalType((3, 5, 6), (1, 1, 1)), True)
 
 
 def _entry_S2() -> CatalogEntry:
     return CatalogEntry("S2", {}, _alg(3, {(2, 2, 1): 1, (3, 3, 1): 1}), "symmetric",
-                        _t((1, 2), (2, 1)), 12.0, True)
+                        CriticalType((1, 2), (2, 1)), True)
 
 
 def _entry_S3(beta=1.0) -> CatalogEntry:
     beta = complex(beta)
     b = _alg(3, {(2, 2, 1): beta, (3, 2, 1): 1, (3, 3, 1): 1})
     if beta == 0.25:
-        return CatalogEntry("S3", {"beta": beta}, b, "symmetric", None, None, False,
+        return CatalogEntry("S3", {"beta": beta}, b, "symmetric", None, False,
                             "no critical point in its orbit")
     return CatalogEntry("S3", {"beta": beta}, b, "symmetric",
-                        _t((1, 2), (2, 1)), 12.0, False)
+                        CriticalType((1, 2), (2, 1)), False)
 
 
 def _entry_S4() -> CatalogEntry:
-    return CatalogEntry("S4", {}, _alg(3, {(1, 3, 1): 1}), "right", _t((0, 1), (1, 2)), 4.0, True,
-                        _ONE_SIDED)
+    return CatalogEntry("S4", {}, _alg(3, {(1, 3, 1): 1}), "right", CriticalType((0, 1), (1, 2)),
+                        True, _ONE_SIDED)
 
 
 def _entry_S5(alpha=1.0) -> CatalogEntry:
@@ -149,12 +154,12 @@ def _entry_S5(alpha=1.0) -> CatalogEntry:
         raise ValueError("S5 requires alpha != 0")
     b = _alg(3, {(1, 3, 1): alpha, (2, 3, 2): 1, (3, 2, 2): -1})
     return CatalogEntry("S5", {"alpha": alpha}, b, "right",
-                        _t((0, 1), (1, 2)), 4.0, True, _ONE_SIDED)
+                        CriticalType((0, 1), (1, 2)), True, _ONE_SIDED)
 
 
 def _entry_S6() -> CatalogEntry:
     b = _alg(3, {(2, 3, 2): 1, (3, 2, 2): -1, (3, 3, 1): 1})
-    return CatalogEntry("S6", {}, b, "symmetric", None, None, False,
+    return CatalogEntry("S6", {}, b, "symmetric", None, False,
                         "no critical point in its orbit")
 
 
@@ -164,59 +169,84 @@ def _entry_S7(alpha=1.0) -> CatalogEntry:
         raise ValueError("S7 requires alpha != 0")
     b = _alg(3, {(1, 3, 1): alpha, (2, 3, 2): 1})
     return CatalogEntry("S7", {"alpha": alpha}, b, "right",
-                        _t((0, 1), (1, 2)), 4.0, True, _ONE_SIDED)
+                        CriticalType((0, 1), (1, 2)), True, _ONE_SIDED)
 
 
 def _entry_S8() -> CatalogEntry:
     b = _alg(3, {(1, 3, 1): 1, (1, 3, 2): 1, (3, 3, 1): 1})
-    return CatalogEntry("S8", {}, b, "right", None, None, False,
+    return CatalogEntry("S8", {}, b, "right", None, False,
                         "no critical point in its orbit; " + _ONE_SIDED)
 
 
 def _entry_lie2() -> CatalogEntry:
-    return CatalogEntry("lie2", {}, _lie(2, {(1, 2, 2): 1}), "lie", _t((0, 1), (1, 1)), 4.0, True,
-                        "the non-abelian 2-d Lie algebra")
+    return CatalogEntry("lie2", {}, _lie(2, {(1, 2, 2): 1}), "lie", CriticalType((0, 1), (1, 1)),
+                        True, "the non-abelian 2-d Lie algebra")
 
 
 def _entry_nonlie2() -> CatalogEntry:
     return CatalogEntry("nonlie2", {}, _alg(2, {(1, 1, 2): 1}), "symmetric",
-                        _t((1, 2), (1, 1)), 20.0, True,
+                        CriticalType((1, 2), (1, 1)), True,
                         "the non-Lie symmetric 2-d algebra; global maximum of F")
 
 
 def _entry_ns2() -> CatalogEntry:
-    return CatalogEntry("ns2", {}, _alg(2, {(1, 2, 2): 1}), "left", _t((0, 1), (1, 1)), 4.0, True,
-                        "left Leibniz but not right: a non-symmetric critical point")
+    return CatalogEntry("ns2", {}, _alg(2, {(1, 2, 2): 1}), "left", CriticalType((0, 1), (1, 1)),
+                        True, "left Leibniz but not right: a non-symmetric critical point")
 
 
 def _entry_so3() -> CatalogEntry:
     b = _lie(3, {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1})
-    return CatalogEntry("so3", {}, b, "lie", _t((0,), (3,)), 4.0 / 3.0, True,
+    return CatalogEntry("so3", {}, b, "lie", CriticalType((0,), (3,)), True,
                         "cyclic basis of sl(2); the moment matrix is scalar")
 
 
 def _entry_mu_hy(n=4) -> CatalogEntry:
     n = _dim_param("mu_hy", n, 2)
     b = _lie(n, {(1, i, i): 1 for i in range(2, n + 1)})
-    t = _t((0, 1), (1, n - 1))
-    return CatalogEntry("mu_hy", {"n": n}, b, "lie", t, 4.0, True,
+    t = CriticalType((0, 1), (1, n - 1))
+    return CatalogEntry("mu_hy", {"n": n}, b, "lie", t, True,
                         "scaling algebra: one generator acting as the identity")
 
 
 def _entry_mu_he(n=4) -> CatalogEntry:
     n = _dim_param("mu_he", n, 3)
     b = _lie(n, {(1, 2, 3): 1})
-    t = _t((1, 2), (2, 1)) if n == 3 else _t((2, 3, 4), (2, n - 3, 1))
-    return CatalogEntry("mu_he", {"n": n}, b, "lie", t, 12.0, True,
+    t = CriticalType((1, 2), (2, 1)) if n == 3 else CriticalType((2, 3, 4), (2, n - 3, 1))
+    return CatalogEntry("mu_he", {"n": n}, b, "lie", t, True,
                         "Heisenberg algebra plus a trivial summand")
 
 
 def _entry_mu_sy(n=4) -> CatalogEntry:
     n = _dim_param("mu_sy", n, 2)
     b = _alg(n, {(1, 1, 2): 1})
-    t = _t((1, 2), (1, 1)) if n == 2 else _t((3, 5, 6), (1, n - 2, 1))
-    return CatalogEntry("mu_sy", {"n": n}, b, "symmetric", t, 20.0, True,
+    t = CriticalType((1, 2), (1, 1)) if n == 2 else CriticalType((3, 5, 6), (1, n - 2, 1))
+    return CatalogEntry("mu_sy", {"n": n}, b, "symmetric", t, True,
                         "non-Lie 2-d algebra plus a trivial summand")
+
+
+def _m0_type(n: int) -> CriticalType:
+    """The exact type of m0(n)'s pre-Einstein derivation (Nikolayevsky, Trans. AMS 363, 2011).
+
+    The diagonal derivations are x p + y q, p = (1, 0, 1, 2, ..., n-2), q = (0, 1, ..., 1);
+    tr(phi psi) = tr(psi) on both is a 2 x 2 Gram system in x and y.
+    """
+    p, q = (1, 0, *range(1, n - 1)), (0,) + (1,) * (n - 1)
+    pp, pq, qq = (sum(a * b for a, b in zip(u, v)) for u, v in ((p, p), (p, q), (q, q)))
+    sp, sq, det = sum(p), sum(q), pp * qq - pq * pq
+    x, y = Fraction(sp * qq - pq * sq, det), Fraction(pp * sq - pq * sp, det)
+    phi = [x * a + y * b for a, b in zip(p, q)]
+    values = sorted(set(phi))
+    common = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (common // v.denominator) for v in values]
+    g = math.gcd(*ints)
+    return CriticalType([k // g for k in ints], [phi.count(v) for v in values])
+
+
+def _entry_m0(n=4) -> CatalogEntry:
+    n = _dim_param("m0", n, 3)
+    b = _lie(n, {(1, i, i + 1): 1 for i in range(2, n)})
+    return CatalogEntry("m0", {"n": n}, b, "lie", _m0_type(n), n <= 4,
+                        "filiform Lie algebra [e1, ei] = e(i+1)")
 
 
 _BUILDERS: dict[str, Callable[..., CatalogEntry]] = {
@@ -240,6 +270,7 @@ _BUILDERS: dict[str, Callable[..., CatalogEntry]] = {
     "mu_hy": _entry_mu_hy,
     "mu_he": _entry_mu_he,
     "mu_sy": _entry_mu_sy,
+    "m0": _entry_m0,
 }
 
 

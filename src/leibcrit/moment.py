@@ -59,9 +59,9 @@ class IrrationalTypeError(ArithmeticError):
 class CriticalType:
     """Coprime integer spectrum with multiplicities.
 
-    ``scale`` is the positive constant relating the certified derivation
-    part D to the integers, ``scale * eig(D) ~ ks``; it is excluded from
-    equality so types compare by their integer data alone.
+    ``ks`` and ``ds`` are stored as tuples.  ``scale`` is the positive constant
+    relating the certified derivation part D to the integers, ``scale * eig(D) ~ ks``;
+    it is excluded from equality so types compare by their integer data alone.
     """
 
     ks: tuple[int, ...]
@@ -69,6 +69,8 @@ class CriticalType:
     scale: float = field(compare=False, default=1.0)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ks", tuple(self.ks))
+        object.__setattr__(self, "ds", tuple(self.ds))
         if len(self.ks) != len(self.ds) or not self.ks:
             raise ValueError("ks and ds must be nonempty and of equal length")
         if any(d <= 0 for d in self.ds):
@@ -76,11 +78,8 @@ class CriticalType:
         if any(a >= b for a, b in zip(self.ks, self.ks[1:])):
             raise ValueError("ks must be strictly increasing")
         nonzero = [abs(k) for k in self.ks if k != 0]
-        if nonzero:
-            if math.gcd(*nonzero) != 1:
-                raise ValueError("nonzero entries must be coprime")
-        elif self.ks != (0,):
-            raise ValueError("all-zero type must be written (0; n)")
+        if nonzero and math.gcd(*nonzero) != 1:
+            raise ValueError("nonzero entries must be coprime")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
@@ -332,18 +331,18 @@ def _spectrum_type(w: np.ndarray) -> CriticalType:
         raise IrrationalTypeError(
             f"no admissible scaling found (best rounding error {err:.3g})"
         )
-    return CriticalType(tuple(ks), tuple(mults), scale)
+    return CriticalType(ks, mults, scale)
 
 
 def critical_value_formula(t: CriticalType, n: int) -> float:
-    """Value of F forced by a critical type in ambient dimension n."""
+    """Value of F forced by a critical type in dimension n: the exact rational, rounded once."""
     if t.n != n:
         raise ValueError(f"type has total multiplicity {t.n}, expected {n}")
     if t.ks == (0,):
         return 4.0 / n
     s1 = sum(k * d for k, d in zip(t.ks, t.ds))
     s2 = sum(k * k * d for k, d in zip(t.ks, t.ds))
-    denom = n - s1 * s1 / s2
-    if denom <= 1e-12:
+    denom = n - Fraction(s1 * s1, s2)
+    if denom == 0:  # only the types (1; n) and (-1; n)
         raise ValueError(f"inadmissible type {t}: degenerate denominator")
-    return 4.0 / denom
+    return float(4 / denom)

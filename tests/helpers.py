@@ -62,8 +62,3 @@ def irrational_type_s2() -> Bracket:
 
     r = np.random.default_rng(3).standard_normal((3, 3))
     return gl_act(np.eye(3) + 1e-4 * r, get("S2").bracket)
-
-
-def filiform(n: int) -> Bracket:
-    """m0(n): the filiform Lie algebra [e1, ei] = e(i+1)."""
-    return Bracket.from_entries(n, {(1, i, i + 1): 1 for i in range(2, n)}, antisymmetrize=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from leibcrit.bracket import Bracket, check_identities
 from leibcrit.catalog import CatalogEntry, get, names, standard_rows, verify_catalog
-from leibcrit.moment import criticality_decompose
+from leibcrit.moment import critical_value_formula, criticality_decompose
 
 
 class TestGet:
@@ -75,6 +76,54 @@ class TestGet:
         assert get("S3", {"beta": 0.25}).label == "S3(beta=0.25)"
         assert get("L3", {"alpha": 2}).label == "L3(alpha=2)"
         assert get("L3", {"alpha": 1e20}).label == "L3(alpha=1e+20)"
+
+    def test_expected_value_is_read_from_the_type(self):
+        assert "expected_value" not in {f.name for f in dataclasses.fields(CatalogEntry)}
+        for e in standard_rows():
+            if e.expected_type is not None:
+                assert e.expected_value == critical_value_formula(e.expected_type, e.dim), e.label
+
+
+#: m0(n)'s types from descents to 1e-13 with the denominator bound at 10^4.
+M0_REFERENCE_TYPES = {
+    9: "(2<79<81<83<85<87<89<91<93;1,1,1,1,1,1,1,1,1)",
+    10: "(1<57<58<59<60<61<62<63<64<65;1,1,1,1,1,1,1,1,1,1)",
+    12: "(1<106<107<108<109<110<111<112<113<114<115<116;1,1,1,1,1,1,1,1,1,1,1,1)",
+    14: "(1<177<178<179<180<181<182<183<184<185<186<187<188<189;"
+        "1,1,1,1,1,1,1,1,1,1,1,1,1,1)",
+    16: "(1<274<275<276<277<278<279<280<281<282<283<284<285<286<287<288;"
+        "1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1)",
+}
+
+
+class TestM0Family:
+    @pytest.mark.parametrize("n", sorted(M0_REFERENCE_TYPES))
+    def test_exact_type(self, n):
+        assert str(get("m0", n=n).expected_type) == M0_REFERENCE_TYPES[n]
+
+    def test_small_types_and_values(self):
+        assert str(get("m0", n=3).expected_type) == "(1<2;2,1)"
+        assert str(get("m0", n=4).expected_type) == "(1<2<3<4;1,1,1,1)"
+        assert get("m0", n=4).expected_value == 6.0
+        # the limits of the pinned descents from m0(5-8)
+        assert [get("m0", n=n).expected_value for n in (5, 6, 7, 8)] == [
+            24 / 5, 22 / 5, 148 / 35, 29 / 7]
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_direct_flag_agrees_with_computation(self, n):
+        e = get("m0", n=n)
+        assert e.algebra_class == "lie" and e.label == f"m0(n={n})"
+        assert criticality_decompose(e.bracket).is_critical == e.critical_in_given_basis
+        assert e.critical_in_given_basis == (n <= 4)
+
+    def test_bracket(self):
+        c = get("m0", n=5).bracket.coeffs
+        assert c[0, 1, 2] == c[0, 2, 3] == c[0, 3, 4] == 1 and c[1, 0, 2] == -1
+        assert np.count_nonzero(c) == 6
+
+    def test_rejects_n_below_3(self):
+        with pytest.raises(ValueError, match="^m0 requires n >= 3$"):
+            get("m0", n=2)
 
 
 class TestIdentityClasses:

@@ -436,10 +436,8 @@ class TestFlowCommand:
 
     def test_filiform_limit_without_rational_type(self, tmp_path, capsys):
         # the limit's D is rational only to 1.9e-6, above the 1e-6 type tolerance
-        m0 = Bracket.from_entries(9, {(1, i, i + 1): 1 for i in range(2, 9)},
-                                  antisymmetrize=True)
         path = tmp_path / "m0_9.json"
-        save_algebra(path, m0)
+        save_algebra(path, get("m0", n=9).bracket)
         code, out, err = run_cli(capsys, "flow", str(path))
         assert code == 0 and err == ""
         assert "converged yes" in out and "critical type" not in out
@@ -859,7 +857,7 @@ class TestPinnedOutputs:
         assert code == 0
         assert out == json.dumps({"names": [
             "L1", "L2", "L3", "L4", "L5", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8",
-            "lie2", "nonlie2", "ns2", "so3", "mu_hy", "mu_he", "mu_sy",
+            "lie2", "nonlie2", "ns2", "so3", "mu_hy", "mu_he", "mu_sy", "m0",
         ]}, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv,doc", [

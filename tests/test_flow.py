@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import filiform, random_unitary
+from helpers import random_unitary
 from leibcrit.bracket import Bracket, check_identities, gl_act
-from leibcrit.catalog import get, standard_rows
+from leibcrit.catalog import FLOW_VALUE_TOL, get, standard_rows
 from leibcrit.flow import FlowTrace, _expm, descend, perturb_in_orbit
 from leibcrit.moment import critical_type, critical_value_formula, criticality_decompose
 
@@ -222,14 +222,14 @@ PINNED_DESCENTS = [
      lambda: perturb_in_orbit(get("L3", {"alpha": 2}).bracket, 0.5, 1), 4, "(0<1;1,2)"),
     ("S7(alpha=2)+0.5/seed1",
      lambda: perturb_in_orbit(get("S7", {"alpha": 2}).bracket, 0.5, 1), 23, "(0<1;1,2)"),
-    ("m0(5)", lambda: filiform(5), 5, M0_TYPES[5]),
-    ("m0(6)", lambda: filiform(6), 5, M0_TYPES[6]),
-    ("m0(7)", lambda: filiform(7), 10, M0_TYPES[7]),
-    ("m0(8)", lambda: filiform(8), 14, M0_TYPES[8]),
-    ("m0(5)+0.5/seed2", lambda: perturb_in_orbit(filiform(5), 0.5, 2), 13, M0_TYPES[5]),
-    ("m0(6)+0.5/seed2", lambda: perturb_in_orbit(filiform(6), 0.5, 2), 19, M0_TYPES[6]),
-    ("m0(7)+0.5/seed2", lambda: perturb_in_orbit(filiform(7), 0.5, 2), 30, M0_TYPES[7]),
-    ("m0(8)+0.5/seed2", lambda: perturb_in_orbit(filiform(8), 0.5, 2), 27, M0_TYPES[8]),
+    ("m0(5)", lambda: get("m0", n=5).bracket, 5, M0_TYPES[5]),
+    ("m0(6)", lambda: get("m0", n=6).bracket, 5, M0_TYPES[6]),
+    ("m0(7)", lambda: get("m0", n=7).bracket, 10, M0_TYPES[7]),
+    ("m0(8)", lambda: get("m0", n=8).bracket, 14, M0_TYPES[8]),
+    ("m0(5)+0.5/seed2", lambda: perturb_in_orbit(get("m0", n=5).bracket, 0.5, 2), 13, M0_TYPES[5]),
+    ("m0(6)+0.5/seed2", lambda: perturb_in_orbit(get("m0", n=6).bracket, 0.5, 2), 19, M0_TYPES[6]),
+    ("m0(7)+0.5/seed2", lambda: perturb_in_orbit(get("m0", n=7).bracket, 0.5, 2), 30, M0_TYPES[7]),
+    ("m0(8)+0.5/seed2", lambda: perturb_in_orbit(get("m0", n=8).bracket, 0.5, 2), 27, M0_TYPES[8]),
 ]
 
 
@@ -244,6 +244,17 @@ def test_pinned_descent(start, steps, type_):
     assert tr.message == "" and tr.cond_g < 10.0
     assert identity_flags(tr.final_bracket) == identity_flags(mu)
     assert tr.final_bracket is tr.final_report.mu
+
+
+@pytest.mark.parametrize("start, type_", [pytest.param(s, t, id=label)
+                                          for label, s, _, t in PINNED_DESCENTS
+                                          if label.startswith("m0(")])
+def test_m0_limit_is_the_catalog_entry(start, type_):
+    # the catalog's exact type and its F = 24/5, 22/5, 148/35 and 29/7 at n = 5-8
+    mu = start()
+    entry = get("m0", n=mu.dim)
+    assert str(entry.expected_type) == type_
+    assert descend(mu).final_report.F == pytest.approx(entry.expected_value, rel=FLOW_VALUE_TOL)
 
 
 @pytest.mark.parametrize("start", [pytest.param(s, id=label) for label, s, _, _ in PINNED_DESCENTS])

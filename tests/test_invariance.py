@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import filiform, random_bracket, random_invertible, random_unitary
+from helpers import random_bracket, random_invertible, random_unitary
 from leibcrit.bracket import Bracket, check_identities, gl_act
 from leibcrit.catalog import get, standard_rows
 from leibcrit.cli import run
@@ -126,7 +126,7 @@ REAL_PRODUCTS = [
 ] + [
     pytest.param(get(name, n=n).bracket, id=f"{name}({n})")
     for name in ("mu_hy", "mu_he", "mu_sy") for n in range(4, 9)
-] + [pytest.param(filiform(n), id=f"m0({n})") for n in range(5, 9)]
+] + [pytest.param(get("m0", n=n).bracket, id=f"m0({n})") for n in range(5, 9)]
 
 PHASE = np.exp(0.25j * np.pi)
 
@@ -183,7 +183,7 @@ def test_real_start_stays_real():
     assert all(d.dtype == np.float64 for d in derivation_space(mu))
     # the eigenbasis of D in which verify_structure_theorem reads mu
     assert hermitian_eigen(rep.D)[1].dtype == np.float64
-    tr = descend(filiform(6))
+    tr = descend(get("m0", n=6).bracket)
     assert tr.iterations > 0 and tr.final_bracket.coeffs.dtype == np.float64
 
 
@@ -191,7 +191,7 @@ DESCENT_STARTS = {
     "S2": get("S2").bracket,
     "L3(2)": get("L3", {"alpha": 2}).bracket,
     "S7(2)": get("S7", {"alpha": 2}).bracket,
-    "m0(5)": filiform(5),
+    "m0(5)": get("m0", n=5).bracket,
     "L5": get("L5").bracket,
     "S3(1)": get("S3", {"beta": 1}).bracket,
 }

@@ -42,7 +42,6 @@ import pytest
 import scipy.linalg
 
 from helpers import (
-    filiform,
     random_bracket,
     random_hermitian,
     random_invertible,
@@ -334,9 +333,9 @@ def derivation_cases() -> list:
         cases += [pytest.param(get(name, n=n).bracket, id=f"{name}({n})") for n in range(3, 9)]
     return cases + [
         pytest.param(reversed_basis(get("S1").bracket), id="S1-reversed"),
-        pytest.param(reversed_basis(filiform(8)), id="m0(8)-reversed"),
-        pytest.param(filiform(12), id="m0(12)"),
-        pytest.param(perturb_in_orbit(filiform(12), 0.5, 2), id="m0(12)+0.5/seed2"),
+        pytest.param(reversed_basis(get("m0", n=8).bracket), id="m0(8)-reversed"),
+        pytest.param(get("m0", n=12).bracket, id="m0(12)"),
+        pytest.param(perturb_in_orbit(get("m0", n=12).bracket, 0.5, 2), id="m0(12)+0.5/seed2"),
     ]
 
 
@@ -345,7 +344,7 @@ def test_derivation_space_peak_at_n20(perturbed, bound_mb):
     # the (n^3, n^2) matrix of a -> a.mu alone is 25.6 MB on the real m0(20) and
     # 51.2 MB on its complex perturbation; the two stages take one (n^2, n^2)
     # block and the (n^3, dim V) images of the dim V = 40 candidates
-    mu = filiform(20)
+    mu = get("m0", n=20).bracket
     if perturbed:
         mu = perturb_in_orbit(mu, 0.5, 2)
     tracemalloc.start()

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     evaluate,
-    filiform,
     irrational_type_s2,
     random_bracket,
     random_hermitian,
@@ -146,11 +144,6 @@ def check_real_orthonormal_hermitian(maps: list[np.ndarray]) -> None:
     np.testing.assert_allclose(gram, np.eye(len(maps)), atol=1e-12)
 
 
-def filiform(n: int) -> Bracket:
-    """[e1, ei] = e(i+1): a nilpotent Lie algebra with no critical point in its orbit."""
-    return Bracket.from_entries(n, {(1, i, i + 1): 1 for i in range(2, n)}, antisymmetrize=True)
-
-
 def equivalence_cases() -> list:
     """Every catalog row (L4 among them), seeded unitary rotations of the
     three families and the non-critical filiform m0(5)."""
@@ -160,7 +153,7 @@ def equivalence_cases() -> list:
         for n in range(4, 9):
             mu = gl_act(random_unitary(n, rng), get(name, n=n).bracket)
             cases.append(pytest.param(mu, id=f"{name}({n})@U"))
-    cases.append(pytest.param(filiform(5), id="m0(5)"))
+    cases.append(pytest.param(get("m0", n=5).bracket, id="m0(5)"))
     return cases
 
 
@@ -210,7 +203,8 @@ def decomp_equivalence_cases() -> list:
         for seed in range(3):
             mu = random_bracket(n, np.random.default_rng(seed))
             cases.append(pytest.param(mu, id=f"random({n})/seed{seed}"))
-    cases.append(pytest.param(perturb_in_orbit(filiform(8), 0.5, seed=2), id="m0(8)+0.5/seed2"))
+    m0_8 = perturb_in_orbit(get("m0", n=8).bracket, 0.5, seed=2)
+    cases.append(pytest.param(m0_8, id="m0(8)+0.5/seed2"))
     for label, mu in (
         ("L5", get("L5").bracket),
         ("S3(1)", get("S3", {"beta": 1}).bracket),
@@ -598,10 +592,9 @@ class TestCriticalType:
     def test_type_validation_messages(self):
         with pytest.raises(ValueError, match="^ks and ds must be nonempty and of equal length$"):
             CriticalType((1, 2), (1,))
-        # a tuple of zeros that increases strictly is (0,) itself, so only a
-        # list reaches this check
-        with pytest.raises(ValueError, match=re.escape("all-zero type must be written (0; n)")):
-            CriticalType([0], [3])
+        # lists are stored as tuples, so a list type equals the tuple one
+        assert CriticalType([0], [3]) == CriticalType.zero(3)
+        assert CriticalType([1, 2], [1, 1]) == CriticalType((1, 2), (1, 1))
         for scale in (0.0, -1.0):
             with pytest.raises(ValueError, match="^scale must be positive$"):
                 CriticalType((1, 2), (1, 1), scale)
@@ -705,7 +698,7 @@ class TestOnePassType:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_matches_the_numpy_reductions_on_descent_limits(self, n):
-        rep = criticality_decompose(descend(filiform(n)).final_bracket)
+        rep = criticality_decompose(descend(get("m0", n=n).bracket).final_bracket)
         assert_same_type(rep.D)
         assert_same_type(rep.D / rep.norm_sq)
 
@@ -803,10 +796,13 @@ class TestCriticalValueFormula:
             ((0, 3, 5, 6), (1, 1, 1, 1), 4, 10.0 / 3.0),
             ((0, 3, 5, 6), (3, 1, 1, 1), 6, 1.25),
             ((2, 3, 4), (2, 1, 1), 4, 12.0),
+            ((1, 2), (1, 1), 2, 20.0),
         ],
     )
     def test_golden(self, ks, ds, n, expected):
-        assert critical_value_formula(CriticalType(ks, ds), n) == pytest.approx(expected)
+        # the rational value rounded once: float arithmetic gave 11.999999999999995,
+        # 19.999999999999982 and 20.000000000000004 for (1<2;2,1), S1 and nonlie2
+        assert critical_value_formula(CriticalType(ks, ds), n) == expected
 
     def test_degenerate_denominator(self):
         with pytest.raises(ValueError, match="degenerate"):

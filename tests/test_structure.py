@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import leibcrit
-from helpers import filiform, irrational_type_s2, random_bracket, random_unitary
+from helpers import irrational_type_s2, random_bracket, random_unitary
 from leibcrit import structure
 from leibcrit.bracket import Bracket, _base_change, check_identities, gl_act, inf_act
 from leibcrit.catalog import get, standard_rows
@@ -134,7 +134,8 @@ def verdict_cases() -> list:
             cases.append(pytest.param(mu, id=f"{name}({n})"))
             cases.append(pytest.param(gl_act(random_unitary(n, rng), mu), id=f"{name}({n})@U"))
     for n in range(5, 9):
-        cases.append(pytest.param(descend(filiform(n)).final_bracket, id=f"limit of m0({n})"))
+        limit = descend(get("m0", n=n).bracket).final_bracket
+        cases.append(pytest.param(limit, id=f"limit of m0({n})"))
     return cases
 
 
